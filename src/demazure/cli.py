@@ -6,7 +6,8 @@ Subcommands
 ``mult``
     Structure constants of the dual classes (formula route).  With ``--u``
     and ``--v`` it prints the rows of one product; with neither it prints
-    the full table, optionally split over a worker pool (``--jobs``).
+    the full table, optionally split over a worker pool (``--jobs``, capped
+    at the number of (u, v) pairs and the CPU count).
     ``--check`` recomputes every row through the independent oracle route
     and reports any mismatch.
 ``restrict``
@@ -51,6 +52,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Mapping, Sequence
@@ -353,6 +355,14 @@ def _row_sort_key(row: Mapping) -> tuple:
     return (word_key(row["u"]), word_key(row["v"]), word_key(row["w"]))
 
 
+def worker_count(jobs: int, tasks: int, cpus: int | None) -> int:
+    """Pool size for ``--jobs``: never more workers than tasks or CPUs.
+
+    A fork pool starts every worker up front, so an unbounded ``--jobs``
+    would start that many processes whatever the work."""
+    return min(jobs, tasks, cpus or 1)
+
+
 def cmd_mult(args: argparse.Namespace) -> int:
     config = _resolve_config(args, default_family="x")
     if (args.u is None) != (args.v is None):
@@ -368,8 +378,9 @@ def cmd_mult(args: argparse.Namespace) -> int:
         pairs = [(u, v) for u in names for v in names]
     rows: list = []
     discrepancies: list = []
-    if config.jobs > 1 and len(pairs) > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
+    workers = worker_count(config.jobs, len(pairs), os.cpu_count())
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
                 pool.submit(_mult_pair_task, key, u, v, config.check) for u, v in pairs
             ]
@@ -616,7 +627,9 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument("--out", choices=("text", "json"), default="text")
     parser.add_argument("--check", action="store_true", help="run the oracle cross-check")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="worker processes (at most the CPU count)"
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:

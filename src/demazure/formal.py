@@ -12,13 +12,19 @@ Two exact backends over arbitrary-precision integers:
 Elements of the localization Q keep their denominators as *symbolic* factor
 multisets (root classes and the hatted variants used by the h- and
 q-deformed operator families); normalization divides the numerator exactly
-by factor expansions and never computes polynomial GCDs.
+by factor expansions and never computes polynomial GCDs.  Before any exact
+division it rules factors out by a modular witness test: each factor has a
+point, modulo a fixed prime, at which it vanishes, so a numerator that does
+not vanish there cannot be a multiple of it.  Results stay exact; the test
+only skips divisions that would fail.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
+from operator import itemgetter, mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .rootdata import RootDatum, WeylElement
@@ -46,6 +52,7 @@ class Backend:
         self.rank = datum.rank
         self.extra_var = "h" if law == ADDITIVE else "v"
         self._expand_cache: dict[FactorSymbol, SElem] = {}
+        self._witness_cache: dict[FactorSymbol, tuple[tuple[_Powers, itemgetter], ...]] = {}
         self._act_form_cache: dict[tuple[int, ...], list[SElem]] = {}
         self._act_power_cache: dict[tuple[tuple[int, ...], int], list[SElem]] = {}
         weights = set()
@@ -470,6 +477,114 @@ def divide_exact(backend: Backend, p: SElem, factor: FactorSymbol | SElem) -> SE
     return _divide_selem(p, divisor)
 
 
+# ---------------------------------------------------------------------------
+# Witness points: a cheap proof that a factor does not divide
+# ---------------------------------------------------------------------------
+
+# A Mersenne prime.  If p = f * q exactly, then p(pt) = f(pt) q(pt) = 0 mod
+# the prime at any point pt where f vanishes, so p(pt) != 0 proves f does not
+# divide p.  A zero value proves nothing and the exact division still runs.
+WITNESS_PRIME = 2**61 - 1
+
+
+def _generic_coordinates(width: int) -> tuple[int, ...]:
+    """Fixed nonzero residues, one per coordinate, from the splitmix64 mixer.
+
+    They must obey no small algebraic relation (a linear sequence would put
+    every witness point on x_beta for beta = 2 alpha_1 - alpha_2, say)."""
+    mask = (1 << 64) - 1
+    out = []
+    for i in range(1, width + 1):
+        z = (0x9E3779B97F4A7C15 * i) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        out.append((z ^ (z >> 31)) % (WITNESS_PRIME - 1) + 1)
+    return tuple(out)
+
+
+def witness_point(law: str, factor: FactorSymbol, generic: Sequence[int]) -> tuple[int, ...]:
+    """Coordinates mod ``WITNESS_PRIME`` at which ``factor`` expands to zero.
+
+    ``generic`` holds one residue per coordinate (t_1..t_n, h additively; the
+    bases c_1..c_n, c_v multiplicatively).  With j the first nonzero
+    coordinate of the root beta:
+
+    * ``x_root`` (additive): t generic, t_j solves beta.t = 0;
+    * ``one_plus_root``: t_j solves beta.t = -1;
+    * ``hat_additive``: t generic, h = beta.t;
+    * ``x_root`` / ``one_minus_e`` (multiplicative): z_i = c_i^{beta_j} for
+      i != j and z_j = prod_{i != j} c_i^{-beta_i}, so e^beta = 1; v = c_v;
+    * ``hat_multiplicative``: z_i = c_i^2 and v = prod c_i^{beta_i}, so
+      q e^{-beta} = 1.
+
+    Raises ``ValueError`` when beta_j is 0 mod the prime (additive) or a base
+    is not a unit mod the prime (multiplicative), instead of wrapping or
+    dividing by zero.
+    """
+    prime = WITNESS_PRIME
+    beta = factor.root
+    rank = len(beta)
+    if len(generic) != rank + 1:
+        raise ValueError(f"witness point needs {rank + 1} generic coordinates")
+    j = next((i for i, c in enumerate(beta) if c), None)
+    if j is None:
+        raise ValueError("no witness point for a factor over the zero weight")
+    kind = factor.kind
+    if law == ADDITIVE:
+        t = [c % prime for c in generic[:rank]]
+        if kind == HAT_ADDITIVE:
+            return (*t, sum(b * c for b, c in zip(beta, t)) % prime)
+        if kind not in (X_ROOT, ONE_PLUS_ROOT):
+            raise ValueError(f"no additive witness point for {kind}")
+        if beta[j] % prime == 0:
+            raise ValueError(f"root coordinate {beta[j]} vanishes mod the witness prime")
+        rest = sum(b * c for i, (b, c) in enumerate(zip(beta, t)) if i != j)
+        target = 0 if kind == X_ROOT else -1
+        t[j] = (target - rest) * pow(beta[j], -1, prime) % prime
+        return (*t, generic[rank] % prime)
+    if any(c % prime == 0 for c in generic):
+        raise ValueError("multiplicative witness coordinate is not a unit mod the prime")
+    bases = generic[:rank]
+    if kind == HAT_MULTIPLICATIVE:
+        z = [pow(c, 2, prime) for c in bases]
+        return (*z, prod(pow(c, b, prime) for c, b in zip(bases, beta)) % prime)
+    if kind not in (X_ROOT, ONE_MINUS_E):
+        raise ValueError(f"no multiplicative witness point for {kind}")
+    z = [pow(c, beta[j], prime) for c in bases]
+    z[j] = prod(pow(c, -b, prime) for i, (c, b) in enumerate(zip(bases, beta)) if i != j) % prime
+    return (*z, generic[rank] % prime)
+
+
+class _Powers(dict):
+    """``base ** e`` mod the witness prime, keyed by e and filled on demand."""
+
+    __slots__ = ("base",)
+
+    def __init__(self, base: int):
+        super().__init__()
+        self.base = base
+
+    def __missing__(self, e: int) -> int:
+        value = self[e] = pow(self.base, e, WITNESS_PRIME)
+        return value
+
+
+def _witness_rules_out(backend: Backend, p: SElem, factor: FactorSymbol) -> bool:
+    """True when ``p`` is nonzero at the factor's witness point, which proves
+    the factor does not divide ``p``."""
+    powers = backend._witness_cache.get(factor)
+    if powers is None:
+        point = witness_point(backend.law, factor, _generic_coordinates(backend.rank + 1))
+        powers = tuple((_Powers(c), itemgetter(i)) for i, c in enumerate(point))
+        backend._witness_cache[factor] = powers
+    # Term values, one variable at a time, so the loop over the terms runs
+    # inside map and sum (and builds no column tuples).
+    values = p.terms.values()
+    for table, exponent in powers:
+        values = map(mul, values, map(table.__getitem__, map(exponent, p.terms)))
+    return sum(values) % WITNESS_PRIME != 0
+
+
 def _canonicalize_factor(
     backend: Backend, factor: FactorSymbol
 ) -> tuple[FactorSymbol, SElem | None]:
@@ -663,16 +778,26 @@ def _normalize(
     if not den:
         return num, den
     den = sorted(den)
+    # Factors known not to divide num.  They stay ruled out as num is divided:
+    # if f divided num / g it would divide num.
+    ruled_out: set[FactorSymbol] = set()
     changed = True
     while changed and den:
         changed = False
         for idx, factor in enumerate(den):
+            if factor in ruled_out:
+                continue
+            if _witness_rules_out(backend, num, factor):
+                ruled_out.add(factor)
+                continue
             quotient = _divide_selem(num, expand_factor(backend, factor))
-            if quotient is not None:
-                num = quotient
-                del den[idx]
-                changed = True
-                break
+            if quotient is None:
+                ruled_out.add(factor)
+                continue
+            num = quotient
+            del den[idx]
+            changed = True
+            break
     return num, den
 
 

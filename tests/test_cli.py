@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from conftest import get_datum
-from demazure.cli import EXIT_CONFIG, EXIT_DISCREPANCY, EXIT_OK, main
+from demazure.cli import EXIT_CONFIG, EXIT_DISCREPANCY, EXIT_OK, main, worker_count
 from demazure.dual import CohStableBasis, DualBasis
 from demazure.formal import (
     ADDITIVE,
@@ -347,6 +347,21 @@ def test_output_bytes_identical_across_runs_and_worker_counts():
     code3, out3 = _run_subprocess(*base, "--jobs", "1")
     assert code1 == code2 == code3 == EXIT_OK
     assert out1 == out2 == out3
+
+
+@pytest.mark.parametrize(
+    "jobs,tasks,cpus,expected",
+    [
+        (1, 36, 8, 1),  # --jobs 1 stays serial
+        (4, 36, 2, 2),  # capped by the CPU count
+        (64, 3, 8, 3),  # capped by the number of (u, v) pairs
+        (4, 1, 8, 1),  # a single pair runs in-process
+        (4, 36, None, 1),  # unknown CPU count: one worker
+        (3, 36, 8, 3),
+    ],
+)
+def test_worker_count_caps_jobs(jobs, tasks, cpus, expected):
+    assert worker_count(jobs, tasks, cpus) == expected
 
 
 def test_json_output_round_trips_byte_identically():

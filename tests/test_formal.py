@@ -16,11 +16,16 @@ from demazure.formal import (
     MULTIPLICATIVE,
     ONE_MINUS_E,
     ONE_PLUS_ROOT,
+    WITNESS_PRIME,
     X_ROOT,
     Backend,
     FactorSymbol,
     QElem,
     SElem,
+    _divide_selem,
+    _generic_coordinates,
+    _normalize,
+    _witness_rules_out,
     divide_exact,
     e_mono,
     expand_factor,
@@ -35,6 +40,7 @@ from demazure.formal import (
     v_var,
     weyl_act,
     weyl_act_q,
+    witness_point,
     x_class,
     zero,
 )
@@ -237,6 +243,133 @@ def test_divide_exact_roundtrip_every_kind(law, kinds):
             factor = FactorSymbol(kind, rng.choice(roots))
             product = p * expand_factor(b, factor)
             assert divide_exact(b, product, factor) == p
+
+
+# ---------------------------------------------------------------------------
+# Witness points and the non-divisibility filter of _normalize
+# ---------------------------------------------------------------------------
+
+_KINDS = {
+    ADDITIVE: (X_ROOT, HAT_ADDITIVE, ONE_PLUS_ROOT),
+    MULTIPLICATIVE: (X_ROOT, ONE_MINUS_E, HAT_MULTIPLICATIVE),
+}
+
+
+def _signed_roots(b: Backend) -> list[tuple[int, ...]]:
+    roots = [b.datum.root_to_weight(beta) for beta in b.datum.positive_roots]
+    return roots + [tuple(-c for c in root) for root in roots]
+
+
+def _value_mod_prime(p: SElem, point) -> int:
+    """Term-by-term evaluation mod the witness prime, without power tables."""
+    total = 0
+    for key, coeff in p.terms.items():
+        for x, e in zip(point, key):
+            coeff = coeff * pow(x, e, WITNESS_PRIME) % WITNESS_PRIME
+        total += coeff
+    return total % WITNESS_PRIME
+
+
+def _selems(b: Backend):
+    low = 0 if b.law == ADDITIVE else -3
+    keys = st.tuples(*[st.integers(low, 3)] * (b.rank + 1))
+    return st.dictionaries(keys, st.integers(-5, 5), max_size=5).map(
+        lambda terms: SElem(b, terms)
+    )
+
+
+@pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_witness_filter_kernel_properties(label, law, data):
+    b = get_backend(label, law)
+    factor = FactorSymbol(
+        data.draw(st.sampled_from(_KINDS[law])), data.draw(st.sampled_from(_signed_roots(b)))
+    )
+    f = expand_factor(b, factor)
+    point = witness_point(law, factor, _generic_coordinates(b.rank + 1))
+    assert _value_mod_prime(f, point) == 0
+    p = data.draw(_selems(b))
+    assert not _witness_rules_out(b, p * f, factor)
+    assert _divide_selem(p * f, f) == p
+    if _witness_rules_out(b, p, factor):
+        assert _divide_selem(p, f) is None
+
+
+def test_witness_point_rejects_degenerate_input():
+    generic = _generic_coordinates(3)
+    with pytest.raises(ValueError, match="vanishes mod the witness prime"):
+        witness_point(ADDITIVE, FactorSymbol(X_ROOT, (WITNESS_PRIME, 1)), generic)
+    with pytest.raises(ValueError, match="vanishes mod the witness prime"):
+        witness_point(ADDITIVE, FactorSymbol(ONE_PLUS_ROOT, (-2 * WITNESS_PRIME, 3)), generic)
+    with pytest.raises(ValueError, match="not a unit"):
+        witness_point(MULTIPLICATIVE, FactorSymbol(X_ROOT, (1, -1)), (5, WITNESS_PRIME, 7))
+    with pytest.raises(ValueError, match="not a unit"):
+        witness_point(MULTIPLICATIVE, FactorSymbol(HAT_MULTIPLICATIVE, (2, -1)), (3, 5, 0))
+
+
+def _normalize_unfiltered(b: Backend, num: SElem, den: list) -> tuple[SElem, list]:
+    """The normalization loop without the witness filter: after each exact
+    division, try every remaining factor again in sorted order."""
+    if num.is_zero():
+        return num, []
+    if not den:
+        return num, den
+    den = sorted(den)
+    changed = True
+    while changed and den:
+        changed = False
+        for idx, factor in enumerate(den):
+            quotient = divide_exact(b, num, factor)
+            if quotient is not None:
+                num = quotient
+                del den[idx]
+                changed = True
+                break
+    return num, den
+
+
+@pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_normalize_matches_unfiltered_reference(label, law):
+    b = get_backend(label, law)
+    factors = [FactorSymbol(kind, root) for kind in _KINDS[law] for root in _signed_roots(b)]
+    rng = random.Random(f"{label}-{law}")
+
+    def random_fraction():
+        den = [rng.choice(factors) for _ in range(rng.randint(0, 3))]
+        num = random_selem(rng, b, nterms=3, max_exp=2)
+        for factor in rng.sample(factors, rng.randint(0, 2)):
+            num = num * expand_factor(b, factor)
+        return num, den
+
+    def den_product(den):
+        out = one(b)
+        for factor in den:
+            out = out * expand_factor(b, factor)
+        return out
+
+    cases = []
+    for _ in range(25):
+        (n1, d1), (n2, d2) = random_fraction(), random_fraction()
+        cases.append((n1 * n2, d1 + d2))
+        cases.append((n1 * den_product(d2) + n2 * den_product(d1), d1 + d2))
+        # A numerator that is a multiple of some of its own factors.
+        cases.append((n1 * den_product(d1[:1] + d2), d1 + d2))
+    if label == "B2" and law == ADDITIVE:
+        # x_root(2,-2) = 2 (t1 - t2) has content 2: t1 - t2 vanishes at its
+        # witness point, yet the exact division over Z fails.
+        content = FactorSymbol(X_ROOT, (2, -2))
+        half = linear_form(b, (1, -1))
+        assert not _witness_rules_out(b, half, content)
+        cases.append((half, [content]))
+        cases.append((half * expand_factor(b, content), [content, content]))
+    for num, den in cases:
+        got_num, got_den = _normalize(b, num, list(den))
+        want_num, want_den = _normalize_unfiltered(b, num, list(den))
+        assert list(got_num.terms.items()) == list(want_num.terms.items())
+        assert got_den == want_den
 
 
 def test_factor_kind_backend_mismatch():
