@@ -57,9 +57,10 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Callable, Mapping, Sequence
 
-from .dual import CohStableBasis, DualBasis, KStableBasis
+from .dual import CohStableBasis, DiscrepancyReport, DualBasis, KStableBasis
 from .formal import (
     ADDITIVE,
+    LAWS,
     MULTIPLICATIVE,
     Backend,
     FactorSymbol,
@@ -71,7 +72,7 @@ from .formal import (
     v_var,
     x_class,
 )
-from .rootdata import RootDatum, Word, build_root_datum
+from .rootdata import RootDatum, build_root_datum
 from .serialize import (
     dumps_canonical,
     parse_word,
@@ -79,14 +80,12 @@ from .serialize import (
     qelem_to_str,
     word_to_str,
 )
-from .twisted import Algebra, BUILTIN_FAMILIES, OperatorFamily, custom_family
+from .twisted import Algebra, BUILTIN_FAMILIES, FAMILY_LAWS, OperatorFamily, custom_family
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
 EXIT_DISCREPANCY = 2
 EXIT_CONFIG = 3
-
-_LAW_NAMES = {"additive": ADDITIVE, "multiplicative": MULTIPLICATIVE}
 
 
 class CliError(Exception):
@@ -148,7 +147,7 @@ def _resolve_config(
             raise CliError(f"this command requires the {forced_law} backend")
         law = forced_law
     if not law:
-        law = _family_default_law(family)
+        law = FAMILY_LAWS.get(family, LAWS)[0]
     _check_family_law(family, law)
     if args.jobs < 1:
         raise CliError("--jobs must be at least 1")
@@ -165,22 +164,13 @@ def _resolve_config(
     )
 
 
-def _family_default_law(family: str) -> str:
-    if family == "tau":
-        return MULTIPLICATIVE
-    return ADDITIVE
-
-
 def _check_family_law(family: str, law: str) -> None:
-    if law not in (ADDITIVE, MULTIPLICATIVE):
-        raise CliError(f"unknown backend law {law!r}")
     if family.startswith("custom:"):
         return  # the file declares its own law; checked when loading
-    constraints = {"t": ADDITIVE, "sigma": ADDITIVE, "tau": MULTIPLICATIVE}
-    if family in constraints and law != constraints[family]:
-        raise CliError(f"family {family!r} requires the {constraints[family]} backend")
-    if family not in constraints and family not in ("x", "y"):
+    if family not in FAMILY_LAWS:
         raise CliError(f"unknown family {family!r}")
+    if law not in FAMILY_LAWS[family]:
+        raise CliError(f"family {family!r} requires the {FAMILY_LAWS[family][0]} backend")
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +248,7 @@ def _load_custom_family(backend: Backend, path: str) -> OperatorFamily:
     with open(path, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     law = spec.get("law")
-    if law not in _LAW_NAMES or _LAW_NAMES[law] != backend.law:
+    if law != backend.law:
         raise CliError(
             f"custom family {path!r} declares law {law!r}; "
             f"configured backend is {backend.law!r}"
@@ -313,38 +303,22 @@ def _mult_pair_task(key: str, u_str: str, v_str: str, check: bool) -> tuple[list
     datum = basis.datum
     u = datum.element_by_word(parse_word(u_str))
     v = datum.element_by_word(parse_word(v_str))
-    rows = []
     oracle = basis.product_oracle(u, v) if check else None
-    discrepancies = []
-    zero = QElem.from_int(basis.backend, 0)
-    for w in basis.order:
-        upper = datum.bruhat_leq(u, w) and datum.bruhat_leq(v, w)
-        value = basis.structure_constant(u, v, w) if upper else zero
-        if not value.is_zero():
-            rows.append(
-                {
-                    "u": word_to_str(u.word),
-                    "v": word_to_str(v.word),
-                    "w": word_to_str(w.word),
-                    "value": qelem_to_json(value),
-                    "text": qelem_to_str(value),
-                }
-            )
-        if check:
-            oracle_value = oracle.get(w, zero)
-            if not q_equal(value, oracle_value):
-                discrepancies.append(
-                    {
-                        "location": [
-                            word_to_str(u.word),
-                            word_to_str(v.word),
-                            word_to_str(w.word),
-                        ],
-                        "formula": qelem_to_str(value),
-                        "oracle": qelem_to_str(oracle_value),
-                    }
-                )
-    return rows, discrepancies
+    formula = basis.product_formula(u, v)
+    rows = [
+        {
+            "u": word_to_str(u.word),
+            "v": word_to_str(v.word),
+            "w": word_to_str(w.word),
+            "value": qelem_to_json(value),
+            "text": qelem_to_str(value),
+        }
+        for w, value in formula.items()
+    ]
+    report = DiscrepancyReport()
+    if check:
+        report.compare_rows((word_to_str(u.word), word_to_str(v.word)), formula, oracle)
+    return rows, [entry.as_json_entry() for entry in report.entries]
 
 
 def _row_sort_key(row: Mapping) -> tuple:
@@ -502,43 +476,22 @@ def cmd_stab(args: argparse.Namespace) -> int:
     if args.variant == "coh":
         stable = CohStableBasis(datum, words=overrides)
         oracle = stable.constants_oracle
-        formula = stable.constant_formula
+        formula = stable.constants_formula
     else:
         stable = KStableBasis(datum, words=overrides)
         oracle = stable.p_constants_oracle
-        formula = stable.p_constant_formula
-    backend = stable.backend
+        formula = stable.p_constants_formula
     u = datum.element_by_word(parse_word(args.u))
     v = datum.element_by_word(parse_word(args.v))
     constants = oracle(u, v)
-    rows = []
-    discrepancies = []
-    zero = QElem.from_int(backend, 0)
-    for w in stable.basis.order:
-        value = constants.get(w, zero)
-        if not value.is_zero():
-            rows.append(
-                {
-                    "w": word_to_str(w.word),
-                    "value": qelem_to_json(value),
-                    "text": qelem_to_str(value),
-                }
-            )
-        if config.check:
-            upper = datum.bruhat_leq(u, w) and datum.bruhat_leq(v, w)
-            formula_value = formula(u, v, w) if upper else zero
-            if not q_equal(formula_value, value):
-                discrepancies.append(
-                    {
-                        "location": [
-                            word_to_str(u.word),
-                            word_to_str(v.word),
-                            word_to_str(w.word),
-                        ],
-                        "formula": qelem_to_str(formula_value),
-                        "oracle": qelem_to_str(value),
-                    }
-                )
+    rows = [
+        {"w": word_to_str(w.word), "value": qelem_to_json(value), "text": qelem_to_str(value)}
+        for w, value in constants.items()
+    ]
+    report = DiscrepancyReport()
+    if config.check:
+        report.compare_rows((word_to_str(u.word), word_to_str(v.word)), formula(u, v), constants)
+    discrepancies = [entry.as_json_entry() for entry in report.entries]
     if config.out == "json":
         payload = {
             "command": "stab",
@@ -613,7 +566,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--fgl",
-        choices=(ADDITIVE, MULTIPLICATIVE),
+        choices=LAWS,
         help="formal group law backend (default depends on the family)",
     )
     parser.add_argument(

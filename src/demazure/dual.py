@@ -17,7 +17,9 @@ Two independent routes compute the constants:
       z^{I_w}_{I_u,I_v} = sum_{E,F} z^{I_w}_{E,F} c_{I_w|E, I_u} c_{I_w|F, I_v};
 * oracle route -- Hadamard-multiply the dual classes in the f-basis and
   re-expand by a triangular elimination that only ever multiplies by the
-  closed-form reciprocals of the diagonal entries.
+  closed-form reciprocals of the diagonal entries.  It is the same
+  elimination, :func:`~demazure.twisted.expand_in_triangular_basis`, that
+  ``Algebra.expand_in_z_basis`` uses.
 
 The module also provides restriction coefficients b_{w, I_v} with their
 matrix identity, the stable bases built on the T (cohomological, additive)
@@ -43,23 +45,21 @@ from .formal import (
     expand_factor,
     one,
     product_over_positive_roots,
+    q_equal,
     v_var,
     weyl_act,
     weyl_act_q,
     x_class,
 )
 from .rootdata import RootDatum, WeylElement, Word
-from .twisted import Algebra, QWElem, family_t, family_tau
-
-
-def _as_q(backend: Backend, value) -> QElem:
-    if isinstance(value, QElem):
-        return value
-    if isinstance(value, SElem):
-        return QElem.from_s(value)
-    if isinstance(value, int):
-        return QElem.from_int(backend, value)
-    raise TypeError(f"cannot interpret {value!r} as an element of Q")
+from .twisted import (
+    Algebra,
+    QWElem,
+    _as_q,
+    expand_in_triangular_basis,
+    family_t,
+    family_tau,
+)
 
 
 class DualElem:
@@ -72,9 +72,11 @@ class DualElem:
         if _raw:
             self.coeffs = dict(coeffs)
         else:
-            self.coeffs = {
-                w: _as_q(backend, q) for w, q in coeffs.items() if not _as_q(backend, q).is_zero()
-            }
+            self.coeffs = {}
+            for w, q in coeffs.items():
+                q = _as_q(backend, q)
+                if not q.is_zero():
+                    self.coeffs[w] = q
 
     @staticmethod
     def f(backend: Backend, w: WeylElement, coeff: QElem | SElem | int = 1) -> "DualElem":
@@ -201,41 +203,6 @@ def point_class(backend: Backend, w: WeylElement) -> DualElem:
     return DualElem.f(backend, w, weyl_act(backend, w, scalar))
 
 
-def expand_in_triangular_basis(
-    order: Sequence[WeylElement],
-    g: DualElem,
-    column: Callable[[WeylElement], DualElem],
-    diag_recip: Callable[[WeylElement], QElem],
-) -> dict[WeylElement, QElem]:
-    """Expand ``g`` over classes with support {v >= u} and unit leading term.
-
-    ``column(u)`` is the class attached to ``u``; its f_u coefficient must be
-    invertible with exact reciprocal ``diag_recip(u)``.  The elimination walks
-    ``order`` (which must refine the Bruhat order) and never divides, so all
-    arithmetic stays inside exact Q elements.
-    """
-    residue: dict[WeylElement, QElem] = dict(g.coeffs)
-    out: dict[WeylElement, QElem] = {}
-    for u in order:
-        cur = residue.get(u)
-        if cur is None or cur.is_zero():
-            continue
-        c = cur * diag_recip(u)
-        out[u] = c
-        for w, val in column(u).coeffs.items():
-            sub = c * val
-            prev = residue.get(w)
-            nxt = -sub if prev is None else prev - sub
-            residue[w] = nxt
-    bad = [w for w, val in residue.items() if not val.is_zero()]
-    if bad:
-        raise ValueError(
-            "element does not lie in the span of the triangular classes; "
-            f"residue survives at {sorted(w.word for w in bad)}"
-        )
-    return out
-
-
 @dataclasses.dataclass(frozen=True)
 class TableRecord:
     """One structure constant: the coefficient of Z*_{I_w} in Z*_{I_u} Z*_{I_v}."""
@@ -305,20 +272,49 @@ class DiscrepancyReport:
     def extend(self, other: "DiscrepancyReport") -> None:
         self.entries.extend(other.entries)
 
+    def compare_rows(
+        self,
+        prefix: tuple,
+        formula: Mapping[WeylElement, QElem],
+        oracle: Mapping[WeylElement, QElem],
+    ) -> None:
+        """Add every w where the two rows differ, at ``prefix + (w,)``.
+
+        A key missing from one row counts as 0 there; keys are visited in
+        Bruhat-compatible order.
+        """
+        from .serialize import word_to_str
+
+        for w in sorted(formula.keys() | oracle.keys(), key=WeylElement.sort_key):
+            f_val, o_val = formula.get(w), oracle.get(w)
+            if f_val is None:
+                f_val = QElem.from_int(o_val.backend, 0)
+            if o_val is None:
+                o_val = QElem.from_int(f_val.backend, 0)
+            if not q_equal(f_val, o_val):
+                self.add(prefix + (word_to_str(w.word),), f_val, o_val)
+
     def to_json(self) -> dict:
         from .serialize import discrepancy_to_json
 
         return discrepancy_to_json(entry.as_json_entry() for entry in self.entries)
 
 
-def _loc(*parts) -> tuple:
-    out = []
-    for part in parts:
-        if isinstance(part, WeylElement):
-            out.append("".join(str(i) for i in part.word))
-        else:
-            out.append(str(part))
-    return tuple(out)
+def _compare_products(
+    pairs: Iterable[tuple[WeylElement, WeylElement]],
+    formula: Callable[[WeylElement, WeylElement], Mapping[WeylElement, QElem]],
+    oracle: Callable[[WeylElement, WeylElement], Mapping[WeylElement, QElem]],
+) -> DiscrepancyReport:
+    """Formula row vs oracle row of the product for each pair (u, v)."""
+    from .serialize import word_to_str
+
+    report = DiscrepancyReport()
+    for u, v in pairs:
+        oracle_row = oracle(u, v)
+        report.compare_rows(
+            (word_to_str(u.word), word_to_str(v.word)), formula(u, v), oracle_row
+        )
+    return report
 
 
 class DualBasis:
@@ -383,7 +379,10 @@ class DualBasis:
     def expand(self, g: DualElem) -> dict[WeylElement, QElem]:
         """Write g = sum_u c_u Z*_{I_u}; raises if g is outside the span."""
         return expand_in_triangular_basis(
-            self.order, g, self.dual_basis_element, self.diag_reciprocal
+            self.order,
+            g.coeffs,
+            lambda u: self.dual_basis_element(u).coeffs,
+            self.diag_reciprocal,
         )
 
     def product_oracle(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
@@ -414,6 +413,16 @@ class DualBasis:
                 total = total + alg.leibniz_coefficient(word, e_set, f_set) * c_e * c_f
         return total
 
+    def product_formula(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
+        """The nonzero z^{I_w}_{I_u, I_v} over w >= u, v (mirrors ``product_oracle``)."""
+        out = {}
+        for w in self.order:
+            if self.datum.bruhat_leq(u, w) and self.datum.bruhat_leq(v, w):
+                val = self.structure_constant(u, v, w)
+                if not val.is_zero():
+                    out[w] = val
+        return out
+
     # -- tables and route comparison ----------------------------------------
 
     def _pairs(self, pairs: Iterable[tuple[WeylElement, WeylElement]] | None):
@@ -433,13 +442,7 @@ class DualBasis:
             if route == "oracle":
                 constants = self.product_oracle(u, v)
             elif route == "formula":
-                constants = {}
-                for w in self.order:
-                    if not (self.datum.bruhat_leq(u, w) and self.datum.bruhat_leq(v, w)):
-                        continue
-                    val = self.structure_constant(u, v, w)
-                    if not val.is_zero():
-                        constants[w] = val
+                constants = self.product_formula(u, v)
             else:
                 raise ValueError(f"unknown route {route!r}")
             for w, value in constants.items():
@@ -450,20 +453,9 @@ class DualBasis:
         self, pairs: Iterable[tuple[WeylElement, WeylElement]] | None = None
     ) -> DiscrepancyReport:
         """Formula route vs oracle route, entry by entry (zeros included)."""
-        report = DiscrepancyReport()
-        for u, v in self._pairs(pairs):
-            oracle = self.product_oracle(u, v)
-            for w in self.order:
-                upper = self.datum.bruhat_leq(u, w) and self.datum.bruhat_leq(v, w)
-                formula_val = (
-                    self.structure_constant(u, v, w)
-                    if upper
-                    else QElem.from_int(self.backend, 0)
-                )
-                oracle_val = oracle.get(w, QElem.from_int(self.backend, 0))
-                if formula_val != oracle_val:
-                    report.add(_loc(u, v, w), formula_val, oracle_val)
-        return report
+        return _compare_products(
+            self._pairs(pairs), self.product_formula, self.product_oracle
+        )
 
     # -- restrictions --------------------------------------------------------
 
@@ -507,6 +499,8 @@ class DualBasis:
 
     def check_restriction_matrices(self, w: WeylElement) -> DiscrepancyReport:
         """Verify p_w . b == b . b_w entrywise (no matrix inversion needed)."""
+        from .serialize import word_to_str
+
         p_mat, b_mat, bw_mat = self.restriction_matrices(w)
         zero_q = QElem.from_int(self.backend, 0)
         report = DiscrepancyReport()
@@ -518,7 +512,8 @@ class DualBasis:
                     lhs = lhs + p_mat[(u, v)] * b_mat[(v, t)]
                     rhs = rhs + b_mat[(u, v)] * bw_mat[(v, t)]
                 if lhs != rhs:
-                    report.add(_loc("matrix", w, u, t), lhs, rhs)
+                    loc = [word_to_str(x.word) for x in (w, u, t)]
+                    report.add(("matrix", *loc), lhs, rhs)
         return report
 
     # -- parabolic products ---------------------------------------------------
@@ -553,7 +548,7 @@ class CohStableBasis:
     ``constants_oracle`` expands products of the *normalized* classes
     N_w = alphahat_{w0} T*_w, whose constants are alphahat_{w0} z^T_{u,v,w};
     these are the values the worked small-rank tables reproduce.  The literal
-    closed form ``constant_formula`` carries one extra factor alphahat_{w0},
+    closed form ``constants_formula`` carries one extra factor alphahat_{w0},
     and ``compare_constants`` reports that systematic mismatch instead of
     silently reconciling the two routes.
     """
@@ -628,9 +623,9 @@ class CohStableBasis:
     def constant_oracle(self, u: WeylElement, v: WeylElement, w: WeylElement) -> QElem:
         return self.constants_oracle(u, v).get(w, QElem.from_int(self.backend, 0))
 
-    def constant_formula(self, u: WeylElement, v: WeylElement, w: WeylElement) -> QElem:
+    def constants_formula(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
         scale = QElem.from_s(self.alpha_hat_w0 * self.alpha_hat_w0)
-        return scale * self.basis.structure_constant(u, v, w)
+        return {w: scale * val for w, val in self.basis.product_formula(u, v).items()}
 
     def raw_constants(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
         """Expansion of stab-_u stab-_v in the stab- basis itself.
@@ -646,28 +641,16 @@ class CohStableBasis:
         def diag_recip(w: WeylElement) -> QElem:
             return hat_recip * self.basis.diag_reciprocal(w) * self._sign_w0
 
-        return expand_in_triangular_basis(self.basis.order, g, self.stab_minus, diag_recip)
+        return expand_in_triangular_basis(
+            self.basis.order, g.coeffs, lambda w: self.stab_minus(w).coeffs, diag_recip
+        )
 
     def compare_constants(
         self, pairs: Iterable[tuple[WeylElement, WeylElement]] | None = None
     ) -> DiscrepancyReport:
-        report = DiscrepancyReport()
-        order = self.basis.order
-        if pairs is None:
-            pairs = [(u, v) for u in order for v in order]
-        for u, v in pairs:
-            oracle = self.constants_oracle(u, v)
-            for w in order:
-                upper = self.datum.bruhat_leq(u, w) and self.datum.bruhat_leq(v, w)
-                formula_val = (
-                    self.constant_formula(u, v, w)
-                    if upper
-                    else QElem.from_int(self.backend, 0)
-                )
-                oracle_val = oracle.get(w, QElem.from_int(self.backend, 0))
-                if formula_val != oracle_val:
-                    report.add(_loc(u, v, w), formula_val, oracle_val)
-        return report
+        return _compare_products(
+            self.basis._pairs(pairs), self.constants_formula, self.constants_oracle
+        )
 
 
 class KStableBasis:
@@ -722,8 +705,11 @@ class KStableBasis:
             for w, val in self.basis.product_oracle(u, v).items()
         }
 
-    def p_constant_formula(self, u: WeylElement, v: WeylElement, w: WeylElement) -> QElem:
-        return self._prefactor(u, v, w) * self.basis.structure_constant(u, v, w)
+    def p_constants_formula(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
+        return {
+            w: self._prefactor(u, v, w) * val
+            for w, val in self.basis.product_formula(u, v).items()
+        }
 
     def p_constants_raw(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
         """Expand stab-_u stab-_v directly in the stab- basis."""
@@ -740,52 +726,13 @@ class KStableBasis:
                 * self.basis.diag_reciprocal(w)
             )
 
-        return expand_in_triangular_basis(self.basis.order, g, self.stab_minus, diag_recip)
+        return expand_in_triangular_basis(
+            self.basis.order, g.coeffs, lambda w: self.stab_minus(w).coeffs, diag_recip
+        )
 
     def compare_p_constants(
         self, pairs: Iterable[tuple[WeylElement, WeylElement]] | None = None
     ) -> DiscrepancyReport:
-        report = DiscrepancyReport()
-        order = self.basis.order
-        if pairs is None:
-            pairs = [(u, v) for u in order for v in order]
-        for u, v in pairs:
-            oracle = self.p_constants_oracle(u, v)
-            for w in order:
-                upper = self.datum.bruhat_leq(u, w) and self.datum.bruhat_leq(v, w)
-                formula_val = (
-                    self.p_constant_formula(u, v, w)
-                    if upper
-                    else QElem.from_int(self.backend, 0)
-                )
-                oracle_val = oracle.get(w, QElem.from_int(self.backend, 0))
-                if formula_val != oracle_val:
-                    report.add(_loc(u, v, w), formula_val, oracle_val)
-        return report
-
-
-# -- module-level conveniences mirroring the twisted-layer wrappers -----------
-
-
-def dual_basis_element(basis: DualBasis, u: WeylElement) -> DualElem:
-    return basis.dual_basis_element(u)
-
-
-def bott_samelson_class(basis: DualBasis, word: Sequence[int]) -> DualElem:
-    return basis.bott_samelson_class(word)
-
-
-def structure_constant(
-    basis: DualBasis, u: WeylElement, v: WeylElement, w: WeylElement
-) -> QElem:
-    return basis.structure_constant(u, v, w)
-
-
-def structure_constants_oracle(
-    basis: DualBasis, u: WeylElement, v: WeylElement
-) -> dict[WeylElement, QElem]:
-    return basis.product_oracle(u, v)
-
-
-def restriction_coefficient(basis: DualBasis, v: WeylElement, w: WeylElement) -> QElem:
-    return basis.restriction(v, w)
+        return _compare_products(
+            self.basis._pairs(pairs), self.p_constants_formula, self.p_constants_oracle
+        )

@@ -165,15 +165,6 @@ def validate_cartan_matrix(mat: Sequence[Sequence[int]]) -> None:
                 )
 
 
-def coxeter_exponent(a_ij: int, a_ji: int) -> int:
-    """Order m of s_i s_j determined by the Cartan entries."""
-    product = a_ij * a_ji
-    try:
-        return {0: 2, 1: 3, 2: 4, 3: 6}[product]
-    except KeyError:  # pragma: no cover - excluded by the finite-type check
-        raise ValueError(f"no finite Coxeter bond for a_ij*a_ji = {product}")
-
-
 # ---------------------------------------------------------------------------
 # Weyl group elements
 # ---------------------------------------------------------------------------

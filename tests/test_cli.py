@@ -1,6 +1,7 @@
 """End-to-end checks of the command-line interface."""
 
 import contextlib
+import hashlib
 import io
 import json
 import subprocess
@@ -13,6 +14,7 @@ from demazure.cli import EXIT_CONFIG, EXIT_DISCREPANCY, EXIT_OK, main, worker_co
 from demazure.dual import CohStableBasis, DualBasis
 from demazure.formal import (
     ADDITIVE,
+    LAWS,
     MULTIPLICATIVE,
     Backend,
     QElem,
@@ -21,7 +23,7 @@ from demazure.formal import (
     x_class,
 )
 from demazure.serialize import dumps_canonical, parse_qelem, parse_selem
-from demazure.twisted import Algebra, BUILTIN_FAMILIES
+from demazure.twisted import Algebra, BUILTIN_FAMILIES, FAMILY_LAWS
 
 
 def run_cli(*argv):
@@ -321,6 +323,65 @@ def test_config_errors_exit_three(argv):
     code, _, err = run_cli(*argv)
     assert code == EXIT_CONFIG
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("family", sorted(BUILTIN_FAMILIES))
+@pytest.mark.parametrize("law", LAWS)
+def test_family_law_table_governs_constructors_and_cli(family, law):
+    backend = Backend(get_datum("A2"), law)
+    if law in FAMILY_LAWS[family]:
+        assert BUILTIN_FAMILIES[family](backend).backend is backend
+        return
+    with pytest.raises(ValueError):
+        BUILTIN_FAMILIES[family](backend)
+    code, out, err = run_cli("mult", "--type", "A2", "--family", family, "--fgl", law)
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"error: family {family!r} requires the {FAMILY_LAWS[family][0]} backend\n"
+
+
+def test_family_law_table_covers_the_builtin_families():
+    assert set(FAMILY_LAWS) == set(BUILTIN_FAMILIES)
+    assert all(laws and set(laws) <= set(LAWS) for laws in FAMILY_LAWS.values())
+
+
+@pytest.mark.parametrize("family", sorted(BUILTIN_FAMILIES))
+def test_family_without_fgl_uses_its_default_law(family):
+    code, out, _ = run_cli(
+        "mult", "--type", "A2", "--family", family, "--u", "1", "--v", "1", "--out", "json"
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["law"] == FAMILY_LAWS[family][0]
+
+
+# ---------------------------------------------------------------------------
+# the byte contract: stdout digests and exit codes of fixed commands; a
+# refactor must leave them unchanged
+# ---------------------------------------------------------------------------
+
+
+CLI_CONTRACT = [
+    ("mult --type B2 --family x --fgl additive --out json --check", 0,
+     "e4ac732ab637684728af31bb053f90be7cd60fae175f8074540986c5d1e2f9c7"),
+    ("mult --type A2 --family tau --out json --check", 0,
+     "15daf7748454a51de61f2b6653a3d294f7e056d2237aaaa6f662f34673dbaac3"),
+    ("mult --type A2 --family sigma --out json --check", 0,
+     "c19d2af090f644767611354baf3d5d876b53c1880198249c05d55741e3ba27d7"),
+    ("restrict --type A3 --fgl multiplicative --family x --v 2132 --w 12 --out json --check", 0,
+     "82a193c7339286abbf25f9c279a078d7699d1727d3b6d379c2ea9025913df843"),
+    ("stab coh --type A2 --u 1 --v 1 --out json --check", 2,
+     "2b41f5af1a5d55f4c23486e0d13b2a778fc823568a5f040a438d70e6a4e79730"),
+    ("stab k --type A2 --u 1 --v 12 --out json --check", 0,
+     "ebb94738142c53d2a031f01a448e811e9bd6f655a5e10906bc1e307c4c4bc153"),
+    ("verify --suite paper-examples --type A2 --out json", 0,
+     "883fcc5fae12a62f27c734b6d0ad19f7d2a6ef684da8f2fa04cbb9e391f235f7"),
+]
+
+
+@pytest.mark.parametrize("command, exit_code, stdout_sha256", CLI_CONTRACT)
+def test_cli_bytes_match_the_recorded_contract(command, exit_code, stdout_sha256):
+    code, out, err = run_cli(*command.split())
+    assert (code, err) == (exit_code, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == stdout_sha256
 
 
 # ---------------------------------------------------------------------------

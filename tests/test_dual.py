@@ -72,6 +72,19 @@ def wt(datum, *indices):
 # ---------------------------------------------------------------------------
 
 
+def test_compare_rows_reads_a_missing_key_as_zero():
+    datum = get_datum("A2")
+    backend = Backend(datum, ADDITIVE)
+    e, s1, s2 = datum.identity, by_word(datum, "1"), by_word(datum, "2")
+    report = DiscrepancyReport()
+    formula = {s2: q_int(backend, 1), s1: q_int(backend, 3)}
+    oracle = {e: q_int(backend, 0), s2: q_int(backend, 1)}
+    report.compare_rows(("u", "v"), formula, oracle)
+    assert [entry.as_json_entry() for entry in report.entries] == [
+        {"location": ["u", "v", "1"], "formula": "3", "oracle": "0"}
+    ]
+
+
 def test_dualelem_unit_and_support():
     basis = get_basis("A2", "x", ADDITIVE)
     unit = basis.unit()

@@ -19,9 +19,11 @@ from demazure.formal import (
     q_of,
     x_class,
 )
+from demazure.rootdata import WeylElement
 from demazure.twisted import (
     Algebra,
     QWElem,
+    expand_in_triangular_basis,
     family_sigma,
     family_t,
     family_tau,
@@ -279,6 +281,26 @@ def test_support_bound_nonreduced_word():
         z = alg.compose_word((1, 1))
         allowed = {datum.identity, datum.element_by_word((1,))}
         assert set(z.coeffs) <= allowed
+
+
+def test_triangular_elimination_raises_when_a_residue_survives():
+    alg = get_algebra("A2", "x", ADDITIVE)
+    order = sorted(alg.datum.elements, key=WeylElement.sort_key, reverse=True)
+    w0 = alg.datum.longest_element
+    target = alg.z_basis_element(w0).coeffs
+
+    def column(w):
+        return alg.z_basis_element(w).coeffs
+
+    solved = expand_in_triangular_basis(order, target, column, alg.diag_inverse)
+    assert list(solved) == [w0]
+    assert q_equal(solved[w0], QElem.from_int(alg.backend, 1))
+
+    def twice_the_reciprocal(w):
+        return alg.diag_inverse(w) * 2
+
+    with pytest.raises(ValueError, match="residue survives"):
+        expand_in_triangular_basis(order, target, column, twice_the_reciprocal)
 
 
 @pytest.mark.parametrize(

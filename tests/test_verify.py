@@ -1,8 +1,13 @@
 """The named property suites and the golden corpus runner."""
 
+import json
+
 import pytest
 
 from conftest import get_datum
+from demazure.dual import DualBasis
+from demazure.formal import ADDITIVE, QElem
+from demazure.serialize import dumps_canonical
 from demazure.verify import (
     SUITE_NAMES,
     load_corpus,
@@ -36,6 +41,19 @@ def test_leibniz_suite_clean_on_a2():
 def test_duality_suite_clean_on_a2():
     report = suite_duality(get_datum("A2"))
     assert report.is_empty, report.to_json()
+
+
+def test_duality_failure_is_reported_at_printable_words(monkeypatch):
+    def always_zero(self, u, v):
+        return QElem.from_int(self.backend, 0)
+
+    monkeypatch.setattr(DualBasis, "duality_pairing", always_zero)
+    report = suite_duality(get_datum("A1"), families=("x",), laws=(ADDITIVE,))
+    payload = json.loads(dumps_canonical(report.to_json()))
+    assert [entry["location"] for entry in payload["discrepancies"]] == [
+        ["duality", "A1", ADDITIVE, "x", "", ""],
+        ["duality", "A1", ADDITIVE, "x", "1", "1"],
+    ]
 
 
 def test_paper_examples_pass_on_a1_a2():
