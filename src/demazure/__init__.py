@@ -23,8 +23,6 @@ from .rootdata import (
     j_compatible_words,
     min_coset_reps,
     reduced_word,
-    weyl_action,
-    weyl_elements,
 )
 
 __all__ = [
@@ -37,8 +35,6 @@ __all__ = [
     "j_compatible_words",
     "min_coset_reps",
     "reduced_word",
-    "weyl_action",
-    "weyl_elements",
 ]
 
 __version__ = "0.1.0"

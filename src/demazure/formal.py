@@ -21,6 +21,7 @@ only skips divisions that would fail.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
@@ -134,10 +135,6 @@ class SElem:
         if set(self.terms) != {zero_key}:
             raise ValueError("element is not a constant")
         return self.terms[zero_key]
-
-    def key(self) -> tuple:
-        """Canonical hashable form (used to merge denominator factors)."""
-        return (self.backend.law, tuple(sorted(self.terms.items())))
 
     # -- ring operations -----------------------------------------------------
 
@@ -613,11 +610,6 @@ def _canonicalize_factor(
     return factor, None
 
 
-def weyl_act_factor(backend: Backend, w: WeylElement, factor: FactorSymbol) -> FactorSymbol:
-    beta = backend.datum.apply(w, factor.root)
-    return FactorSymbol(factor.kind, beta)
-
-
 # ---------------------------------------------------------------------------
 # The localization Q
 # ---------------------------------------------------------------------------
@@ -689,26 +681,17 @@ class QElem:
     def __add__(self, other: "QElem") -> "QElem":
         self._check(other)
         backend = self.backend
-        mine = _den_counter(backend, self.den)
-        theirs = _den_counter(backend, other.den)
-        merged: dict[tuple, tuple[FactorSymbol, int]] = {}
-        for key, (factor, count) in mine.items():
-            merged[key] = (factor, count)
-        for key, (factor, count) in theirs.items():
-            if key in merged:
-                merged[key] = (merged[key][0], max(merged[key][1], count))
-            else:
-                merged[key] = (factor, count)
+        # Canonical factors are equal exactly when their expansions are, so
+        # the common denominator is the multiset union of the two.
+        mine, theirs = Counter(self.den), Counter(other.den)
         num_a = self.num
         num_b = other.num
         den: list[FactorSymbol] = []
-        for key, (factor, count) in merged.items():
-            have_a = mine.get(key, (factor, 0))[1]
-            have_b = theirs.get(key, (factor, 0))[1]
+        for factor, count in (mine | theirs).items():
             expansion = expand_factor(backend, factor)
-            for _ in range(count - have_a):
+            for _ in range(count - mine[factor]):
                 num_a = num_a * expansion
-            for _ in range(count - have_b):
+            for _ in range(count - theirs[factor]):
                 num_b = num_b * expansion
             den.extend([factor] * count)
         num, den = _normalize(backend, num_a + num_b, den)
@@ -755,19 +738,6 @@ class QElem:
                 raise ZeroDivisionError("denominator factor vanishes at the point")
             den *= val
         return self.num.evaluate(point) / den
-
-
-def _den_counter(
-    backend: Backend, den: Sequence[FactorSymbol]
-) -> dict[tuple, tuple[FactorSymbol, int]]:
-    out: dict[tuple, tuple[FactorSymbol, int]] = {}
-    for factor in den:
-        key = expand_factor(backend, factor).key()
-        if key in out:
-            out[key] = (out[key][0], out[key][1] + 1)
-        else:
-            out[key] = (factor, 1)
-    return out
 
 
 def _normalize(
@@ -883,10 +853,6 @@ def kappa_pair(backend: Backend, i: int, j: int) -> SElem:
 # ---------------------------------------------------------------------------
 # Convenience
 # ---------------------------------------------------------------------------
-
-
-def x_simple(backend: Backend, i: int) -> SElem:
-    return x_class(backend, backend.datum.simple_root(i))
 
 
 def product_over_positive_roots(backend: Backend, f: Callable[[Weight], SElem]) -> SElem:

@@ -19,6 +19,11 @@ Conventions
   simple roots); this description is shared by both lattices and is used to
   canonicalize Weyl group elements.
 
+* Group products are table lookups.  Enumerating W records ``w s_i`` for
+  every element and generator once; words, products, inverses, descents,
+  Bruhat order and Demazure products are folds over that table.  Matrices
+  serve only coordinates: the action on roots and weights, and inversions.
+
 Only finite (spherical) types are allowed; a Cartan matrix is accepted
 exactly when all of its principal minors are positive, and rejected with the
 first offending principal submatrix otherwise.
@@ -27,7 +32,7 @@ first offending principal submatrix otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -175,11 +180,14 @@ class WeylElement:
     """A Weyl group element, identified by its action on root coordinates.
 
     ``word`` is the canonical reduced word: minimal length, then
-    lexicographically smallest.
+    lexicographically smallest.  ``index`` is the element's position in
+    :attr:`RootDatum.elements` and the row of its datum's product table; it
+    takes no part in equality or hashing.
     """
 
     word: Word
     root_matrix: Matrix
+    index: int = field(compare=False, repr=False)
 
     @property
     def length(self) -> int:
@@ -255,40 +263,47 @@ class RootDatum:
         self._positive_roots = self._enumerate_positive_roots()
         if len(self._positive_roots) != self.longest_element.length:
             raise AssertionError("positive root count does not match longest length")
-        self._all_words_cache: dict[Word, tuple[Word, ...]] = {}
-        self._bruhat_cache: dict[tuple[Word, Word], bool] = {}
-        self._inverse_cache: dict[Word, WeylElement] = {}
-        self._lattice_matrix_cache: dict[Word, Matrix] = {}
+        self._all_words_cache: dict[int, tuple[Word, ...]] = {}
+        self._bruhat_cache: dict[tuple[int, int], bool] = {}
+        self._lattice_matrix_cache: dict[int, Matrix] = {}
 
     # -- construction ------------------------------------------------------
 
     def _enumerate_weyl_group(self) -> None:
+        """Enumerate W breadth-first and record the table ``w -> w s_i``.
+
+        Each element's successors are listed in letter order and the elements
+        are visited in discovery order, so every element is first reached by
+        its (length, lex)-minimal reduced word and the list comes out sorted
+        by :meth:`WeylElement.sort_key`.  ``_right[w.index][i - 1]`` is the
+        index of ``w s_i``; these are the only matrix products the group
+        operations ever need.
+        """
         n = self.rank
-        identity = WeylElement((), _identity(n))
+        identity = WeylElement((), _identity(n), 0)
         by_matrix: dict[Matrix, WeylElement] = {identity.root_matrix: identity}
-        by_word: dict[Word, WeylElement] = {(): identity}
-        level = [identity]
-        while level:
-            next_level: list[WeylElement] = []
-            for w in sorted(level, key=lambda e: e.word):
-                for i in range(1, n + 1):
-                    mat = _mat_mul(w.root_matrix, self._root_refl[i])
-                    if mat not in by_matrix:
-                        elem = WeylElement(w.word + (i,), mat)
-                        by_matrix[mat] = elem
-                        by_word[elem.word] = elem
-                        next_level.append(elem)
-                        if len(by_matrix) > self.max_order:
-                            raise ValueError(
-                                f"Weyl group order exceeds the cap {self.max_order}"
-                            )
-            level = next_level
-        self._by_matrix = by_matrix
-        self._by_word = by_word
-        self._elements = sorted(by_matrix.values(), key=WeylElement.sort_key)
+        elements = [identity]
+        right: list[tuple[int, ...]] = []
+        for w in elements:  # grows while it is walked
+            row = []
+            for i in range(1, n + 1):
+                mat = _mat_mul(w.root_matrix, self._root_refl[i])
+                elem = by_matrix.get(mat)
+                if elem is None:
+                    elem = WeylElement(w.word + (i,), mat, len(elements))
+                    by_matrix[mat] = elem
+                    elements.append(elem)
+                    if len(elements) > self.max_order:
+                        raise ValueError(
+                            f"Weyl group order exceeds the cap {self.max_order}"
+                        )
+                row.append(elem.index)
+            right.append(tuple(row))
+        self._elements = tuple(elements)
+        self._right = tuple(right)
         self.identity = identity
-        self.longest_element = max(self._elements, key=lambda e: e.length)
-        if sum(1 for e in self._elements if e.length == self.longest_element.length) != 1:
+        self.longest_element = elements[-1]
+        if len(elements) > 1 and elements[-2].length == self.longest_element.length:
             raise AssertionError("longest element is not unique")
 
     def _enumerate_positive_roots(self) -> tuple[RootVector, ...]:
@@ -311,7 +326,7 @@ class RootDatum:
 
     @property
     def elements(self) -> tuple[WeylElement, ...]:
-        return tuple(self._elements)
+        return self._elements
 
     @property
     def order(self) -> int:
@@ -321,37 +336,39 @@ class RootDatum:
     def positive_roots(self) -> tuple[RootVector, ...]:
         return self._positive_roots
 
-    def simple_reflection(self, i: int) -> WeylElement:
-        if not 1 <= i <= self.rank:
-            raise ValueError(f"simple reflection index {i} out of range 1..{self.rank}")
-        return self._by_matrix[self._root_refl[i]]
+    def _checked(self, word: Iterable[int]) -> Word:
+        """``word`` as a tuple, after checking that every letter is in range."""
+        word = tuple(word)
+        if word and not (1 <= min(word) and max(word) <= self.rank):
+            bad = next(i for i in word if not 1 <= i <= self.rank)
+            raise ValueError(f"word letter {bad} out of range 1..{self.rank}")
+        return word
 
-    def element_by_matrix(self, mat: Matrix) -> WeylElement:
-        return self._by_matrix[mat]
+    def _fold(self, start: int, word: Iterable[int]) -> int:
+        """Index of ``w s_{i_1} ... s_{i_k}`` where ``w`` has index ``start``."""
+        right = self._right
+        for i in word:
+            start = right[start][i - 1]
+        return start
+
+    def simple_reflection(self, i: int) -> WeylElement:
+        return self.multiply_simple(self.identity, i)
 
     def element_by_word(self, word: Iterable[int]) -> WeylElement:
         """The element represented by an arbitrary (not necessarily reduced) word."""
-        mat = _identity(self.rank)
-        for i in word:
-            if not 1 <= i <= self.rank:
-                raise ValueError(f"word letter {i} out of range 1..{self.rank}")
-            mat = _mat_mul(mat, self._root_refl[i])
-        return self._by_matrix[mat]
+        return self._elements[self._fold(0, self._checked(word))]
 
     def multiply(self, u: WeylElement, v: WeylElement) -> WeylElement:
-        return self._by_matrix[_mat_mul(u.root_matrix, v.root_matrix)]
+        return self._elements[self._fold(u.index, v.word)]
 
-    def multiply_simple(self, w: WeylElement, i: int, side: str = "right") -> WeylElement:
-        if side == "right":
-            return self._by_matrix[_mat_mul(w.root_matrix, self._root_refl[i])]
-        return self._by_matrix[_mat_mul(self._root_refl[i], w.root_matrix)]
+    def multiply_simple(self, w: WeylElement, i: int) -> WeylElement:
+        """The product ``w s_i``."""
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"simple reflection index {i} out of range 1..{self.rank}")
+        return self._elements[self._right[w.index][i - 1]]
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        cached = self._inverse_cache.get(w.word)
-        if cached is None:
-            cached = self.element_by_word(tuple(reversed(w.word)))
-            self._inverse_cache[w.word] = cached
-        return cached
+        return self._elements[self._fold(0, reversed(w.word))]
 
     # -- descents, Bruhat order, Demazure product ---------------------------
 
@@ -360,15 +377,8 @@ class RootDatum:
         return _mat_vec(w.root_matrix, beta)
 
     def has_right_descent(self, w: WeylElement, i: int) -> bool:
-        # w s_i < w  iff  w(alpha_i) is a negative root.
-        column = tuple(row[i - 1] for row in w.root_matrix)
-        return all(c <= 0 for c in column)
-
-    def has_left_descent(self, w: WeylElement, i: int) -> bool:
-        return self.has_right_descent(self.inverse(w), i)
-
-    def right_descents(self, w: WeylElement) -> tuple[int, ...]:
-        return tuple(i for i in range(1, self.rank + 1) if self.has_right_descent(w, i))
+        """Whether ``w s_i < w``, i.e. whether ``w(alpha_i)`` is a negative root."""
+        return self.multiply_simple(w, i).length < w.length
 
     def left_descents(self, w: WeylElement) -> tuple[int, ...]:
         inv = self.inverse(w)
@@ -376,17 +386,17 @@ class RootDatum:
 
     def demazure_product(self, word: Iterable[int]) -> WeylElement:
         """Fold the word with w * s_i := w s_i when that goes up, else w."""
-        w = self.identity
-        for i in word:
-            if not 1 <= i <= self.rank:
-                raise ValueError(f"word letter {i} out of range 1..{self.rank}")
-            if not self.has_right_descent(w, i):
-                w = self.multiply_simple(w, i)
-        return w
+        right, elements = self._right, self._elements
+        w = length = 0
+        for i in self._checked(word):
+            up = right[w][i - 1]
+            if elements[up].length > length:
+                w, length = up, length + 1
+        return elements[w]
 
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
         """Bruhat order, via the left-descent recursion."""
-        key = (u.word, w.word)
+        key = (u.index, w.index)
         cached = self._bruhat_cache.get(key)
         if cached is not None:
             return cached
@@ -395,9 +405,8 @@ class RootDatum:
         elif u.length > w.length:
             result = False
         else:
-            i = w.word[0]
-            sw = self.multiply_simple(w, i, side="left")
-            su = self.multiply_simple(u, i, side="left")
+            s = self.simple_reflection(w.word[0])
+            sw, su = self.multiply(s, w), self.multiply(s, u)
             if su.length < u.length:
                 result = self.bruhat_leq(su, sw)
             else:
@@ -409,7 +418,7 @@ class RootDatum:
         return tuple(u for u in self._elements if self.bruhat_leq(u, w))
 
     def all_reduced_words(self, w: WeylElement) -> tuple[Word, ...]:
-        cached = self._all_words_cache.get(w.word)
+        cached = self._all_words_cache.get(w.index)
         if cached is not None:
             return cached
         if w.length == 0:
@@ -417,10 +426,10 @@ class RootDatum:
         else:
             collected: list[Word] = []
             for i in self.left_descents(w):
-                rest = self.multiply_simple(w, i, side="left")
+                rest = self.multiply(self.simple_reflection(i), w)
                 collected.extend((i,) + tail for tail in self.all_reduced_words(rest))
             result = tuple(sorted(collected))
-        self._all_words_cache[w.word] = result
+        self._all_words_cache[w.index] = result
         return result
 
     def is_reduced(self, word: Sequence[int]) -> bool:
@@ -429,12 +438,12 @@ class RootDatum:
     # -- lattice action ------------------------------------------------------
 
     def lattice_matrix(self, w: WeylElement) -> Matrix:
-        cached = self._lattice_matrix_cache.get(w.word)
+        cached = self._lattice_matrix_cache.get(w.index)
         if cached is None:
             cached = _identity(self.rank)
             for i in w.word:
                 cached = _mat_mul(cached, self._lat_refl[i])
-            self._lattice_matrix_cache[w.word] = cached
+            self._lattice_matrix_cache[w.index] = cached
         return cached
 
     def apply(self, w: WeylElement, weight: Sequence[int]) -> Weight:
@@ -570,11 +579,6 @@ def build_root_datum(
     return RootDatum(cartan, lattice=chosen, label=label, max_rank=max_rank, max_order=max_order)
 
 
-def weyl_elements(datum: RootDatum) -> tuple[WeylElement, ...]:
-    """All Weyl group elements, sorted by (length, word)."""
-    return datum.elements
-
-
 def reduced_word(datum: RootDatum, w: WeylElement) -> Word:
     """The canonical ((length, lex)-minimal) reduced word of ``w``."""
     return w.word
@@ -590,10 +594,6 @@ def demazure_product(datum: RootDatum, word: Sequence[int]) -> WeylElement:
 
 def bruhat_leq(datum: RootDatum, u: WeylElement, w: WeylElement) -> bool:
     return datum.bruhat_leq(u, w)
-
-
-def weyl_action(datum: RootDatum, w: WeylElement, weight: Sequence[int]) -> Weight:
-    return datum.apply(w, weight)
 
 
 def min_coset_reps(datum: RootDatum, subset: Iterable[int]) -> tuple[WeylElement, ...]:

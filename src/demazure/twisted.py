@@ -417,8 +417,8 @@ FAMILY_LAWS: dict[str, tuple[str, ...]] = {
 class Algebra:
     """An operator family together with a fixed reduced word I_w per element.
 
-    All basis-change coefficients (a, b, c), Leibniz coefficients, and the
-    memoized subword tables are cached here.
+    All basis-change coefficients (a, b, c) and Leibniz coefficients are
+    cached here.
     """
 
     def __init__(self, family: OperatorFamily, words: Mapping[WeylElement, Word] | None = None):
@@ -440,8 +440,8 @@ class Algebra:
         self._diag_inverse_cache: dict[WeylElement, QElem] = {}
         self._b_rows: dict[WeylElement, dict[WeylElement, QElem]] = {}
         self._leibniz_cache: dict[tuple[Word, tuple[int, ...]], QElem] = {}
-        self._subword_cache: dict[Word, list] = {}
         self._hecke_cache: dict[Word, dict[WeylElement, SElem]] = {}
+        self._one = QElem.from_int(self.backend, 1)
 
     # -- elements -------------------------------------------------------------
 
@@ -579,24 +579,33 @@ class Algebra:
         self._hecke_cache[word] = state
         return state
 
+    def _c_value(self, word: Word, w: WeylElement) -> QElem | None:
+        """c_{word, I_w} by the family's rule, or None when it is zero.
+
+        The built-in rules are indicators of a Weyl-group product, so a hit
+        returns the shared constant 1; families without a rule fall back on
+        the generic expansion."""
+        rule = self.family.c_rule
+        datum = self.datum
+        if rule == C_RULE_REDUCED:
+            hit = len(word) == w.length and datum.element_by_word(word) is w
+        elif rule == C_RULE_DEMAZURE:
+            hit = datum.demazure_product(word) is w
+        elif rule == C_RULE_GROUP:
+            hit = datum.element_by_word(word) is w
+        elif rule == C_RULE_HECKE:
+            value = self.hecke_coefficients(word).get(w)
+            return None if value is None else QElem.from_s(value)
+        else:
+            value = self.expand_in_z_basis(word).get(w)
+            return None if value is None or value.is_zero() else value
+        return self._one if hit else None
+
     def c_coefficient(self, word: Sequence[int], w: WeylElement) -> QElem:
         """c_{J, I_w} in Z_J = sum_w c Z_{I_w}, via the family's fast rule
         when one exists (the generic expansion otherwise)."""
-        word = tuple(word)
-        rule = self.family.c_rule
-        backend = self.backend
-        if rule == C_RULE_REDUCED:
-            hit = len(word) == w.length and self.datum.element_by_word(word) is w
-            return QElem.from_int(backend, 1 if hit else 0)
-        if rule == C_RULE_DEMAZURE:
-            return QElem.from_int(backend, 1 if self.datum.demazure_product(word) is w else 0)
-        if rule == C_RULE_GROUP:
-            return QElem.from_int(backend, 1 if self.datum.element_by_word(word) is w else 0)
-        if rule == C_RULE_HECKE:
-            value = self.hecke_coefficients(word).get(w)
-            return QElem.from_s(value) if value is not None else QElem.from_int(backend, 0)
-        coeffs = self.expand_in_z_basis(word)
-        return coeffs.get(w, QElem.from_int(backend, 0))
+        value = self._c_value(tuple(word), w)
+        return QElem.from_int(self.backend, 0) if value is None else value
 
     # -- Leibniz coefficients ----------------------------------------------------
 
@@ -671,56 +680,17 @@ class Algebra:
             value = value * self.family.b_inv(betas[j - 1])
         return value
 
-    # -- subword tables (bitmask -> product data) ---------------------------------
-
-    def subword_table(self, word: Sequence[int]) -> list:
-        """Per bitmask over positions of ``word``: (element, is_reduced)."""
-        word = tuple(word)
-        cached = self._subword_cache.get(word)
-        if cached is not None:
-            return cached
-        k = len(word)
-        table = []
-        for mask in range(1 << k):
-            letters = tuple(word[j] for j in range(k) if mask >> j & 1)
-            elem = self.datum.element_by_word(letters)
-            table.append((letters, elem, elem.length == len(letters)))
-        self._subword_cache[word] = table
-        return table
-
     def c_supports(self, word: Sequence[int], w: WeylElement) -> list[tuple[frozenset, QElem]]:
         """All subsets E of positions with c_{word|E, I_w} nonzero, with the
         c value; positions are 1-based."""
         word = tuple(word)
         k = len(word)
-        rule = self.family.c_rule
         out = []
-        one_q = QElem.from_int(self.backend, 1)
-        for mask, (letters, elem, reduced) in enumerate(self.subword_table(word)):
-            if rule == C_RULE_REDUCED:
-                if not (reduced and elem is w):
-                    continue
-                value = one_q
-            elif rule == C_RULE_DEMAZURE:
-                if self.datum.demazure_product(letters) is not w:
-                    continue
-                value = one_q
-            elif rule == C_RULE_GROUP:
-                if elem is not w:
-                    continue
-                value = one_q
-            elif rule == C_RULE_HECKE:
-                coeff = self.hecke_coefficients(letters).get(w)
-                if coeff is None or coeff.is_zero():
-                    continue
-                value = QElem.from_s(coeff)
-            else:
-                coeff = self.expand_in_z_basis(letters).get(w)
-                if coeff is None or coeff.is_zero():
-                    continue
-                value = coeff
-            subset = frozenset(j + 1 for j in range(k) if mask >> j & 1)
-            out.append((subset, value))
+        for mask in range(1 << k):
+            positions = [j for j in range(k) if mask >> j & 1]
+            value = self._c_value(tuple(word[j] for j in positions), w)
+            if value is not None:
+                out.append((frozenset(j + 1 for j in positions), value))
         return out
 
     # -- tau inverses ---------------------------------------------------------------

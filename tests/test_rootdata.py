@@ -197,6 +197,60 @@ def test_inversions_count_length(label):
         assert set(betas) == set(datum.inversions(datum.inverse(w)))
 
 
+def _mat_mul(a, b):
+    return tuple(tuple(sum(x * y for x, y in zip(row, col)) for col in zip(*b)) for row in a)
+
+
+def _reflection_matrix(cartan, i):
+    """s_i on root coordinates, from s_i(alpha_j) = alpha_j - A[i][j] alpha_i."""
+    n = len(cartan)
+    return tuple(
+        tuple(int(r == c) - int(r == i - 1) * cartan[i - 1][c] for c in range(n))
+        for r in range(n)
+    )
+
+
+def _goes_up(mat, i):
+    """w s_i > w exactly when w(alpha_i), column i of w's root matrix, is positive."""
+    return any(row[i - 1] > 0 for row in mat)
+
+
+@pytest.mark.parametrize(
+    "spec,lattice",
+    [(label, "simply-connected") for label in ("A1", "A2", "A3", "A4", "B2", "B3", "C3", "D4", "G2")]
+    + [("B3", ADJOINT), ({"cartan": [[2, 0, 0], [0, 2, -1], [0, -2, 2]]}, "simply-connected")],
+    ids=lambda p: p if isinstance(p, str) else "explicit-A1xB2",
+)
+def test_product_table_matches_root_matrix_arithmetic(spec, lattice):
+    datum = get_datum(spec, lattice) if isinstance(spec, str) else build_root_datum(spec)
+    n = datum.rank
+    refl = {i: _reflection_matrix(datum.cartan, i) for i in range(1, n + 1)}
+    by_matrix = {w.root_matrix: w for w in datum.elements}
+    identity = datum.identity.root_matrix
+    assert len(by_matrix) == datum.order
+    assert list(datum.elements) == sorted(datum.elements, key=WeylElement.sort_key)
+    assert all(datum.elements[w.index] is w for w in datum.elements)
+    for i in range(1, n + 1):
+        assert datum.simple_reflection(i).root_matrix == refl[i]
+    for w in datum.elements:
+        assert _mat_mul(w.root_matrix, datum.inverse(w).root_matrix) == identity
+        for i in range(1, n + 1):
+            product = by_matrix[_mat_mul(w.root_matrix, refl[i])]
+            assert datum.multiply_simple(w, i) is product
+            assert datum.has_right_descent(w, i) == (not _goes_up(w.root_matrix, i))
+    for u in datum.elements:
+        for v in datum.elements:
+            assert datum.multiply(u, v) is by_matrix[_mat_mul(u.root_matrix, v.root_matrix)]
+    words = [word for k in range(5) for word in itertools.product(range(1, n + 1), repeat=k)]
+    words += [w.word + w.word for w in datum.elements]
+    for word in words:
+        mat = identity
+        for i in word:
+            if _goes_up(mat, i):
+                mat = _mat_mul(mat, refl[i])
+        assert datum.demazure_product(word) is by_matrix[mat], word
+
+
 # ---------------------------------------------------------------------------
 # Bruhat order and Demazure product
 # ---------------------------------------------------------------------------
@@ -291,3 +345,8 @@ def test_weight_length_validation(a2):
         a2.apply(a2.identity, (1, 2, 3))
     with pytest.raises(ValueError, match="out of range"):
         a2.element_by_word((3,))
+    for i in (0, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            a2.multiply_simple(a2.identity, i)
+        with pytest.raises(ValueError, match="out of range"):
+            a2.has_right_descent(a2.identity, i)

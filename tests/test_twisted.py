@@ -387,8 +387,18 @@ def test_c_vanishes_above_demazure_product(label, family, law):
                 assert alg.c_coefficient(word, w).is_zero(), (word, w.word)
 
 
-def test_c_supports_match_pointwise_rule():
-    alg = get_algebra("A2", "x", ADDITIVE)
+@pytest.mark.parametrize(
+    "family,law",
+    [
+        ("x", ADDITIVE),  # reduced-subword rule
+        ("x", MULTIPLICATIVE),  # Demazure-product rule
+        ("t", ADDITIVE),  # group-product rule
+        ("tau", MULTIPLICATIVE),  # Hecke recursion
+        ("sigma", ADDITIVE),  # no rule: generic expansion
+    ],
+)
+def test_c_supports_match_pointwise_rule(family, law):
+    alg = get_algebra("A2", family, law)
     word = (1, 2, 1, 2)
     for w in alg.datum.elements:
         supports = dict(alg.c_supports(word, w))
