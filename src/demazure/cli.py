@@ -52,6 +52,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -74,6 +75,7 @@ from .formal import (
 )
 from .rootdata import RootDatum, build_root_datum
 from .serialize import (
+    discrepancy_to_json,
     dumps_canonical,
     parse_word,
     qelem_to_json,
@@ -198,6 +200,8 @@ def _word_overrides(datum: RootDatum, policy: str):
         path = policy[len("file:") :]
         with open(path, "r", encoding="utf-8") as fh:
             table = json.load(fh)
+        if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
+            raise CliError(f"word file {path!r} must map words to words (JSON strings)")
         overrides: dict = {}
         for key, value in table.items():
             element = datum.element_by_word(parse_word(key))
@@ -211,8 +215,8 @@ def _word_overrides(datum: RootDatum, policy: str):
     raise CliError(f"unknown word policy {policy!r}")
 
 
-def _term_value(backend: Backend, weight, term: Sequence) -> SElem:
-    coeff, alpha_exp, extra_exp, e_mult = (int(c) for c in term)
+def _term_value(backend: Backend, weight, term: Sequence[int]) -> SElem:
+    coeff, alpha_exp, extra_exp, e_mult = term
     value = SElem.constant(backend, coeff)
     for _ in range(alpha_exp):
         value = value * x_class(backend, weight)
@@ -227,9 +231,17 @@ def _term_value(backend: Backend, weight, term: Sequence) -> SElem:
     return value
 
 
-def _coeff_fn(backend: Backend, spec: Mapping) -> Callable:
-    num_terms = [tuple(term) for term in spec.get("num", [])]
-    den_spec = [(str(kind), int(sign)) for kind, sign in spec.get("den", [])]
+def _coeff_fn(backend: Backend, spec, where: str) -> Callable:
+    """The coefficient described by ``spec``; shape errors name ``where``."""
+    if not isinstance(spec, dict):
+        raise CliError(f"{where} must be a JSON object with 'num' and 'den' lists")
+    try:
+        num_terms = [tuple(operator.index(c) for c in term) for term in spec.get("num", [])]
+        den_spec = [(str(kind), operator.index(sign)) for kind, sign in spec.get("den", [])]
+    except (TypeError, ValueError) as exc:
+        raise CliError(f"{where} is malformed: {exc}") from exc
+    if any(len(term) != 4 for term in num_terms):
+        raise CliError(f"{where}: each numerator term needs 4 integers")
 
     def fn(weight) -> QElem:
         total = SElem.constant(backend, 0)
@@ -247,6 +259,8 @@ def _coeff_fn(backend: Backend, spec: Mapping) -> Callable:
 def _load_custom_family(backend: Backend, path: str) -> OperatorFamily:
     with open(path, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
+    if not isinstance(spec, dict):
+        raise CliError(f"custom family {path!r} must hold a JSON object")
     law = spec.get("law")
     if law != backend.law:
         raise CliError(
@@ -257,9 +271,10 @@ def _load_custom_family(backend: Backend, path: str) -> OperatorFamily:
         return custom_family(
             backend,
             str(spec.get("name", "file")),
-            _coeff_fn(backend, spec["a"]),
-            _coeff_fn(backend, spec["b"]),
-            _coeff_fn(backend, spec["b_inv"]),
+            *(
+                _coeff_fn(backend, spec[key], f"custom family {path!r}, coefficient {key!r}")
+                for key in ("a", "b", "b_inv")
+            ),
         )
     except (KeyError, ValueError) as exc:
         raise CliError(f"invalid custom family {path!r}: {exc}") from exc
@@ -381,12 +396,7 @@ def cmd_mult(args: argparse.Namespace) -> int:
                 {k: row[k] for k in ("u", "v", "w", "value")} for row in rows
             ],
         }
-        if config.check:
-            payload["report"] = {
-                "count": len(discrepancies),
-                "discrepancies": discrepancies,
-            }
-        sys.stdout.write(dumps_canonical(payload))
+        _write_json(payload, config.check, discrepancies)
     else:
         for row in rows:
             print(
@@ -397,6 +407,13 @@ def cmd_mult(args: argparse.Namespace) -> int:
     return EXIT_DISCREPANCY if discrepancies else EXIT_OK
 
 
+def _write_json(payload: dict, checked: bool, discrepancies: list) -> None:
+    """Write a command's JSON payload, with the check report when asked."""
+    if checked:
+        payload["report"] = discrepancy_to_json(discrepancies)
+    sys.stdout.write(dumps_canonical(payload))
+
+
 def _print_text_report(checked: bool, discrepancies: list) -> None:
     if not checked:
         return
@@ -404,7 +421,12 @@ def _print_text_report(checked: bool, discrepancies: list) -> None:
         print("check: ok")
         return
     print(f"check: {len(discrepancies)} discrepancies")
-    for entry in discrepancies:
+    _print_discrepancies(discrepancies)
+
+
+def _print_discrepancies(entries: Sequence[Mapping]) -> None:
+    """One text line per discrepancy entry (as written by ``as_json_entry``)."""
+    for entry in entries:
         loc = ",".join(str(part) for part in entry["location"])
         print(f"  at {loc}: formula={entry['formula']} oracle={entry['oracle']}")
 
@@ -423,17 +445,12 @@ def cmd_restrict(args: argparse.Namespace) -> int:
     v = datum.element_by_word(parse_word(args.v))
     w = datum.element_by_word(parse_word(args.w))
     value = basis.restriction(v, w)
-    discrepancies = []
+    report = DiscrepancyReport()
     if config.check:
         closed = basis.restriction_via_billey(v, w)
         if not q_equal(value, closed):
-            discrepancies.append(
-                {
-                    "location": [word_to_str(v.word), word_to_str(w.word)],
-                    "formula": qelem_to_str(closed),
-                    "oracle": qelem_to_str(value),
-                }
-            )
+            report.add((word_to_str(v.word), word_to_str(w.word)), closed, value)
+    discrepancies = [entry.as_json_entry() for entry in report.entries]
     if config.out == "json":
         payload = {
             "command": "restrict",
@@ -445,12 +462,7 @@ def cmd_restrict(args: argparse.Namespace) -> int:
             "w": word_to_str(w.word),
             "value": qelem_to_json(value),
         }
-        if config.check:
-            payload["report"] = {
-                "count": len(discrepancies),
-                "discrepancies": discrepancies,
-            }
-        sys.stdout.write(dumps_canonical(payload))
+        _write_json(payload, config.check, discrepancies)
     else:
         print(qelem_to_str(value))
         _print_text_report(config.check, discrepancies)
@@ -503,12 +515,7 @@ def cmd_stab(args: argparse.Namespace) -> int:
             "v": word_to_str(v.word),
             "rows": [{k: row[k] for k in ("w", "value")} for row in rows],
         }
-        if config.check:
-            payload["report"] = {
-                "count": len(discrepancies),
-                "discrepancies": discrepancies,
-            }
-        sys.stdout.write(dumps_canonical(payload))
+        _write_json(payload, config.check, discrepancies)
     else:
         for row in rows:
             print(f"w={row['w'] or 'e'}  {row['text']}")
@@ -544,10 +551,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     else:
         status = "PASS" if passed else f"FAIL ({len(report.entries)} discrepancies)"
         print(f"suite {args.suite} on {datum.label or 'custom'}: {status}")
-        for entry in report.entries:
-            item = entry.as_json_entry()
-            loc = ",".join(str(part) for part in item["location"])
-            print(f"  at {loc}: formula={item['formula']} oracle={item['oracle']}")
+        _print_discrepancies([entry.as_json_entry() for entry in report.entries])
     return EXIT_OK if passed else EXIT_DISCREPANCY
 
 

@@ -1,8 +1,10 @@
 """Dual bases, Schubert-type classes, and structure constants.
 
-The dual module Q_W^* has the fixed-point basis {f_w} dual to {delta_w}.  It
-is a ring under the pointwise (Hadamard) product with unity 1 = sum_w f_w,
-and Q_W acts on it by the bullet action
+The dual module Q_W^* has the fixed-point basis {f_w} dual to {delta_w}.  Its
+elements (:class:`DualElem`) share the linear structure of Q_W through
+:class:`~demazure.twisted.WeylIndexed`.  It is a ring under the pointwise
+(Hadamard) product with unity 1 = sum_w f_w, and Q_W acts on it by the
+bullet action
 
     <z . f, z'> = <f, z' z>,   explicitly   p delta_w . (q f_v) = (v w^-1)(p) q f_{v w^-1}.
 
@@ -55,36 +57,23 @@ from .rootdata import RootDatum, WeylElement, Word
 from .twisted import (
     Algebra,
     QWElem,
-    _as_q,
+    WeylIndexed,
+    accumulate,
     expand_in_triangular_basis,
     family_t,
     family_tau,
 )
 
 
-class DualElem:
+class DualElem(WeylIndexed):
     """An element of Q_W^* in the fixed-point basis: a finite map w -> Q."""
 
-    __slots__ = ("backend", "coeffs")
-
-    def __init__(self, backend: Backend, coeffs: Mapping[WeylElement, QElem], _raw=False):
-        self.backend = backend
-        if _raw:
-            self.coeffs = dict(coeffs)
-        else:
-            self.coeffs = {}
-            for w, q in coeffs.items():
-                q = _as_q(backend, q)
-                if not q.is_zero():
-                    self.coeffs[w] = q
+    __slots__ = ()
+    _symbol = "f"
 
     @staticmethod
     def f(backend: Backend, w: WeylElement, coeff: QElem | SElem | int = 1) -> "DualElem":
         return DualElem(backend, {w: coeff})
-
-    @staticmethod
-    def zero(backend: Backend) -> "DualElem":
-        return DualElem(backend, {}, _raw=True)
 
     @staticmethod
     def unit(backend: Backend) -> "DualElem":
@@ -92,78 +81,17 @@ class DualElem:
         one_q = QElem.from_int(backend, 1)
         return DualElem(backend, {w: one_q for w in backend.datum.elements}, _raw=True)
 
-    def support(self) -> tuple[WeylElement, ...]:
-        return tuple(sorted((w for w in self.coeffs), key=WeylElement.sort_key))
-
-    def coeff(self, w: WeylElement) -> QElem:
-        return self.coeffs.get(w, QElem.from_int(self.backend, 0))
-
-    def is_zero(self) -> bool:
-        return all(q.is_zero() for q in self.coeffs.values())
-
-    def __add__(self, other: "DualElem") -> "DualElem":
-        out = dict(self.coeffs)
-        for w, q in other.coeffs.items():
-            cur = out.get(w)
-            val = q if cur is None else cur + q
-            if val.is_zero():
-                out.pop(w, None)
-            else:
-                out[w] = val
-        return DualElem(self.backend, out, _raw=True)
-
-    def __sub__(self, other: "DualElem") -> "DualElem":
-        return self + (-other)
-
-    def __neg__(self) -> "DualElem":
-        return DualElem(self.backend, {w: -q for w, q in self.coeffs.items()}, _raw=True)
-
-    def __rmul__(self, scalar) -> "DualElem":
-        q = _as_q(self.backend, scalar)
-        if q.is_zero():
-            return DualElem.zero(self.backend)
-        return DualElem(
-            self.backend,
-            {w: q * val for w, val in self.coeffs.items()},
-        )
-
     def __mul__(self, other):
         """The Hadamard product: (f g)(delta_w) = f(delta_w) g(delta_w)."""
         if not isinstance(other, DualElem):
             return self.__rmul__(other)
-        out: dict[WeylElement, QElem] = {}
         small, large = self.coeffs, other.coeffs
         if len(large) < len(small):
             small, large = large, small
-        for w, q in small.items():
-            p = large.get(w)
-            if p is None:
-                continue
-            val = q * p
-            if not val.is_zero():
-                out[w] = val
-        return DualElem(self.backend, out, _raw=True)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DualElem):
-            return NotImplemented
-        return (self - other).is_zero()
-
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("DualElem is unhashable")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        from .serialize import qelem_to_str, word_to_str
-
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for w in self.support():
-            bits.append(f"({qelem_to_str(self.coeffs[w])}) f_{word_to_str(w.word) or 'e'}")
-        return " + ".join(bits)
+        return DualElem(self.backend, {w: q * large[w] for w, q in small.items() if w in large})
 
 
-def bullet(z: QWElem, f: DualElem) -> QWElem | DualElem:
+def bullet(z: QWElem, f: DualElem) -> DualElem:
     """The action p delta_w . (q f_v) = (v w^-1)(p) q f_{v w^-1}.
 
     Composes as a left action: (z1 z2) . f = z1 . (z2 . f).
@@ -175,13 +103,7 @@ def bullet(z: QWElem, f: DualElem) -> QWElem | DualElem:
         winv = datum.inverse(w)
         for v, q in f.coeffs.items():
             tgt = datum.multiply(v, winv)
-            val = weyl_act_q(backend, tgt, p) * q
-            cur = out.get(tgt)
-            total = val if cur is None else cur + val
-            if total.is_zero():
-                out.pop(tgt, None)
-            else:
-                out[tgt] = total
+            accumulate(out, tgt, weyl_act_q(backend, tgt, p) * q)
     return DualElem(backend, out, _raw=True)
 
 
@@ -328,7 +250,6 @@ class DualBasis:
             sorted(self.datum.elements, key=WeylElement.sort_key)
         )
         self._dual_cache: dict[WeylElement, DualElem] = {}
-        self._diag_recip_cache: dict[WeylElement, QElem] = {}
         self._pt_scalar: SElem | None = None
 
     # -- classes ----------------------------------------------------------
@@ -357,7 +278,7 @@ class DualBasis:
                 if not self.datum.bruhat_leq(u, w):
                     continue
                 val = self.algebra.b_row(w).get(u)
-                if val is not None and not val.is_zero():
+                if val is not None:
                     coeffs[w] = val
             cached = DualElem(self.backend, coeffs, _raw=True)
             self._dual_cache[u] = cached
@@ -365,11 +286,7 @@ class DualBasis:
 
     def diag_reciprocal(self, u: WeylElement) -> QElem:
         """The exact reciprocal of b_{u, I_u}, i.e. the leading coefficient of Z_{I_u}."""
-        cached = self._diag_recip_cache.get(u)
-        if cached is None:
-            cached = self.algebra.z_basis_element(u).coeffs[u]
-            self._diag_recip_cache[u] = cached
-        return cached
+        return self.algebra.z_basis_element(u).coeffs[u]
 
     def duality_pairing(self, u: WeylElement, v: WeylElement) -> QElem:
         return pairing(self.dual_basis_element(u), self.algebra.z_basis_element(v))

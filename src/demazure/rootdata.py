@@ -473,14 +473,16 @@ class RootDatum:
         """Roots ``beta_j = s_{i_1} ... s_{i_{j-1}}(alpha_{i_j})`` along a word.
 
         For a reduced word these are the (distinct, positive) inversions of
-        the inverse element; for a general word signs may repeat.
+        the inverse element; for a general word signs may repeat.  Each
+        ``beta_j`` is column ``i_j`` of the prefix's root matrix, and the
+        product table folds the prefix.
         """
-        mat = _identity(self.rank)
+        right, elements = self._right, self._elements
         out: list[RootVector] = []
-        for i in word:
-            alpha = tuple(int(i - 1 == c) for c in range(self.rank))
-            out.append(_mat_vec(mat, alpha))
-            mat = _mat_mul(mat, self._root_refl[i])
+        prefix = 0  # index of s_{i_1} ... s_{i_{j-1}}
+        for i in self._checked(word):
+            out.append(tuple(row[i - 1] for row in elements[prefix].root_matrix))
+            prefix = right[prefix][i - 1]
         return tuple(out)
 
     def inversions(self, w: WeylElement) -> tuple[RootVector, ...]:

@@ -1,9 +1,14 @@
 """The twisted group algebra Q_W and divided-difference operator families.
 
 Q_W is the free Q-module on symbols ``delta_w`` with the twisted product
-``(p delta_w)(p' delta_{w'}) = p w(p') delta_{w w'}``.  An operator family
-assigns to every root ``alpha`` a pair of coefficients (a_alpha, b_alpha)
-and the single-reflection operator ``Z_alpha = a_alpha + b_alpha delta_alpha``;
+``(p delta_w)(p' delta_{w'}) = p w(p') delta_{w w'}``.  Its elements
+(:class:`QWElem`) and those of the dual Q_W^* (``demazure.dual.DualElem``)
+are both :class:`WeylIndexed` maps W -> Q, which never store a zero and
+merge sums with :func:`accumulate`; only the products differ.
+
+An operator family assigns to every root ``alpha`` a pair of coefficients
+(a_alpha, b_alpha) and the single-reflection operator
+``Z_alpha = a_alpha + b_alpha delta_alpha``;
 words compose to ``Z_I``, and the elements ``Z_{I_w}`` for a fixed choice of
 reduced words {I_w} form a Q-basis.  Because each family also supplies a
 symbolic inverse of b_alpha, every triangular basis change here is carried
@@ -53,39 +58,54 @@ Weight = tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
-# QWElem
+# W-indexed coefficient maps: Q_W and its dual share one linear structure
 # ---------------------------------------------------------------------------
 
 
-class QWElem:
-    """An element of Q_W: a finite Q-combination of the symbols delta_w."""
+def accumulate(out: dict, key, value) -> None:
+    """Add ``value`` into ``out[key]``, dropping the key when the sum is zero."""
+    prev = out.get(key)
+    if prev is not None:
+        value = prev + value
+    if value.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = value
+
+
+class WeylIndexed:
+    """A finite map W -> Q that never stores a zero value.
+
+    Q_W (:class:`QWElem`) and its dual Q_W^* (:class:`~demazure.dual.DualElem`)
+    are both free Q-modules on W; this class holds their shared linear
+    structure, and each subclass adds only its product.  Values given as
+    ints, S elements or Q elements are coerced to Q.
+
+    >>> from demazure.formal import ADDITIVE, Backend
+    >>> from demazure.rootdata import build_root_datum
+    >>> backend = Backend(build_root_datum("A1"), ADDITIVE)
+    >>> g = QWElem(backend, {backend.datum.identity: 2})
+    >>> (g - g).coeffs == {}
+    True
+    """
 
     __slots__ = ("backend", "coeffs")
+    _symbol: str  # the basis symbol that repr prints; each subclass sets it
 
     def __init__(self, backend: Backend, coeffs: Mapping[WeylElement, QElem], _raw=False):
         self.backend = backend
         if _raw:
             self.coeffs = dict(coeffs)
         else:
-            self.coeffs = {w: c for w, c in coeffs.items() if not c.is_zero()}
+            self.coeffs = {}
+            for w, c in coeffs.items():
+                c = _as_q(backend, c)
+                if not c.is_zero():
+                    self.coeffs[w] = c
 
-    @staticmethod
-    def delta(backend: Backend, w: WeylElement, coeff: QElem | SElem | int = 1) -> "QWElem":
-        if isinstance(coeff, int):
-            coeff = QElem.from_int(backend, coeff)
-        elif isinstance(coeff, SElem):
-            coeff = QElem.from_s(coeff)
-        if coeff.is_zero():
-            return QWElem(backend, {}, _raw=True)
-        return QWElem(backend, {w: coeff}, _raw=True)
-
-    @staticmethod
-    def zero(backend: Backend) -> "QWElem":
-        return QWElem(backend, {}, _raw=True)
-
-    @staticmethod
-    def one(backend: Backend) -> "QWElem":
-        return QWElem.delta(backend, backend.datum.identity, 1)
+    @classmethod
+    def zero(cls, backend: Backend):
+        return cls(backend, {}, _raw=True)
 
     def support(self) -> tuple[WeylElement, ...]:
         return tuple(sorted(self.coeffs, key=WeylElement.sort_key))
@@ -96,84 +116,36 @@ class QWElem:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other: "QWElem") -> "QWElem":
+    def __add__(self, other):
         out = dict(self.coeffs)
         for w, c in other.coeffs.items():
-            if w in out:
-                val = out[w] + c
-                if val.is_zero():
-                    del out[w]
-                else:
-                    out[w] = val
-            else:
-                out[w] = c
-        return QWElem(self.backend, out, _raw=True)
+            accumulate(out, w, c)
+        return type(self)(self.backend, out, _raw=True)
 
-    def __sub__(self, other: "QWElem") -> "QWElem":
+    def __sub__(self, other):
         return self + (-other)
 
-    def __neg__(self) -> "QWElem":
-        return QWElem(self.backend, {w: -c for w, c in self.coeffs.items()}, _raw=True)
+    def __neg__(self):
+        return type(self)(self.backend, {w: -c for w, c in self.coeffs.items()}, _raw=True)
 
-    def __rmul__(self, scalar) -> "QWElem":
-        """Left multiplication by a scalar p: p . (p' delta_w) = (p p') delta_w."""
+    def __rmul__(self, scalar):
+        """Left multiplication by a scalar p: each coefficient c_w becomes p c_w."""
         scalar = _as_q(self.backend, scalar)
-        out = {}
-        for w, c in self.coeffs.items():
-            val = scalar * c
-            if not val.is_zero():
-                out[w] = val
-        return QWElem(self.backend, out, _raw=True)
-
-    # -- twisted product and action ------------------------------------------
-
-    def __mul__(self, other) -> "QWElem":
-        """The twisted product; a scalar on the right means (scalar) delta_e."""
-        backend = self.backend
-        if not isinstance(other, QWElem):
-            other = QWElem.delta(backend, backend.datum.identity, _as_q(backend, other))
-        datum = backend.datum
-        out: dict[WeylElement, QElem] = {}
-        for w1, p1 in self.coeffs.items():
-            for w2, p2 in other.coeffs.items():
-                target = datum.multiply(w1, w2)
-                val = p1 * weyl_act_q(backend, w1, p2)
-                if val.is_zero():
-                    continue
-                if target in out:
-                    acc = out[target] + val
-                    if acc.is_zero():
-                        del out[target]
-                    else:
-                        out[target] = acc
-                else:
-                    out[target] = val
-        return QWElem(backend, out, _raw=True)
-
-    def act(self, p: QElem | SElem | int) -> QElem:
-        """The Q_W action on Q: (p' delta_w) . p = p' w(p)."""
-        p = _as_q(self.backend, p)
-        total = QElem.from_int(self.backend, 0)
-        for w, c in self.coeffs.items():
-            total = total + c * weyl_act_q(self.backend, w, p)
-        return total
+        return type(self)(self.backend, {w: scalar * c for w, c in self.coeffs.items()})
 
     def __eq__(self, other) -> bool:
-        if not isinstance(other, QWElem):
+        if type(other) is not type(self):
             return NotImplemented
         return (self - other).is_zero()
 
-    def __hash__(self):  # pragma: no cover
-        raise TypeError("QWElem is not hashable")
+    __hash__ = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        from .serialize import qelem_to_str
+        from .serialize import qelem_to_str, word_to_str
 
         parts = [
-            f"({qelem_to_str(c)})d[{''.join(map(str, w.word)) or 'e'}]"
-            for w, c in sorted(self.coeffs.items(), key=lambda kv: kv[0].sort_key())
+            f"({qelem_to_str(self.coeffs[w])}) {self._symbol}_{word_to_str(w.word) or 'e'}"
+            for w in self.support()
         ]
         return " + ".join(parts) or "0"
 
@@ -186,6 +158,41 @@ def _as_q(backend: Backend, value) -> QElem:
     if isinstance(value, int):
         return QElem.from_int(backend, value)
     raise TypeError(f"cannot coerce {type(value).__name__} to QElem")
+
+
+class QWElem(WeylIndexed):
+    """An element of Q_W: a finite Q-combination of the symbols delta_w."""
+
+    __slots__ = ()
+    _symbol = "delta"
+
+    @staticmethod
+    def delta(backend: Backend, w: WeylElement, coeff: QElem | SElem | int = 1) -> "QWElem":
+        return QWElem(backend, {w: coeff})
+
+    @staticmethod
+    def one(backend: Backend) -> "QWElem":
+        return QWElem.delta(backend, backend.datum.identity)
+
+    def __mul__(self, other) -> "QWElem":
+        """The twisted product; a scalar on the right means (scalar) delta_e."""
+        backend = self.backend
+        if not isinstance(other, QWElem):
+            other = QWElem.delta(backend, backend.datum.identity, other)
+        datum = backend.datum
+        out: dict[WeylElement, QElem] = {}
+        for w1, p1 in self.coeffs.items():
+            for w2, p2 in other.coeffs.items():
+                accumulate(out, datum.multiply(w1, w2), p1 * weyl_act_q(backend, w1, p2))
+        return QWElem(backend, out, _raw=True)
+
+    def act(self, p: QElem | SElem | int) -> QElem:
+        """The Q_W action on Q: (p' delta_w) . p = p' w(p)."""
+        p = _as_q(self.backend, p)
+        total = QElem.from_int(self.backend, 0)
+        for w, c in self.coeffs.items():
+            total = total + c * weyl_act_q(self.backend, w, p)
+        return total
 
 
 def expand_in_triangular_basis(
@@ -211,9 +218,7 @@ def expand_in_triangular_basis(
         c = cur * diag_recip(u)
         out[u] = c
         for w, val in column(u).items():
-            sub = c * val
-            prev = residue.get(w)
-            residue[w] = -sub if prev is None else prev - sub
+            accumulate(residue, w, -(c * val))
     bad = [w for w, val in residue.items() if not val.is_zero()]
     if bad:
         raise ValueError(
@@ -515,17 +520,7 @@ class Algebra:
                     continue
                 scale = dinv * a_wv
                 for t, bvt in self._b_rows[v].items():
-                    val = scale * bvt
-                    if val.is_zero():
-                        continue
-                    if t in row:
-                        acc = row[t] - val
-                        if acc.is_zero():
-                            del row[t]
-                        else:
-                            row[t] = acc
-                    else:
-                        row[t] = -val
+                    accumulate(row, t, -(scale * bvt))
             self._b_rows[w] = row
         return self._b_rows[u]
 
@@ -559,23 +554,12 @@ class Algebra:
             qm1 = q - one(backend)
             state = {}
             for w, c in prev.items():
+                ws = self.datum.multiply_simple(w, i)
                 if self.datum.has_right_descent(w, i):
-                    down = self.datum.multiply_simple(w, i)
-                    for target, inc in ((w, c * qm1), (down, c * q)):
-                        acc = state.get(target)
-                        acc = inc if acc is None else acc + inc
-                        if acc.is_zero():
-                            state.pop(target, None)
-                        else:
-                            state[target] = acc
+                    accumulate(state, w, c * qm1)
+                    accumulate(state, ws, c * q)
                 else:
-                    up = self.datum.multiply_simple(w, i)
-                    acc = state.get(up)
-                    acc = c if acc is None else acc + c
-                    if acc.is_zero():
-                        state.pop(up, None)
-                    else:
-                        state[up] = acc
+                    accumulate(state, ws, c)
         self._hecke_cache[word] = state
         return state
 

@@ -465,6 +465,18 @@ def test_words_file_must_cover_every_element(tmp_path):
     assert "cover" in err
 
 
+@pytest.mark.parametrize("table", [[1], {"": 5}], ids=["list", "int-word"])
+def test_words_file_of_the_wrong_shape_exits_3(tmp_path, table):
+    path = tmp_path / "words.json"
+    path.write_text(json.dumps(table), encoding="utf-8")
+    code, _, err = run_cli(
+        "restrict", "--type", "A2", "--family", "x", "--w", "1", "--v", "121",
+        "--words", f"file:{path}",
+    )
+    assert code == EXIT_CONFIG
+    assert "word file" in err
+
+
 def test_jcompat_policy_keeps_restrictions_for_x_family():
     base = (
         "restrict", "--type", "A2", "--family", "x", "--w", "1", "--v", "121",
@@ -515,6 +527,27 @@ def test_custom_family_rejects_wrong_law(tmp_path):
     )
     assert code == EXIT_CONFIG
     assert "law" in err
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        [1, 2],
+        dict(SIGMA_SPEC, a=[1]),
+        dict(SIGMA_SPEC, a={"num": 5}),
+        dict(SIGMA_SPEC, a={"num": [[-1.5, 0, 0, 0]], "den": [["x_root", 1]]}),
+    ],
+    ids=["list", "a-list", "a-num-int", "a-float-coeff"],
+)
+def test_custom_family_of_the_wrong_shape_exits_3(tmp_path, spec):
+    path = tmp_path / "bad_shape.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, _, err = run_cli(
+        "mult", "--type", "A2", "--family", f"custom:{path}",
+        "--u", "1", "--v", "2",
+    )
+    assert code == EXIT_CONFIG
+    assert "custom family" in err
 
 
 def test_custom_family_rejects_broken_inverse(tmp_path):

@@ -34,6 +34,7 @@ from demazure.formal import (
 from demazure.twisted import (
     Algebra,
     BUILTIN_FAMILIES,
+    QWElem,
     family_t,
     family_tau,
     family_x,
@@ -111,6 +112,27 @@ def test_dualelem_ring_axioms():
     assert -(-g1) == g1
     x1 = QElem.from_s(x_class(backend, wt(datum, 1)))
     assert x1 * (g1 + g2) == x1 * g1 + x1 * g2
+
+
+@pytest.mark.parametrize("cls", [QWElem, DualElem])
+def test_weyl_indexed_maps_never_store_a_zero(cls):
+    backend = Backend(get_datum("A2"), ADDITIVE)
+    datum = backend.datum
+    e, s1 = datum.identity, by_word(datum, "1")
+    x = x_class(backend, wt(datum, 1))
+    g = cls(backend, {e: 1, s1: x})
+    assert q_equal(g.coeffs[e], q_int(backend, 1))  # the int is coerced to Q
+    assert cls(backend, {e: 0, s1: SElem.constant(backend, 0)}).coeffs == {}
+    single = QWElem.delta if cls is QWElem else DualElem.f
+    cancelled = [g - g, g + (-g), 0 * g, single(backend, s1, x) + single(backend, s1, -x)]
+    for z in cancelled:
+        assert z.coeffs == {}
+    for z in cancelled + [g, -g, QElem.from_s(x) * g, g + g]:
+        assert z.is_zero() == (not z.coeffs)
+        assert all(not c.is_zero() for c in z.coeffs.values())
+    other = DualElem if cls is QWElem else QWElem
+    assert g == cls(backend, g.coeffs)
+    assert (g == other(backend, g.coeffs)) is False
 
 
 def test_bullet_is_left_action():

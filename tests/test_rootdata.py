@@ -244,11 +244,16 @@ def test_product_table_matches_root_matrix_arithmetic(spec, lattice):
     words = [word for k in range(5) for word in itertools.product(range(1, n + 1), repeat=k)]
     words += [w.word + w.word for w in datum.elements]
     for word in words:
-        mat = identity
+        mat = prefix = identity
+        betas = []
         for i in word:
+            alpha = tuple(int(k == i - 1) for k in range(n))
+            betas.append(tuple(sum(x * y for x, y in zip(row, alpha)) for row in prefix))
+            prefix = _mat_mul(prefix, refl[i])
             if _goes_up(mat, i):
                 mat = _mat_mul(mat, refl[i])
         assert datum.demazure_product(word) is by_matrix[mat], word
+        assert datum.inversion_roots_along(word) == tuple(betas), word
 
 
 # ---------------------------------------------------------------------------
