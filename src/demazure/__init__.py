@@ -13,28 +13,8 @@ The package is organized bottom-up:
 * :mod:`demazure.cli` - the ``demazure`` command line tool.
 """
 
-from .rootdata import (
-    RootDatum,
-    WeylElement,
-    all_reduced_words,
-    bruhat_leq,
-    build_root_datum,
-    demazure_product,
-    j_compatible_words,
-    min_coset_reps,
-    reduced_word,
-)
+from .rootdata import RootDatum, WeylElement, build_root_datum
 
-__all__ = [
-    "RootDatum",
-    "WeylElement",
-    "all_reduced_words",
-    "bruhat_leq",
-    "build_root_datum",
-    "demazure_product",
-    "j_compatible_words",
-    "min_coset_reps",
-    "reduced_word",
-]
+__all__ = ["RootDatum", "WeylElement", "build_root_datum"]
 
 __version__ = "0.1.0"

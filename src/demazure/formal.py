@@ -174,6 +174,8 @@ class SElem:
             return SElem(
                 self.backend, {k: c * other for k, c in self.terms.items()}, _raw=True
             )
+        if not isinstance(other, SElem):
+            return NotImplemented
         self._check(other)
         out: dict[Exponents, int] = {}
         for ka, ca in self.terms.items():
@@ -243,10 +245,6 @@ def zero(backend: Backend) -> SElem:
 
 def one(backend: Backend) -> SElem:
     return SElem.constant(backend, 1)
-
-
-def from_int(backend: Backend, value: int) -> SElem:
-    return SElem.constant(backend, value)
 
 
 def monomial(backend: Backend, exponents: Sequence[int], coeff: int = 1) -> SElem:

@@ -579,28 +579,3 @@ def build_root_datum(
     else:
         raise ValueError(f"cannot build a root datum from {type(spec).__name__}")
     return RootDatum(cartan, lattice=chosen, label=label, max_rank=max_rank, max_order=max_order)
-
-
-def reduced_word(datum: RootDatum, w: WeylElement) -> Word:
-    """The canonical ((length, lex)-minimal) reduced word of ``w``."""
-    return w.word
-
-
-def all_reduced_words(datum: RootDatum, w: WeylElement) -> tuple[Word, ...]:
-    return datum.all_reduced_words(w)
-
-
-def demazure_product(datum: RootDatum, word: Sequence[int]) -> WeylElement:
-    return datum.demazure_product(word)
-
-
-def bruhat_leq(datum: RootDatum, u: WeylElement, w: WeylElement) -> bool:
-    return datum.bruhat_leq(u, w)
-
-
-def min_coset_reps(datum: RootDatum, subset: Iterable[int]) -> tuple[WeylElement, ...]:
-    return datum.min_coset_reps(subset)
-
-
-def j_compatible_words(datum: RootDatum, subset: Iterable[int]) -> dict[WeylElement, Word]:
-    return datum.j_compatible_words(subset)

@@ -21,6 +21,21 @@ Built-in families::
     T:    a = -h/a,           b = (h-a)/a           (additive, h)
     tau:  a = (q-1)/(1-e^a),  b = (1-q e^{-a})/(1-e^a)   (multiplicative, q = v^2)
     sigma (custom preset): a = -1/a, b = (1+a)/a    (additive)
+
+All but sigma record the constants (c1, c0) of their quadratic relation
+``Z_i^2 = c1 Z_i + c0`` (``OperatorFamily.quadratic``)::
+
+    X, Y: (kappa, 0)    kappa = 0 additively, 1 multiplicatively
+    T:    (0, 1)
+    tau:  (q-1, q)
+
+W fixes c1 and c0, so with the braid relations they fix every coefficient c
+of ``Z_J = sum_w c Z_{I_w}``: right multiplication by Z_i moves c from w to
+w s_i when w s_i > w, and otherwise sends c c1 to w and c c0 to w s_i.  This
+one descent step (:meth:`Algebra._c_step`) gives the reduced-subword rule
+(0, 0), the Demazure-product rule (1, 0), the group-product rule (0, 1) and
+the Hecke recursion (q-1, q).  Families without constants fall back on the
+generic triangular expansion.
 """
 
 from __future__ import annotations
@@ -43,7 +58,6 @@ from .formal import (
     e_mono,
     expand_factor,
     h_var,
-    kappa,
     linear_form,
     one,
     q_equal,
@@ -51,6 +65,7 @@ from .formal import (
     v_var,
     weyl_act_q,
     x_class,
+    zero,
 )
 from .rootdata import WeylElement, Word
 
@@ -232,18 +247,14 @@ def expand_in_triangular_basis(
 # Operator families
 # ---------------------------------------------------------------------------
 
-C_RULE_REDUCED = "reduced"  # c = 1 iff the subword is reduced with the right product
-C_RULE_DEMAZURE = "demazure"  # c = 1 iff the target is the Demazure product
-C_RULE_GROUP = "group"  # c = 1 iff the target is the plain group product
-C_RULE_HECKE = "hecke"  # c given by the Hecke two-case recursion (values in Z[q])
-
-
 @dataclass
 class OperatorFamily:
     """A W-equivariant operator family Z_alpha = a_alpha + b_alpha delta_alpha.
 
     ``a``, ``b``, ``b_inv`` take a *root* in lattice coordinates (any sign)
     and return QElems; ``b_inv`` must be the exact reciprocal of ``b``.
+    ``quadratic`` holds the W-invariant constants (c1, c0) in S of
+    ``Z_i^2 = c1 Z_i + c0``, or None when the family has none.
     """
 
     name: str
@@ -251,8 +262,7 @@ class OperatorFamily:
     a: Callable[[Weight], QElem]
     b: Callable[[Weight], QElem]
     b_inv: Callable[[Weight], QElem]
-    c_rule: str | None = None
-    quadratic: str | None = None  # description used by verify_relations
+    quadratic: tuple[SElem, SElem] | None = None
 
     def check_equivariance(self) -> list[str]:
         """Exact check of w(a_alpha) = a_{w(alpha)} (and b, b_inv) for every
@@ -295,6 +305,11 @@ def _x_factor(weight: Weight) -> FactorSymbol:
     return FactorSymbol(X_ROOT, tuple(weight))
 
 
+def _kappa_quadratic(backend: Backend) -> tuple[SElem, SElem]:
+    """(kappa, 0) for X and Y: kappa_alpha is 0 additively and 1 multiplicatively."""
+    return (zero(backend) if backend.law == ADDITIVE else one(backend)), zero(backend)
+
+
 def family_x(backend: Backend) -> OperatorFamily:
     def a(alpha: Weight) -> QElem:
         return QElem(one(backend), [_x_factor(alpha)])
@@ -305,8 +320,7 @@ def family_x(backend: Backend) -> OperatorFamily:
     def b_inv(alpha: Weight) -> QElem:
         return QElem.from_s(-x_class(backend, alpha))
 
-    rule = C_RULE_REDUCED if backend.law == ADDITIVE else C_RULE_DEMAZURE
-    return OperatorFamily("x", backend, a, b, b_inv, c_rule=rule, quadratic="kappa")
+    return OperatorFamily("x", backend, a, b, b_inv, quadratic=_kappa_quadratic(backend))
 
 
 def family_y(backend: Backend) -> OperatorFamily:
@@ -319,8 +333,7 @@ def family_y(backend: Backend) -> OperatorFamily:
     def b_inv(alpha: Weight) -> QElem:
         return QElem.from_s(x_class(backend, alpha))
 
-    rule = C_RULE_REDUCED if backend.law == ADDITIVE else C_RULE_DEMAZURE
-    return OperatorFamily("y", backend, a, b, b_inv, c_rule=rule, quadratic="kappa")
+    return OperatorFamily("y", backend, a, b, b_inv, quadratic=_kappa_quadratic(backend))
 
 
 def family_t(backend: Backend) -> OperatorFamily:
@@ -338,7 +351,7 @@ def family_t(backend: Backend) -> OperatorFamily:
     def b_inv(alpha: Weight) -> QElem:
         return QElem(linear_form(backend, alpha), [FactorSymbol(HAT_ADDITIVE, tuple(alpha))])
 
-    return OperatorFamily("t", backend, a, b, b_inv, c_rule=C_RULE_GROUP, quadratic="involution")
+    return OperatorFamily("t", backend, a, b, b_inv, quadratic=(zero(backend), one(backend)))
 
 
 def family_tau(backend: Backend) -> OperatorFamily:
@@ -356,7 +369,8 @@ def family_tau(backend: Backend) -> OperatorFamily:
         num = one(backend) - e_mono(backend, tuple(alpha))
         return QElem(num, [FactorSymbol(HAT_MULTIPLICATIVE, tuple(alpha))])
 
-    return OperatorFamily("tau", backend, a, b, b_inv, c_rule=C_RULE_HECKE, quadratic="hecke")
+    q = q_of(backend)
+    return OperatorFamily("tau", backend, a, b, b_inv, quadratic=(q - one(backend), q))
 
 
 def family_sigma(backend: Backend) -> OperatorFamily:
@@ -375,7 +389,7 @@ def family_sigma(backend: Backend) -> OperatorFamily:
             linear_form(backend, alpha), [FactorSymbol(ONE_PLUS_ROOT, tuple(alpha))]
         )
 
-    return OperatorFamily("custom:sigma", backend, a, b, b_inv, c_rule=None, quadratic=None)
+    return OperatorFamily("custom:sigma", backend, a, b, b_inv)
 
 
 def custom_family(
@@ -386,7 +400,7 @@ def custom_family(
     b_inv: Callable[[Weight], QElem],
     check: bool = True,
 ) -> OperatorFamily:
-    fam = OperatorFamily(f"custom:{name}", backend, a, b, b_inv, c_rule=None)
+    fam = OperatorFamily(f"custom:{name}", backend, a, b, b_inv)
     if check:
         problems = fam.check_b_inverse() + fam.check_equivariance()
         if problems:
@@ -422,8 +436,9 @@ FAMILY_LAWS: dict[str, tuple[str, ...]] = {
 class Algebra:
     """An operator family together with a fixed reduced word I_w per element.
 
-    All basis-change coefficients (a, b, c) and Leibniz coefficients are
-    cached here.
+    Composed words, b-rows and Leibniz coefficients are cached here; the
+    c-coefficients of families with quadratic constants are cheap descent
+    walks and are not.
     """
 
     def __init__(self, family: OperatorFamily, words: Mapping[WeylElement, Word] | None = None):
@@ -445,8 +460,6 @@ class Algebra:
         self._diag_inverse_cache: dict[WeylElement, QElem] = {}
         self._b_rows: dict[WeylElement, dict[WeylElement, QElem]] = {}
         self._leibniz_cache: dict[tuple[Word, tuple[int, ...]], QElem] = {}
-        self._hecke_cache: dict[Word, dict[WeylElement, SElem]] = {}
-        self._one = QElem.from_int(self.backend, 1)
 
     # -- elements -------------------------------------------------------------
 
@@ -537,59 +550,32 @@ class Algebra:
 
     # -- c coefficients ---------------------------------------------------------
 
-    def hecke_coefficients(self, word: Sequence[int]) -> dict[WeylElement, SElem]:
-        """Expansion of tau_word over {tau_w} via the two-case recursion;
-        values are polynomials in q = v^2."""
-        word = tuple(word)
-        cached = self._hecke_cache.get(word)
-        if cached is not None:
-            return cached
-        backend = self.backend
-        if not word:
-            state = {self.datum.identity: one(backend)}
-        else:
-            prev = self.hecke_coefficients(word[:-1])
-            i = word[-1]
-            q = q_of(backend)
-            qm1 = q - one(backend)
-            state = {}
-            for w, c in prev.items():
-                ws = self.datum.multiply_simple(w, i)
-                if self.datum.has_right_descent(w, i):
-                    accumulate(state, w, c * qm1)
-                    accumulate(state, ws, c * q)
-                else:
-                    accumulate(state, ws, c)
-        self._hecke_cache[word] = state
-        return state
-
-    def _c_value(self, word: Word, w: WeylElement) -> QElem | None:
-        """c_{word, I_w} by the family's rule, or None when it is zero.
-
-        The built-in rules are indicators of a Weyl-group product, so a hit
-        returns the shared constant 1; families without a rule fall back on
-        the generic expansion."""
-        rule = self.family.c_rule
+    def _c_step(self, state: dict[WeylElement, SElem], i: int) -> dict[WeylElement, SElem]:
+        """Right-multiply sum_w c_w Z_{I_w} by Z_i, using Z_i^2 = c1 Z_i + c0."""
+        c1, c0 = self.family.quadratic
         datum = self.datum
-        if rule == C_RULE_REDUCED:
-            hit = len(word) == w.length and datum.element_by_word(word) is w
-        elif rule == C_RULE_DEMAZURE:
-            hit = datum.demazure_product(word) is w
-        elif rule == C_RULE_GROUP:
-            hit = datum.element_by_word(word) is w
-        elif rule == C_RULE_HECKE:
-            value = self.hecke_coefficients(word).get(w)
-            return None if value is None else QElem.from_s(value)
-        else:
-            value = self.expand_in_z_basis(word).get(w)
-            return None if value is None or value.is_zero() else value
-        return self._one if hit else None
+        out: dict[WeylElement, SElem] = {}
+        for w, c in state.items():
+            ws = datum.multiply_simple(w, i)
+            if ws.length > w.length:
+                accumulate(out, ws, c)
+                continue
+            if not c1.is_zero():
+                accumulate(out, w, c * c1)
+            if not c0.is_zero():
+                accumulate(out, ws, c * c0)
+        return out
 
     def c_coefficient(self, word: Sequence[int], w: WeylElement) -> QElem:
-        """c_{J, I_w} in Z_J = sum_w c Z_{I_w}, via the family's fast rule
-        when one exists (the generic expansion otherwise)."""
-        value = self._c_value(tuple(word), w)
-        return QElem.from_int(self.backend, 0) if value is None else value
+        """c_{J, I_w} in Z_J = sum_w c Z_{I_w}, by descent steps when the
+        family has quadratic constants (the generic expansion otherwise)."""
+        if self.family.quadratic is None:
+            value = self.expand_in_z_basis(word).get(w)
+            return QElem.from_int(self.backend, 0) if value is None else value
+        state = {self.datum.identity: one(self.backend)}
+        for i in word:
+            state = self._c_step(state, i)
+        return QElem.from_s(state.get(w, zero(self.backend)))
 
     # -- Leibniz coefficients ----------------------------------------------------
 
@@ -666,27 +652,45 @@ class Algebra:
 
     def c_supports(self, word: Sequence[int], w: WeylElement) -> list[tuple[frozenset, QElem]]:
         """All subsets E of positions with c_{word|E, I_w} nonzero, with the
-        c value; positions are 1-based."""
+        c value; positions are 1-based, subsets in increasing bitmask order."""
         word = tuple(word)
         k = len(word)
-        out = []
-        for mask in range(1 << k):
-            positions = [j for j in range(k) if mask >> j & 1]
-            value = self._c_value(tuple(word[j] for j in positions), w)
-            if value is not None:
-                out.append((frozenset(j + 1 for j in positions), value))
-        return out
+        found: list[tuple[int, QElem]] = []
+        if self.family.quadratic is None:
+            for mask in range(1 << k):
+                value = self.c_coefficient([word[j] for j in range(k) if mask >> j & 1], w)
+                if not value.is_zero():
+                    found.append((mask, value))
+        else:
+            # Depth first over the positions; a state that is empty stays empty.
+            stack = [(0, 0, {self.datum.identity: one(self.backend)})]
+            while stack:
+                j, mask, state = stack.pop()
+                if j == k:
+                    value = state.get(w)
+                    if value is not None:
+                        found.append((mask, QElem.from_s(value)))
+                    continue
+                stack.append((j + 1, mask, state))
+                taken = self._c_step(state, word[j])
+                if taken:
+                    stack.append((j + 1, mask | 1 << j, taken))
+        found.sort(key=lambda entry: entry[0])
+        return [
+            (frozenset(j + 1 for j in range(k) if mask >> j & 1), value)
+            for mask, value in found
+        ]
 
     # -- tau inverses ---------------------------------------------------------------
 
     def tau_inverse(self, w: WeylElement) -> QWElem:
         """(tau_w)^{-1} via the quadratic relation, along the reversed word."""
-        if self.family.c_rule != C_RULE_HECKE:
+        if self.family.name != "tau":
             raise ValueError("tau_inverse is defined for the tau family")
         backend = self.backend
         out = QWElem.one(backend)
         q_inv = QElem.from_s(v_var(backend, -2))
-        qm1 = QElem.from_s(q_of(backend) - one(backend))
+        qm1 = self.family.quadratic[0]
         for i in reversed(self.words[w]):
             single = self.simple_element(i)
             inv = q_inv * (single - QWElem.delta(backend, self.datum.identity, qm1))
@@ -702,31 +706,21 @@ class Algebra:
         datum = self.datum
         report: list[dict] = []
         quad = self.family.quadratic
+        from .serialize import qelem_to_str
+
         for i in range(1, datum.rank + 1):
             z = self.simple_element(i)
             zz = z * z
-            alpha = datum.simple_root(i)
-            if quad == "kappa":
-                residual = zz - QWElem.delta(backend, datum.identity, kappa(backend, alpha)) * z
-                name = f"Z_{i}^2 = kappa_{i} Z_{i}"
-            elif quad == "involution":
-                residual = zz - QWElem.one(backend)
-                name = f"Z_{i}^2 = 1"
-            elif quad == "hecke":
-                qq = QElem.from_s(q_of(backend))
-                qm1 = QElem.from_s(q_of(backend) - one(backend))
-                residual = zz - qm1 * z - qq * QWElem.one(backend)
-                name = f"Z_{i}^2 = (q-1) Z_{i} + q"
-            else:
+            if quad is None:
                 # Custom family: solve Z^2 = c1 Z + c0 on the delta basis and
                 # report the resulting coefficients.
-                s_i = datum.simple_reflection(i)
-                c1 = zz.coeff(s_i) * self.family.b_inv(alpha)
+                alpha = datum.simple_root(i)
+                c1 = zz.coeff(datum.simple_reflection(i)) * self.family.b_inv(alpha)
                 c0 = zz.coeff(datum.identity) - c1 * self.family.a(alpha)
-                residual = zz - c1 * z - c0 * QWElem.one(backend)
-                from .serialize import qelem_to_str
-
-                name = f"Z_{i}^2 = ({qelem_to_str(c1)}) Z_{i} + ({qelem_to_str(c0)})"
+            else:
+                c1, c0 = (QElem.from_s(c) for c in quad)
+            residual = zz - c1 * z - c0 * QWElem.one(backend)
+            name = f"Z_{i}^2 = ({qelem_to_str(c1)}) Z_{i} + ({qelem_to_str(c0)})"
             report.append(_relation_entry(name, residual))
         for i in range(1, datum.rank + 1):
             for j in range(i + 1, datum.rank + 1):

@@ -135,6 +135,24 @@ def test_weyl_indexed_maps_never_store_a_zero(cls):
     assert (g == other(backend, g.coeffs)) is False
 
 
+def test_s_element_times_an_unknown_operand_defers_to_the_operand():
+    backend = Backend(get_datum("A2"), ADDITIVE)
+    datum = backend.datum
+    e, s1 = datum.identity, by_word(datum, "1")
+    x = x_class(backend, wt(datum, 1))
+    g_coeffs = {e: 1, s1: h_var(backend)}
+    for g in (
+        QWElem(backend, g_coeffs),
+        DualElem(backend, g_coeffs),
+        QElem(h_var(backend), [FactorSymbol(HAT_ADDITIVE, wt(datum, 2))]),
+    ):
+        product = x * g
+        assert type(product) is type(g)
+        assert product == QElem.from_s(x) * g
+    with pytest.raises(TypeError):
+        x * "x"
+
+
 def test_bullet_is_left_action():
     basis = get_basis("A2", "x", ADDITIVE)
     alg = basis.algebra

@@ -17,10 +17,13 @@ from demazure.formal import (
     one,
     q_equal,
     q_of,
+    weyl_act,
     x_class,
 )
 from demazure.rootdata import WeylElement
 from demazure.twisted import (
+    BUILTIN_FAMILIES,
+    FAMILY_LAWS,
     Algebra,
     QWElem,
     expand_in_triangular_basis,
@@ -353,7 +356,11 @@ def test_b_and_c_coefficients_lie_in_s(label, law, family):
         ("A2", "t", ADDITIVE, 4),
         ("A2", "tau", MULTIPLICATIVE, 4),
         ("B2", "x", ADDITIVE, 3),
+        ("B2", "y", MULTIPLICATIVE, 4),
+        ("B2", "t", ADDITIVE, 4),
         ("B2", "tau", MULTIPLICATIVE, 3),
+        ("G2", "t", ADDITIVE, 4),
+        ("G2", "tau", MULTIPLICATIVE, 3),
     ],
 )
 def test_c_fast_rule_matches_generic_expansion(label, family, law, max_len):
@@ -400,9 +407,12 @@ def test_c_vanishes_above_demazure_product(label, family, law):
 def test_c_supports_match_pointwise_rule(family, law):
     alg = get_algebra("A2", family, law)
     word = (1, 2, 1, 2)
+    k = len(word)
     for w in alg.datum.elements:
-        supports = dict(alg.c_supports(word, w))
-        k = len(word)
+        listed = alg.c_supports(word, w)
+        masks = [sum(1 << (j - 1) for j in sub) for sub, _ in listed]
+        assert masks == sorted(set(masks))  # increasing bitmask order
+        supports = dict(listed)
         for size in range(k + 1):
             for subset in itertools.combinations(range(1, k + 1), size):
                 sub = frozenset(subset)
@@ -412,6 +422,23 @@ def test_c_supports_match_pointwise_rule(family, law):
                     assert q_equal(supports[sub], c)
                 else:
                     assert c.is_zero()
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+@pytest.mark.parametrize(
+    "name,law", [(name, law) for name, laws in FAMILY_LAWS.items() for law in laws]
+)
+def test_simple_reflections_fix_the_quadratic_constants(label, name, law):
+    backend = get_backend(label, law)
+    family = BUILTIN_FAMILIES[name](backend)
+    if family.quadratic is None:
+        assert family.name.startswith("custom:")
+        return
+    datum = backend.datum
+    for i in range(1, datum.rank + 1):
+        s_i = datum.simple_reflection(i)
+        for c in family.quadratic:
+            assert weyl_act(backend, s_i, c) == c, (name, i)
 
 
 # ---------------------------------------------------------------------------
