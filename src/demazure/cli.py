@@ -110,7 +110,7 @@ class SessionConfig:
 
     type_label: str | None = "A2"
     cartan_file: str | None = None
-    lattice: str = "simply-connected"
+    lattice: str | None = None  # None: the --cartan file's key, else simply-connected
     law: str = ADDITIVE
     family: str = "x"
     words: str = "lexmin"
@@ -389,7 +389,7 @@ def cmd_mult(args: argparse.Namespace) -> int:
         payload = {
             "command": "mult",
             "datum": datum.label or "custom",
-            "lattice": config.lattice,
+            "lattice": datum.lattice,
             "law": config.law,
             "family": config.family,
             "records": [
@@ -455,7 +455,7 @@ def cmd_restrict(args: argparse.Namespace) -> int:
         payload = {
             "command": "restrict",
             "datum": datum.label or "custom",
-            "lattice": config.lattice,
+            "lattice": datum.lattice,
             "law": config.law,
             "family": config.family,
             "v": word_to_str(v.word),
@@ -509,7 +509,7 @@ def cmd_stab(args: argparse.Namespace) -> int:
             "command": "stab",
             "variant": args.variant,
             "datum": datum.label or "custom",
-            "lattice": config.lattice,
+            "lattice": datum.lattice,
             "law": config.law,
             "u": word_to_str(u.word),
             "v": word_to_str(v.word),
@@ -565,8 +565,8 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--cartan", help="JSON file with an explicit Cartan matrix")
     parser.add_argument(
         "--lattice",
-        default="simply-connected",
-        help="lattice choice (simply-connected, adjoint)",
+        help="lattice choice (simply-connected, adjoint); overrides a --cartan "
+        "file's \"lattice\" key (default simply-connected)",
     )
     parser.add_argument(
         "--fgl",

@@ -16,7 +16,11 @@ Z*_{I_w} (columns of the b-matrix) multiply with structure constants
 Two independent routes compute the constants:
 
 * formula route -- the closed form built from Leibniz coefficients,
-      z^{I_w}_{I_u,I_v} = sum_{E,F} z^{I_w}_{E,F} c_{I_w|E, I_u} c_{I_w|F, I_v};
+      z^{I_w}_{I_u,I_v} = sum_{E,F} z^{I_w}_{E,F} c_{I_w|E, I_u} c_{I_w|F, I_v}.
+  For families with quadratic constants the sum over pairs of subwords is a
+  transfer walk along I_w (``Algebra.formula_column``) that yields every
+  (u, v) of the word at once; the per-pair sum remains as its test oracle
+  and as the route of families without constants;
 * oracle route -- Hadamard-multiply the dual classes in the f-basis and
   re-expand by a triangular elimination that only ever multiplies by the
   closed-form reciprocals of the diagonal entries.  It is the same
@@ -24,9 +28,11 @@ Two independent routes compute the constants:
   ``Algebra.expand_in_z_basis`` uses.
 
 The module also provides restriction coefficients b_{w, I_v} with their
-matrix identity, the stable bases built on the T (cohomological, additive)
-and tau (K-theoretic, multiplicative) families, and parabolic products over
-minimal coset representatives.
+matrix identity and their Billey-type closed form (again one walk per word,
+``Algebra.billey_row``, when the family has quadratic constants), the
+stable bases built on the T (cohomological, additive) and tau (K-theoretic,
+multiplicative) families, and parabolic products over minimal coset
+representatives.
 """
 
 from __future__ import annotations
@@ -315,7 +321,11 @@ class DualBasis:
         w: WeylElement,
         top_word: Sequence[int] | None = None,
     ) -> QElem:
-        """z^{I_w}_{I_u, I_v} = sum_{E,F} z^{I_w}_{E,F} c_{I_w|E,I_u} c_{I_w|F,I_v}."""
+        """z^{I_w}_{I_u, I_v} = sum_{E,F} z^{I_w}_{E,F} c_{I_w|E,I_u} c_{I_w|F,I_v}.
+
+        Read off the word's formula column when the family has quadratic
+        constants; summed pair by pair otherwise.
+        """
         alg = self.algebra
         if top_word is None:
             word: Word = alg.word(w)
@@ -324,6 +334,8 @@ class DualBasis:
             if self.datum.element_by_word(word) is not w or len(word) != w.length:
                 raise ValueError(f"{word} is not a reduced word for the requested element")
         total = QElem.from_int(self.backend, 0)
+        if alg.family.quadratic is not None:
+            return alg.formula_column(word).get((u, v), total)
         supports_v = alg.c_supports(word, v)
         for e_set, c_e in alg.c_supports(word, u):
             for f_set, c_f in supports_v:
@@ -382,10 +394,16 @@ class DualBasis:
         return val if val is not None else QElem.from_int(self.backend, 0)
 
     def restriction_via_billey(self, v: WeylElement, w: WeylElement) -> QElem:
-        """b_{v, I_w} = sum_E z^{I_v}_{[k],E} c_{I_v|E, I_w} (closed-form route)."""
+        """b_{v, I_w} = sum_E z^{I_v}_{[k],E} c_{I_v|E, I_w} (closed-form route).
+
+        Read off the Billey row of v when the family has quadratic constants;
+        summed subset by subset otherwise.
+        """
         alg = self.algebra
         word = alg.word(v)
         total = QElem.from_int(self.backend, 0)
+        if alg.family.quadratic is not None:
+            return alg.billey_row(v).get(w, total)
         for e_set, c_e in alg.c_supports(word, w):
             total = total + alg.billey_closed_form(word, e_set) * c_e
         return total

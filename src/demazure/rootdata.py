@@ -20,9 +20,10 @@ Conventions
   canonicalize Weyl group elements.
 
 * Group products are table lookups.  Enumerating W records ``w s_i`` for
-  every element and generator once; words, products, inverses, descents,
-  Bruhat order and Demazure products are folds over that table.  Matrices
-  serve only coordinates: the action on roots and weights, and inversions.
+  every element and generator once, and ``s_i w`` beside it; words,
+  products, inverses, descents, Bruhat order and Demazure products are folds
+  over these tables.  Matrices serve only coordinates: the action on roots
+  and weights, and inversions.
 
 Only finite (spherical) types are allowed; a Cartan matrix is accepted
 exactly when all of its principal minors are positive, and rejected with the
@@ -270,14 +271,16 @@ class RootDatum:
     # -- construction ------------------------------------------------------
 
     def _enumerate_weyl_group(self) -> None:
-        """Enumerate W breadth-first and record the table ``w -> w s_i``.
+        """Enumerate W breadth-first and record the tables ``w -> w s_i``
+        and ``w -> s_i w``.
 
         Each element's successors are listed in letter order and the elements
         are visited in discovery order, so every element is first reached by
         its (length, lex)-minimal reduced word and the list comes out sorted
         by :meth:`WeylElement.sort_key`.  ``_right[w.index][i - 1]`` is the
         index of ``w s_i``; these are the only matrix products the group
-        operations ever need.
+        operations ever need.  ``_left[w.index][i - 1]``, the index of
+        ``s_i w``, is read off it as ``(w^-1 s_i)^-1``.
         """
         n = self.rank
         identity = WeylElement((), _identity(n), 0)
@@ -301,6 +304,10 @@ class RootDatum:
             right.append(tuple(row))
         self._elements = tuple(elements)
         self._right = tuple(right)
+        inverse = [self._fold(0, reversed(w.word)) for w in elements]
+        self._left = tuple(
+            tuple(inverse[right[inverse[w]][i]] for i in range(n)) for w in range(len(elements))
+        )
         self.identity = identity
         self.longest_element = elements[-1]
         if len(elements) > 1 and elements[-2].length == self.longest_element.length:
@@ -366,6 +373,12 @@ class RootDatum:
         if not 1 <= i <= self.rank:
             raise ValueError(f"simple reflection index {i} out of range 1..{self.rank}")
         return self._elements[self._right[w.index][i - 1]]
+
+    def left_multiply_simple(self, i: int, w: WeylElement) -> WeylElement:
+        """The product ``s_i w``."""
+        if not 1 <= i <= self.rank:
+            raise ValueError(f"simple reflection index {i} out of range 1..{self.rank}")
+        return self._elements[self._left[w.index][i - 1]]
 
     def inverse(self, w: WeylElement) -> WeylElement:
         return self._elements[self._fold(0, reversed(w.word))]

@@ -31,11 +31,16 @@ All but sigma record the constants (c1, c0) of their quadratic relation
 
 W fixes c1 and c0, so with the braid relations they fix every coefficient c
 of ``Z_J = sum_w c Z_{I_w}``: right multiplication by Z_i moves c from w to
-w s_i when w s_i > w, and otherwise sends c c1 to w and c c0 to w s_i.  This
-one descent step (:meth:`Algebra._c_step`) gives the reduced-subword rule
-(0, 0), the Demazure-product rule (1, 0), the group-product rule (0, 1) and
-the Hecke recursion (q-1, q).  Families without constants fall back on the
-generic triangular expansion.
+w s_i when w s_i > w, and otherwise sends c c1 to w and c c0 to w s_i; left
+multiplication does the same with s_i w.  This one rule
+(:meth:`Algebra._c_moves`) gives the reduced-subword rule (0, 0), the
+Demazure-product rule (1, 0), the group-product rule (0, 1) and the Hecke
+recursion (q-1, q).  Because the weights are W-invariant they commute with
+the Leibniz operators, so the sums over subwords behind the structure
+constants and the restrictions fold into one walk per word
+(:meth:`Algebra.formula_column`, :meth:`Algebra.billey_row`).  Families
+without constants fall back on the generic triangular expansion and the
+per-subword sums.
 """
 
 from __future__ import annotations
@@ -436,9 +441,10 @@ FAMILY_LAWS: dict[str, tuple[str, ...]] = {
 class Algebra:
     """An operator family together with a fixed reduced word I_w per element.
 
-    Composed words, b-rows and Leibniz coefficients are cached here; the
-    c-coefficients of families with quadratic constants are cheap descent
-    walks and are not.
+    Cached here: composed words, diagonal inverses, b-rows, Leibniz
+    coefficients, the inversion weights of each word, the formula column of
+    each word and the Billey row of each element.  The c-coefficients of
+    families with quadratic constants are cheap descent walks and are not.
     """
 
     def __init__(self, family: OperatorFamily, words: Mapping[WeylElement, Word] | None = None):
@@ -460,6 +466,16 @@ class Algebra:
         self._diag_inverse_cache: dict[WeylElement, QElem] = {}
         self._b_rows: dict[WeylElement, dict[WeylElement, QElem]] = {}
         self._leibniz_cache: dict[tuple[Word, tuple[int, ...]], QElem] = {}
+        self._inversion_weight_cache: dict[Word, tuple[Weight, ...]] = {}
+        self._columns: dict[Word, dict[tuple[WeylElement, WeylElement], QElem]] = {}
+        self._billey_rows: dict[WeylElement, dict[WeylElement, QElem]] = {}
+        # The c-rule weights (c1, c0) of a descent: None when zero, 1 when one.
+        self._descent_weights = None
+        if family.quadratic is not None:
+            self._descent_weights = tuple(
+                None if c.is_zero() else 1 if c == one(self.backend) else c
+                for c in family.quadratic
+            )
 
     # -- elements -------------------------------------------------------------
 
@@ -500,14 +516,23 @@ class Algebra:
 
     # -- triangular data -------------------------------------------------------
 
+    def _inversion_weights(self, word: Word) -> tuple[Weight, ...]:
+        """The inversion roots beta_j along ``word``, in lattice coordinates."""
+        cached = self._inversion_weight_cache.get(word)
+        if cached is None:
+            datum = self.datum
+            cached = tuple(datum.root_to_weight(beta) for beta in datum.inversion_roots_along(word))
+            self._inversion_weight_cache[word] = cached
+        return cached
+
     def diag_inverse(self, w: WeylElement) -> QElem:
         """1 / (leading delta_w coefficient of Z_{I_w}), as a product of
         twisted b-inverses along the word."""
         cached = self._diag_inverse_cache.get(w)
         if cached is None:
             cached = QElem.from_int(self.backend, 1)
-            for beta in self.datum.inversion_roots_along(self.words[w]):
-                cached = cached * self.family.b_inv(self.datum.root_to_weight(beta))
+            for beta in self._inversion_weights(self.words[w]):
+                cached = cached * self.family.b_inv(beta)
             self._diag_inverse_cache[w] = cached
         return cached
 
@@ -550,20 +575,33 @@ class Algebra:
 
     # -- c coefficients ---------------------------------------------------------
 
+    def _c_moves(
+        self, w: WeylElement, neighbour: WeylElement
+    ) -> list[tuple[WeylElement, SElem | int]]:
+        """Z_{I_w} times Z_i as (target, weight) pairs, by Z_i^2 = c1 Z_i + c0.
+
+        ``neighbour`` is w s_i for a right factor Z_i and s_i w for a left
+        one.  An ascent moves to the neighbour with weight 1 (the int); a
+        descent stays at w with weight c1 and moves with weight c0, each only
+        when nonzero.
+        """
+        if neighbour.length > w.length:
+            return [(neighbour, 1)]
+        c1, c0 = self._descent_weights
+        moves = []
+        if c1 is not None:
+            moves.append((w, c1))
+        if c0 is not None:
+            moves.append((neighbour, c0))
+        return moves
+
     def _c_step(self, state: dict[WeylElement, SElem], i: int) -> dict[WeylElement, SElem]:
-        """Right-multiply sum_w c_w Z_{I_w} by Z_i, using Z_i^2 = c1 Z_i + c0."""
-        c1, c0 = self.family.quadratic
+        """Right-multiply sum_w c_w Z_{I_w} by Z_i."""
         datum = self.datum
         out: dict[WeylElement, SElem] = {}
         for w, c in state.items():
-            ws = datum.multiply_simple(w, i)
-            if ws.length > w.length:
-                accumulate(out, ws, c)
-                continue
-            if not c1.is_zero():
-                accumulate(out, w, c * c1)
-            if not c0.is_zero():
-                accumulate(out, ws, c * c0)
+            for target, weight in self._c_moves(w, datum.multiply_simple(w, i)):
+                accumulate(out, target, _weighted(c, weight))
         return out
 
     def c_coefficient(self, word: Sequence[int], w: WeylElement) -> QElem:
@@ -639,10 +677,7 @@ class Algebra:
         for j in es:
             if not 1 <= j <= k:
                 raise ValueError(f"subset index {j} out of range 1..{k}")
-        betas = [
-            self.datum.root_to_weight(beta)
-            for beta in self.datum.inversion_roots_along(word)
-        ]
+        betas = self._inversion_weights(word)
         value = QElem.from_int(self.backend, (-1) ** (k - len(es)))
         for j in range(1, k + 1):
             if j not in es:
@@ -680,6 +715,86 @@ class Algebra:
             (frozenset(j + 1 for j in range(k) if mask >> j & 1), value)
             for mask, value in found
         ]
+
+    # -- subword transfer walks --------------------------------------------------
+
+    def formula_column(self, word: Sequence[int]) -> dict[tuple[WeylElement, WeylElement], QElem]:
+        """Every z^I_{I_u,I_v} = sum_{E,F} z^I_{E,F} c_{I|E,I_u} c_{I|F,I_v} of
+        one word I, keyed by (u, v), zeros left out; needs quadratic constants.
+
+        One right-to-left walk along I folds the sum over pairs of subwords:
+        the state (x, y) collects the pairs (E, F) of the suffix whose
+        products expand onto Z_{I_x} and Z_{I_y}, and its value is their
+        Leibniz coefficients times c-weights.  At letter i, with
+        a = a(alpha_i), b^-1 = b^-1(alpha_i) and r = s_i(value), a position in
+        both subwords sends b^-1 r to the left steps of x and y, one in E or F
+        only sends -a b^-1 r to the left step of that coordinate, and one in
+        neither leaves a value + a^2 b^-1 r at (x, y).
+        """
+        word = tuple(word)
+        cached = self._columns.get(word)
+        if cached is not None:
+            return cached
+        if self._descent_weights is None:
+            raise ValueError("formula columns need a family with quadratic constants")
+        datum, backend, fam = self.datum, self.backend, self.family
+        identity = datum.identity
+        state = {(identity, identity): QElem.from_int(backend, 1)}
+        for i in reversed(word):
+            alpha = datum.simple_root(i)
+            s_i = datum.simple_reflection(i)
+            a, b_inv = fam.a(alpha), fam.b_inv(alpha)
+            one_side = -(a * b_inv)
+            neither = a * a * b_inv
+            out: dict[tuple[WeylElement, WeylElement], QElem] = {}
+            for (x, y), value in state.items():
+                x_moves = self._c_moves(x, datum.left_multiply_simple(i, x))
+                y_moves = self._c_moves(y, datum.left_multiply_simple(i, y))
+                reflected = weyl_act_q(backend, s_i, value)
+                both = b_inv * reflected
+                for tx, wx in x_moves:
+                    for ty, wy in y_moves:
+                        accumulate(out, (tx, ty), _weighted(_weighted(both, wx), wy))
+                single = one_side * reflected
+                for tx, wx in x_moves:
+                    accumulate(out, (tx, y), _weighted(single, wx))
+                for ty, wy in y_moves:
+                    accumulate(out, (x, ty), _weighted(single, wy))
+                accumulate(out, (x, y), a * value + neither * reflected)
+            state = out
+        self._columns[word] = state
+        return state
+
+    def billey_row(self, v: WeylElement) -> dict[WeylElement, QElem]:
+        """Every b_{v,I_w} = sum_E z^{I_v}_{[k],E} c_{I_v|E,I_w}, keyed by w,
+        zeros left out; needs quadratic constants.
+
+        One left-to-right walk along I_v folds the sum over subwords E: the
+        state x collects the subsets of the prefix whose products expand onto
+        Z_{I_x}.  A position in E takes the right step, one left out
+        multiplies by -a(beta_j), and the end multiplies by
+        prod_j b^-1(beta_j) (:meth:`diag_inverse`).
+        """
+        cached = self._billey_rows.get(v)
+        if cached is not None:
+            return cached
+        if self._descent_weights is None:
+            raise ValueError("Billey rows need a family with quadratic constants")
+        datum = self.datum
+        word = self.words[v]
+        state = {datum.identity: QElem.from_int(self.backend, 1)}
+        for i, beta in zip(word, self._inversion_weights(word)):
+            skip = -self.family.a(beta)
+            out: dict[WeylElement, QElem] = {}
+            for x, value in state.items():
+                for target, weight in self._c_moves(x, datum.multiply_simple(x, i)):
+                    accumulate(out, target, _weighted(value, weight))
+                accumulate(out, x, value * skip)
+            state = out
+        dinv = self.diag_inverse(v)
+        row = {w: value * dinv for w, value in state.items()}
+        self._billey_rows[v] = row
+        return row
 
     # -- tau inverses ---------------------------------------------------------------
 
@@ -734,6 +849,11 @@ class Algebra:
                     _relation_entry(f"braid({i},{j}) of order {m}", lhs - rhs)
                 )
         return report
+
+
+def _weighted(value, weight: SElem | int):
+    """``value`` times a c-rule weight from :meth:`Algebra._c_moves`."""
+    return value if weight == 1 else value * weight
 
 
 def _bond_order(product: int) -> int:

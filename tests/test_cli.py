@@ -563,6 +563,33 @@ def test_custom_family_rejects_broken_inverse(tmp_path):
     assert "invalid custom family" in err
 
 
+def test_cartan_file_lattice_key_is_honoured(tmp_path):
+    """The file's "lattice" key picks the lattice unless --lattice is given."""
+    path = tmp_path / "a2_adjoint.json"
+    path.write_text(
+        json.dumps({"cartan": [[2, -1], [-1, 2]], "lattice": "adjoint", "label": "A2"}),
+        encoding="utf-8",
+    )
+    args = ("--family", "x", "--fgl", "multiplicative", "--out", "json")
+    code, from_file, _ = run_cli("mult", "--cartan", str(path), *args)
+    assert code == EXIT_OK
+    code, from_type, _ = run_cli("mult", "--type", "A2", "--lattice", "adjoint", *args)
+    assert code == EXIT_OK
+    assert json.loads(from_file)["lattice"] == "adjoint"
+    assert from_file == from_type
+    code, overridden, _ = run_cli(
+        "mult", "--cartan", str(path), "--lattice", "simply-connected", *args
+    )
+    code_sc, simply_connected, _ = run_cli("mult", "--type", "A2", *args)
+    assert code == code_sc == EXIT_OK
+    assert json.loads(overridden)["lattice"] == "simply-connected"
+    assert overridden == simply_connected
+    path.write_text(json.dumps({"cartan": [[2, -1], [-1, 2]], "lattice": 5}), encoding="utf-8")
+    code, _, err = run_cli("mult", "--cartan", str(path), "--u", "1", "--v", "1")
+    assert code == EXIT_CONFIG
+    assert "lattice" in err
+
+
 def test_cartan_file_builds_custom_datum(tmp_path):
     path = tmp_path / "b2.json"
     path.write_text(

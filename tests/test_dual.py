@@ -35,6 +35,7 @@ from demazure.twisted import (
     Algebra,
     BUILTIN_FAMILIES,
     QWElem,
+    family_sigma,
     family_t,
     family_tau,
     family_x,
@@ -233,6 +234,18 @@ def test_duality_pairing_identity_matrix(family, law):
 def test_routes_agree_on_a2(family, law):
     basis = get_basis("A2", family, law)
     assert basis.compare_routes().is_empty
+
+
+def test_routes_agree_on_a2_for_a_family_without_quadratic_constants():
+    """sigma has no c-rule, so its formula route is the per-pair (E, F) sum
+    and its Billey route the per-subset sum; both still match the oracle."""
+    basis = DualBasis(Algebra(family_sigma(Backend(get_datum("A2"), ADDITIVE))))
+    assert basis.algebra.family.quadratic is None
+    assert basis.compare_routes().is_empty
+    for v in basis.datum.elements:
+        for w in basis.datum.elements:
+            assert q_equal(basis.restriction(v, w), basis.restriction_via_billey(v, w))
+    assert not basis.algebra._columns and not basis.algebra._billey_rows
 
 
 @pytest.mark.parametrize("family,law", [("y", ADDITIVE), ("t", ADDITIVE)])

@@ -237,6 +237,7 @@ def test_product_table_matches_root_matrix_arithmetic(spec, lattice):
         for i in range(1, n + 1):
             product = by_matrix[_mat_mul(w.root_matrix, refl[i])]
             assert datum.multiply_simple(w, i) is product
+            assert datum.left_multiply_simple(i, w) is by_matrix[_mat_mul(refl[i], w.root_matrix)]
             assert datum.has_right_descent(w, i) == (not _goes_up(w.root_matrix, i))
     for u in datum.elements:
         for v in datum.elements:

@@ -21,6 +21,7 @@ from demazure.formal import (
     x_class,
 )
 from demazure.rootdata import WeylElement
+from demazure.serialize import qelem_to_str
 from demazure.twisted import (
     BUILTIN_FAMILIES,
     FAMILY_LAWS,
@@ -510,6 +511,110 @@ def test_billey_full_set_degenerates_to_b_inverses():
     for beta in alg.datum.inversion_roots_along(word):
         value = value * alg.family.b_inv(alg.datum.root_to_weight(beta))
     assert q_equal(alg.billey_closed_form(word, range(1, k + 1)), value)
+
+
+def _sum_of_terms(backend, terms):
+    """sum of value * weight over (QElem, SElem) terms.
+
+    Numerators over the same denominator are added in S first, so only one
+    Q addition is made per distinct denominator.
+    """
+    unit = one(backend)
+    by_den = {}
+    for value, weight in terms:
+        num = value.num if weight == unit else value.num * weight
+        by_den[value.den] = by_den[value.den] + num if value.den in by_den else num
+    total = q_int(backend, 0)
+    for den, num in by_den.items():
+        total = total + QElem(num, den)
+    return total
+
+
+def _per_pair_column(alg, word):
+    """z^I_{I_u,I_v} summed pair by pair: Leibniz coefficient times c_E c_F."""
+    supports = {u: alg.c_supports(word, u) for u in alg.datum.elements}
+    return {
+        (u, v): _sum_of_terms(
+            alg.backend,
+            (
+                (alg.leibniz_coefficient(word, e_set, f_set), c_e.as_selem() * c_f.as_selem())
+                for e_set, c_e in pairs_u
+                for f_set, c_f in pairs_v
+            ),
+        )
+        for u, pairs_u in supports.items()
+        for v, pairs_v in supports.items()
+    }
+
+
+def _per_subset_row(alg, v):
+    """b_{v,I_w} summed subset by subset: Billey's closed form times c_E."""
+    word = alg.word(v)
+    return {
+        w: _sum_of_terms(
+            alg.backend,
+            ((alg.billey_closed_form(word, e_set), c_e.as_selem())
+             for e_set, c_e in alg.c_supports(word, w)),
+        )
+        for w in alg.datum.elements
+    }
+
+
+def _assert_same_entries(walk, summed, where):
+    """Same nonzero support, equal values and identical printed forms.
+
+    Identical printed forms are identical (num, den) pairs, so q_equal runs
+    only where the forms differ, to tell a wrong value from a second form.
+    """
+    assert set(walk) == {key for key, value in summed.items() if not value.is_zero()}, where
+    for key, value in walk.items():
+        printed = qelem_to_str(value)
+        if printed != qelem_to_str(summed[key]):
+            assert q_equal(value, summed[key]), (where, key)
+            assert printed == qelem_to_str(summed[key]), (where, key)
+
+
+_WALK_GRIDS = [
+    (label, name, law)
+    for label in ("A2", "B2", "G2")
+    for name, laws in FAMILY_LAWS.items()
+    if name != "sigma"
+    for law in laws
+]
+# The G2 tau sums over pairs of subwords of the longest words take minutes.
+_WALK_MAX_LENGTH = {("G2", "tau"): 3}
+
+
+@pytest.mark.parametrize("label,family,law", _WALK_GRIDS)
+def test_transfer_walks_match_the_per_subword_sums(label, family, law):
+    """One walk per word gives the formula column, one per element the Billey
+    row; both must equal the sums over subwords entry for entry."""
+    alg = Algebra(BUILTIN_FAMILIES[family](get_backend(label, law)))
+    max_length = _WALK_MAX_LENGTH.get((label, family), alg.datum.longest_element.length)
+    for w in alg.datum.elements:
+        if w.length > max_length:
+            continue
+        word = alg.word(w)
+        _assert_same_entries(alg.formula_column(word), _per_pair_column(alg, word), word)
+        _assert_same_entries(alg.billey_row(w), _per_subset_row(alg, w), word)
+
+
+@pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+@pytest.mark.parametrize("family", ["x", "y"])
+def test_transfer_walks_match_the_per_subword_sums_on_the_a3_longest_word(family, law):
+    alg = Algebra(BUILTIN_FAMILIES[family](get_backend("A3", law)))
+    w0 = alg.datum.longest_element
+    word = alg.word(w0)
+    _assert_same_entries(alg.formula_column(word), _per_pair_column(alg, word), word)
+    _assert_same_entries(alg.billey_row(w0), _per_subset_row(alg, w0), word)
+
+
+def test_transfer_walks_need_quadratic_constants():
+    alg = get_algebra("A2", "sigma", ADDITIVE)
+    with pytest.raises(ValueError):
+        alg.formula_column((1, 2, 1))
+    with pytest.raises(ValueError):
+        alg.billey_row(alg.datum.longest_element)
 
 
 def _check_generalized_leibniz(alg, word, rng, pairs):
