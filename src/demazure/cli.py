@@ -37,10 +37,13 @@ Custom families (``--family custom:FILE``) are described by a JSON file:
      "b_inv": {"num": [[1, 1, 0, 0]], "den": [["one_plus_root", 1]]}}
 
 Each numerator term is ``[coeff, alpha_exp, extra_exp, e_mult]`` and means
-``coeff * x_alpha^alpha_exp * h^extra_exp`` additively (``v^extra_exp``
-and an optional group-like factor ``E(e_mult * alpha)`` multiplicatively);
-each denominator entry is ``[factor_kind, sign]`` applied at ``sign *
-alpha``.  The family is validated (b inverse, equivariance) before use.
+``coeff * x_alpha^alpha_exp * h^extra_exp`` additively (the Laurent
+``v^extra_exp`` and an optional group-like factor ``E(e_mult * alpha)``
+multiplicatively).  ``alpha_exp`` and the additive ``extra_exp`` must be
+non-negative, and every exponent must lie in [-2**14, 2**14) (the range of
+``formal.SElem`` exponents).  Each denominator entry is ``[factor_kind,
+sign]`` applied at ``sign * alpha``.  The family is validated (b inverse,
+equivariance) before use.
 
 Explicit word files (``--words file:PATH``) map every element's canonical
 word to the chosen reduced word, e.g. ``{"": "", "1": "1", "121": "212",
@@ -61,6 +64,7 @@ from typing import Callable, Mapping, Sequence
 from .dual import CohStableBasis, DiscrepancyReport, DualBasis, KStableBasis
 from .formal import (
     ADDITIVE,
+    EXPONENT_LIMIT,
     LAWS,
     MULTIPLICATIVE,
     Backend,
@@ -217,13 +221,11 @@ def _word_overrides(datum: RootDatum, policy: str):
 
 def _term_value(backend: Backend, weight, term: Sequence[int]) -> SElem:
     coeff, alpha_exp, extra_exp, e_mult = term
-    value = SElem.constant(backend, coeff)
-    for _ in range(alpha_exp):
-        value = value * x_class(backend, weight)
-    if extra_exp:
-        extra = h_var(backend) if backend.law == ADDITIVE else v_var(backend)
-        for _ in range(extra_exp):
-            value = value * extra
+    value = SElem.constant(backend, coeff) * x_class(backend, weight) ** alpha_exp
+    if backend.law == ADDITIVE:
+        value = value * h_var(backend) ** extra_exp
+    else:
+        value = value * v_var(backend, extra_exp)
     if e_mult:
         if backend.law != MULTIPLICATIVE:
             raise CliError("group-like numerator terms need the multiplicative backend")
@@ -242,6 +244,18 @@ def _coeff_fn(backend: Backend, spec, where: str) -> Callable:
         raise CliError(f"{where} is malformed: {exc}") from exc
     if any(len(term) != 4 for term in num_terms):
         raise CliError(f"{where}: each numerator term needs 4 integers")
+    for term in num_terms:
+        _, alpha_exp, extra_exp, _ = term
+        if alpha_exp < 0 or (backend.law == ADDITIVE and extra_exp < 0):
+            raise CliError(
+                f"{where}: numerator term {list(term)} has a negative exponent of "
+                + ("x_alpha" if alpha_exp < 0 else "h")
+            )
+        if not all(-EXPONENT_LIMIT <= e < EXPONENT_LIMIT for e in term[1:]):
+            raise CliError(
+                f"{where}: numerator term {list(term)} has an exponent outside "
+                f"[-{EXPONENT_LIMIT}, {EXPONENT_LIMIT})"
+            )
 
     def fn(weight) -> QElem:
         total = SElem.constant(backend, 0)

@@ -17,15 +17,32 @@ division it rules factors out by a modular witness test: each factor has a
 point, modulo a fixed prime, at which it vanishes, so a numerator that does
 not vanish there cannot be a multiple of it.  Results stay exact; the test
 only skips divisions that would fail.
+
+Inside an :class:`SElem` each exponent vector is one Python int: coordinate
+``i`` of ``rank + 1`` sits in a fixed 16-bit field biased by ``2**15``, the
+first coordinate in the most significant field, so packed keys sort exactly
+as the exponent tuples do and a monomial product is ``ka + kb - zero_key``.
+Every exponent must lie in ``[-2**14, 2**14)`` (the top two bits of each
+field differ); a product, Weyl action or constructor that leaves this range
+raises :class:`ExponentOverflow` instead of wrapping into the next field.
+``SElem.terms`` is a read-only tuple-keyed view of the packed terms.
+
+Exact division is long division by the lexicographically leading term.  The
+remainder keeps a heap of its negated keys (entries of cancelled keys are
+skipped when popped), and one mask over the top bit of every field tells
+whether the divisor's leading monomial divides the remainder's.  Laurent
+operands are first shifted to non-negative exponents.
 """
 
 from __future__ import annotations
 
+import heapq
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from operator import itemgetter, mul
+from operator import mul
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .rootdata import RootDatum, WeylElement
@@ -37,12 +54,24 @@ LAWS = (ADDITIVE, MULTIPLICATIVE)
 Exponents = tuple[int, ...]
 Weight = tuple[int, ...]
 
+# Packed exponent keys: one 16-bit field per coordinate, biased by 2**15.
+FIELD_BITS = 16
+_FIELD_MASK = (1 << FIELD_BITS) - 1
+_BIAS = 1 << (FIELD_BITS - 1)
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 2)
+_RANGE = f"[-{EXPONENT_LIMIT}, {EXPONENT_LIMIT})"
+
+
+class ExponentOverflow(ValueError):
+    """An exponent left ``[-EXPONENT_LIMIT, EXPONENT_LIMIT)``."""
+
 
 class Backend:
     """A formal group law backend bound to a root datum.
 
     The exponent vectors of :class:`SElem` have length ``rank + 1``; the last
     slot is the extra variable (``h`` for additive, ``v`` for multiplicative).
+    The backend packs them into ints and unpacks them again.
     """
 
     def __init__(self, datum: RootDatum, law: str) -> None:
@@ -52,8 +81,16 @@ class Backend:
         self.law = law
         self.rank = datum.rank
         self.extra_var = "h" if law == ADDITIVE else "v"
+        width = self.rank + 1
+        self._shifts = tuple(FIELD_BITS * (width - 1 - i) for i in range(width))
+        self.zero_key = sum(_BIAS << s for s in self._shifts)
+        # Bit 15 (resp. 14) of every field: an exponent e is in range exactly
+        # when bits 15 and 14 of its field e + 2**15 differ, and e >= 0
+        # exactly when bit 15 is set.
+        self._sign_bits = sum(1 << (s + FIELD_BITS - 1) for s in self._shifts)
+        self._range_bits = self._sign_bits >> 1
         self._expand_cache: dict[FactorSymbol, SElem] = {}
-        self._witness_cache: dict[FactorSymbol, tuple[tuple[_Powers, itemgetter], ...]] = {}
+        self._witness_cache: dict[FactorSymbol, _Residues] = {}
         self._act_form_cache: dict[tuple[int, ...], list[SElem]] = {}
         self._act_power_cache: dict[tuple[tuple[int, ...], int], list[SElem]] = {}
         weights = set()
@@ -75,40 +112,65 @@ class Backend:
     def compatible(self, other: "Backend") -> bool:
         return self.law == other.law and self.datum is other.datum
 
+    def pack(self, exponents: Sequence[int]) -> int:
+        if len(exponents) != len(self._shifts):
+            raise ValueError(f"exponent vector must have length {len(self._shifts)}")
+        key = 0
+        for e, s in zip(exponents, self._shifts):
+            if not -EXPONENT_LIMIT <= e < EXPONENT_LIMIT:
+                raise ExponentOverflow(f"exponent {e} outside {_RANGE}")
+            key |= (e + _BIAS) << s
+        return key
+
+    def unpack(self, key: int) -> Exponents:
+        return tuple(((key >> s) & _FIELD_MASK) - _BIAS for s in self._shifts)
+
+    def _check_keys(self, keys: Iterable[int]) -> None:
+        """Raise :class:`ExponentOverflow` unless every key is in range."""
+        bits = self._range_bits
+        for key in keys:
+            if (key ^ key >> 1) & bits != bits:
+                raise ExponentOverflow(f"exponent outside {_RANGE}")
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Backend({self.datum.label or 'custom'}, {self.law})"
 
 
-def _tuple_add(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def _tuple_sub(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x - y for x, y in zip(a, b))
-
-
 class SElem:
-    """An exact element of the formal group algebra S."""
+    """An exact element of the formal group algebra S.
 
-    __slots__ = ("backend", "terms")
+    ``SElem(backend, {exponent tuple: coeff})`` builds one from tuple keys;
+    internally (``_raw=True``) the terms are a fresh dict of packed keys with
+    nonzero coefficients, which the element then owns.
+    """
 
-    def __init__(self, backend: Backend, terms: Mapping[Exponents, int], _raw: bool = False):
+    __slots__ = ("backend", "_terms")
+
+    def __init__(self, backend: Backend, terms: Mapping, _raw: bool = False):
         self.backend = backend
         if _raw:
-            self.terms = dict(terms)
-        else:
-            clean: dict[Exponents, int] = {}
-            width = backend.rank + 1
-            for key, coeff in terms.items():
-                if not coeff:
-                    continue
-                key = tuple(key)
-                if len(key) != width:
-                    raise ValueError(f"exponent vector must have length {width}")
-                if backend.law == ADDITIVE and any(e < 0 for e in key):
-                    raise ValueError("additive backend does not allow negative exponents")
-                clean[key] = clean.get(key, 0) + coeff
-            self.terms = {k: c for k, c in clean.items() if c}
+            self._terms: dict[int, int] = terms
+            return
+        clean: dict[int, int] = {}
+        for key, coeff in terms.items():
+            if not coeff:
+                continue
+            packed = backend.pack(tuple(key))
+            if backend.law == ADDITIVE and any(e < 0 for e in key):
+                raise ValueError("additive backend does not allow negative exponents")
+            clean[packed] = clean.get(packed, 0) + coeff
+        self._terms = {k: c for k, c in clean.items() if c}
+
+    @property
+    def terms(self) -> Mapping[Exponents, int]:
+        """Read-only view of the terms keyed by exponent tuples."""
+        unpack = self.backend.unpack
+        return MappingProxyType({unpack(k): c for k, c in self._terms.items()})
+
+    def sorted_terms(self) -> list[tuple[Exponents, int]]:
+        """The terms in increasing lexicographic order of their exponents."""
+        unpack = self.backend.unpack
+        return [(unpack(k), c) for k, c in sorted(self._terms.items())]
 
     # -- constructors --------------------------------------------------------
 
@@ -116,25 +178,23 @@ class SElem:
     def constant(backend: Backend, value: int) -> "SElem":
         if not value:
             return SElem(backend, {}, _raw=True)
-        zero_key = (0,) * (backend.rank + 1)
-        return SElem(backend, {zero_key: int(value)}, _raw=True)
+        return SElem(backend, {backend.zero_key: int(value)}, _raw=True)
 
     # -- predicates ----------------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._terms
 
     def is_constant(self) -> bool:
-        zero_key = (0,) * (self.backend.rank + 1)
-        return all(k == zero_key for k in self.terms)
+        zero_key = self.backend.zero_key
+        return all(k == zero_key for k in self._terms)
 
     def constant_value(self) -> int:
-        zero_key = (0,) * (self.backend.rank + 1)
-        if not self.terms:
+        if not self._terms:
             return 0
-        if set(self.terms) != {zero_key}:
+        if not self.is_constant():
             raise ValueError("element is not a constant")
-        return self.terms[zero_key]
+        return self._terms[self.backend.zero_key]
 
     # -- ring operations -----------------------------------------------------
 
@@ -144,8 +204,8 @@ class SElem:
 
     def __add__(self, other: "SElem") -> "SElem":
         self._check(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
             val = out.get(key, 0) + coeff
             if val:
                 out[key] = val
@@ -155,8 +215,8 @@ class SElem:
 
     def __sub__(self, other: "SElem") -> "SElem":
         self._check(other)
-        out = dict(self.terms)
-        for key, coeff in other.terms.items():
+        out = dict(self._terms)
+        for key, coeff in other._terms.items():
             val = out.get(key, 0) - coeff
             if val:
                 out[key] = val
@@ -165,28 +225,34 @@ class SElem:
         return SElem(self.backend, out, _raw=True)
 
     def __neg__(self) -> "SElem":
-        return SElem(self.backend, {k: -c for k, c in self.terms.items()}, _raw=True)
+        return SElem(self.backend, {k: -c for k, c in self._terms.items()}, _raw=True)
 
     def __mul__(self, other):
         if isinstance(other, int):
             if not other:
                 return SElem(self.backend, {}, _raw=True)
             return SElem(
-                self.backend, {k: c * other for k, c in self.terms.items()}, _raw=True
+                self.backend, {k: c * other for k, c in self._terms.items()}, _raw=True
             )
         if not isinstance(other, SElem):
             return NotImplemented
         self._check(other)
-        out: dict[Exponents, int] = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                key = _tuple_add(ka, kb)
-                val = out.get(key, 0) + ca * cb
+        backend = self.backend
+        zero_key = backend.zero_key
+        out: dict[int, int] = {}
+        get = out.get
+        theirs = other._terms.items()
+        for ka, ca in self._terms.items():
+            base = ka - zero_key
+            for kb, cb in theirs:
+                key = base + kb
+                val = get(key, 0) + ca * cb
                 if val:
                     out[key] = val
                 elif key in out:
                     del out[key]
-        return SElem(self.backend, out, _raw=True)
+        backend._check_keys(out)
+        return SElem(backend, out, _raw=True)
 
     __rmul__ = __mul__
 
@@ -206,11 +272,11 @@ class SElem:
         return (
             isinstance(other, SElem)
             and self.backend.compatible(other.backend)
-            and self.terms == other.terms
+            and self._terms == other._terms
         )
 
     def __hash__(self) -> int:
-        return hash((self.backend.law, tuple(sorted(self.terms.items()))))
+        return hash((self.backend.law, tuple(sorted(self._terms.items()))))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         from .serialize import selem_to_str
@@ -225,9 +291,9 @@ class SElem:
         if len(point) != self.backend.rank + 1:
             raise ValueError("evaluation point has wrong length")
         total = Fraction(0)
-        for key, coeff in self.terms.items():
+        for key, coeff in self._terms.items():
             val = Fraction(coeff)
-            for base, exp in zip(point, key):
+            for base, exp in zip(point, self.backend.unpack(key)):
                 if exp:
                     val *= Fraction(base) ** exp
             total += val
@@ -277,11 +343,10 @@ def q_of(backend: Backend) -> SElem:
 def linear_form(backend: Backend, weight: Sequence[int]) -> SElem:
     if backend.law != ADDITIVE:
         raise ValueError("linear forms live in the additive backend")
-    terms: dict[Exponents, int] = {}
+    terms: dict[int, int] = {}
     for i, c in enumerate(weight):
         if c:
-            key = tuple(int(i == j) for j in range(backend.rank)) + (0,)
-            terms[key] = c
+            terms[backend.pack(tuple(int(i == j) for j in range(backend.rank)) + (0,))] = c
     return SElem(backend, terms, _raw=True)
 
 
@@ -327,11 +392,12 @@ def _act_additive(backend: Backend, w: WeylElement, p: SElem) -> SElem:
 
     out = zero(backend)
     h_unit = (0,) * backend.rank
-    for key, coeff in p.terms.items():
-        term = SElem(backend, {h_unit + (key[-1],): coeff}, _raw=True)
+    for key, coeff in p._terms.items():
+        exps = backend.unpack(key)
+        term = SElem(backend, {backend.pack(h_unit + exps[-1:]): coeff}, _raw=True)
         for i in range(backend.rank):
-            if key[i]:
-                term = term * power(i, key[i])
+            if exps[i]:
+                term = term * power(i, exps[i])
         out = out + term
     return out
 
@@ -341,11 +407,11 @@ def weyl_act(backend: Backend, w: WeylElement, p: SElem) -> SElem:
     if w.length == 0:
         return p
     if backend.law == MULTIPLICATIVE:
-        datum = backend.datum
-        out: dict[Exponents, int] = {}
-        for key, coeff in p.terms.items():
-            new = datum.apply(w, key[:-1]) + (key[-1],)
-            out[new] = out.get(new, 0) + coeff
+        datum, pack, unpack = backend.datum, backend.pack, backend.unpack
+        out: dict[int, int] = {}
+        for key, coeff in p._terms.items():
+            exps = unpack(key)
+            out[pack(datum.apply(w, exps[:-1]) + exps[-1:])] = coeff
         return SElem(backend, out, _raw=True)
     return _act_additive(backend, w, p)
 
@@ -362,42 +428,67 @@ def _divide_selem(p: SElem, d: SElem) -> SElem | None:
         raise ZeroDivisionError("division by zero in S")
     if p.is_zero():
         return p
-    width = backend.rank + 1
+    zero_key = backend.zero_key
     if backend.law == MULTIPLICATIVE:
         # Shift both operands by monomial units so all exponents are >= 0.
-        shift_p = tuple(min(k[i] for k in p.terms) for i in range(width))
-        shift_d = tuple(min(k[i] for k in d.terms) for i in range(width))
-        p_terms = {_tuple_sub(k, shift_p): c for k, c in p.terms.items()}
-        d_terms = {_tuple_sub(k, shift_d): c for k, c in d.terms.items()}
-        out_shift = _tuple_sub(shift_p, shift_d)
+        p_terms, shift_p = _shift_to_nonnegative(backend, p._terms)
+        d_terms, shift_d = _shift_to_nonnegative(backend, d._terms)
     else:
-        p_terms = dict(p.terms)
-        d_terms = dict(d.terms)
-        out_shift = (0,) * width
-
+        p_terms = dict(p._terms)
+        d_terms = d._terms
+    # Exponents are now in [0, 2**14).  If d divides p, every remainder term
+    # lies in the Newton polytope of p, so every quotient exponent is in
+    # [0, 2**14) too: one mask checks both bounds, and a remainder key (a
+    # divisor plus a quotient exponent) never carries into the next field.
+    quotient_bits = backend._sign_bits | backend._range_bits
+    sign_bits = backend._sign_bits
     lead_d = max(d_terms)
     cd = d_terms[lead_d]
-    quotient: dict[Exponents, int] = {}
+    d_items = [(key - zero_key, c) for key, c in d_terms.items()]
+    quotient: dict[int, int] = {}
     remainder = p_terms
+    heap = [-key for key in remainder]
+    heapq.heapify(heap)
     while remainder:
-        lead_r = max(remainder)
-        cr = remainder[lead_r]
-        diff = _tuple_sub(lead_r, lead_d)
-        if any(e < 0 for e in diff) or cr % cd:
+        lead_r = -heapq.heappop(heap)
+        cr = remainder.get(lead_r)
+        if cr is None:
+            continue  # cancelled since it was pushed
+        diff = lead_r - lead_d + zero_key
+        if diff & quotient_bits != sign_bits or cr % cd:
             return None
         coeff = cr // cd
         quotient[diff] = coeff
-        for key, c in d_terms.items():
-            tgt = _tuple_add(key, diff)
-            val = remainder.get(tgt, 0) - coeff * c
-            if val:
-                remainder[tgt] = val
-            elif tgt in remainder:
+        for key, c in d_items:
+            tgt = key + diff
+            val = remainder.get(tgt)
+            if val is None:
+                remainder[tgt] = -coeff * c
+                heapq.heappush(heap, -tgt)
+            elif val != coeff * c:
+                remainder[tgt] = val - coeff * c
+            else:
                 del remainder[tgt]
     if backend.law == ADDITIVE:
         return SElem(backend, quotient, _raw=True)
-    shifted = {_tuple_add(k, out_shift): c for k, c in quotient.items()}
+    offset = shift_p - shift_d
+    shifted = {key + offset: c for key, c in quotient.items()}
+    backend._check_keys(shifted)
     return SElem(backend, shifted, _raw=True)
+
+
+def _shift_to_nonnegative(backend: Backend, terms: dict[int, int]) -> tuple[dict[int, int], int]:
+    """``terms`` times the monomial unit that makes every minimum exponent 0,
+    and the packed offset subtracted from each key."""
+    offset = 0
+    for s in backend._shifts:
+        offset += (min((key >> s) & _FIELD_MASK for key in terms) - _BIAS) << s
+    shifted = {key - offset: c for key, c in terms.items()}
+    # Exponents are now >= 0; bit 14 of a field is set when one is >= 2**14.
+    bits = backend._range_bits
+    if any(key & bits for key in shifted):
+        raise ExponentOverflow(f"exponent span of a divisor operand is {EXPONENT_LIMIT} or more")
+    return shifted, offset
 
 
 # ---------------------------------------------------------------------------
@@ -550,34 +641,45 @@ def witness_point(law: str, factor: FactorSymbol, generic: Sequence[int]) -> tup
     return (*z, generic[rank] % prime)
 
 
-class _Powers(dict):
-    """``base ** e`` mod the witness prime, keyed by e and filled on demand."""
+# Entries per residue table; a full table starts over, so memory stays bounded.
+_RESIDUE_TABLE_SIZE = 1 << 12
 
-    __slots__ = ("base",)
 
-    def __init__(self, base: int):
+class _Residues(dict):
+    """Monomial values mod the witness prime at one witness point, keyed by
+    packed exponents and filled on demand.  A missing value is a product of
+    powers read from one table per coordinate, keyed by the biased field (so
+    at most 2**16 entries each)."""
+
+    __slots__ = ("columns",)
+
+    def __init__(self, backend: Backend, point: Sequence[int]):
         super().__init__()
-        self.base = base
+        self.columns = tuple((base, shift, {}) for base, shift in zip(point, backend._shifts))
 
-    def __missing__(self, e: int) -> int:
-        value = self[e] = pow(self.base, e, WITNESS_PRIME)
+    def __missing__(self, key: int) -> int:
+        if len(self) >= _RESIDUE_TABLE_SIZE:
+            self.clear()
+        value = 1
+        for base, shift, powers in self.columns:
+            field = (key >> shift) & _FIELD_MASK
+            power = powers.get(field)
+            if power is None:
+                power = powers[field] = pow(base, field - _BIAS, WITNESS_PRIME)
+            value = value * power % WITNESS_PRIME
+        self[key] = value
         return value
 
 
 def _witness_rules_out(backend: Backend, p: SElem, factor: FactorSymbol) -> bool:
     """True when ``p`` is nonzero at the factor's witness point, which proves
     the factor does not divide ``p``."""
-    powers = backend._witness_cache.get(factor)
-    if powers is None:
+    residues = backend._witness_cache.get(factor)
+    if residues is None:
         point = witness_point(backend.law, factor, _generic_coordinates(backend.rank + 1))
-        powers = tuple((_Powers(c), itemgetter(i)) for i, c in enumerate(point))
-        backend._witness_cache[factor] = powers
-    # Term values, one variable at a time, so the loop over the terms runs
-    # inside map and sum (and builds no column tuples).
-    values = p.terms.values()
-    for table, exponent in powers:
-        values = map(mul, values, map(table.__getitem__, map(exponent, p.terms)))
-    return sum(values) % WITNESS_PRIME != 0
+        residues = backend._witness_cache[factor] = _Residues(backend, point)
+    terms = p._terms
+    return sum(map(mul, terms.values(), map(residues.__getitem__, terms))) % WITNESS_PRIME != 0
 
 
 def _canonicalize_factor(

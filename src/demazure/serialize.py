@@ -72,7 +72,7 @@ def selem_to_str(p: SElem) -> str:
     rank = backend.datum.rank
     additive = backend.law == ADDITIVE
     chunks = []
-    for exps, coeff in sorted(p.terms.items()):
+    for exps, coeff in p.sorted_terms():
         parts = []
         if additive:
             for i in range(rank):

@@ -563,6 +563,51 @@ def test_custom_family_rejects_broken_inverse(tmp_path):
     assert "invalid custom family" in err
 
 
+@pytest.mark.parametrize(
+    "fgl,term,message",
+    [
+        ("additive", [-1, -2, 0, 0], "negative exponent of x_alpha"),
+        ("multiplicative", [1, -1, 0, 0], "negative exponent of x_alpha"),
+        ("additive", [1, 0, -1, 0], "negative exponent of h"),
+        ("additive", [1, 10**9, 0, 0], "outside"),
+        ("multiplicative", [1, 0, 2**14, 0], "outside"),
+        ("multiplicative", [1, 0, 0, -(2**14) - 1], "outside"),
+    ],
+    ids=["neg-alpha-add", "neg-alpha-mult", "neg-h", "huge-alpha", "huge-v", "huge-e"],
+)
+def test_custom_family_numerator_exponents_are_checked_before_use(tmp_path, fgl, term, message):
+    spec = dict(SIGMA_SPEC, law=fgl, a={"num": [term], "den": [["x_root", 1]]})
+    path = tmp_path / "bad_exponent.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, _, err = run_cli(
+        "mult", "--type", "A1", "--fgl", fgl, "--family", f"custom:{path}",
+        "--u", "1", "--v", "1",
+    )
+    assert code == EXIT_CONFIG
+    assert message in err
+
+
+def test_custom_family_takes_a_laurent_power_of_v(tmp_path):
+    """b = -v^-1 / x_alpha and b_inv = -v x_alpha are inverse only when the
+    numerator term [-1, 0, -1, 0] really means -v^-1."""
+    spec = {
+        "name": "x-over-v",
+        "law": "multiplicative",
+        "a": {"num": [[1, 0, 0, 0]], "den": [["x_root", 1]]},
+        "b": {"num": [[-1, 0, -1, 0]], "den": [["x_root", 1]]},
+        "b_inv": {"num": [[-1, 1, 1, 0]], "den": []},
+    }
+    path = tmp_path / "x_over_v.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run_cli(
+        "mult", "--type", "A1", "--fgl", "multiplicative", "--family", f"custom:{path}",
+        "--u", "1", "--v", "1", "--out", "json",
+    )
+    assert code == EXIT_OK, err
+    rows = json.loads(out)["records"]
+    assert [(row["w"], row["value"]["num"]) for row in rows] == [("1", "1 * E(-2) v + -1 * v")]
+
+
 def test_cartan_file_lattice_key_is_honoured(tmp_path):
     """The file's "lattice" key picks the lattice unless --lattice is given."""
     path = tmp_path / "a2_adjoint.json"

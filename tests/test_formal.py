@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from demazure.formal import (
     ADDITIVE,
+    EXPONENT_LIMIT,
     HAT_ADDITIVE,
     HAT_MULTIPLICATIVE,
     MULTIPLICATIVE,
@@ -19,6 +20,7 @@ from demazure.formal import (
     WITNESS_PRIME,
     X_ROOT,
     Backend,
+    ExponentOverflow,
     FactorSymbol,
     QElem,
     SElem,
@@ -34,6 +36,7 @@ from demazure.formal import (
     kappa,
     kappa_pair,
     linear_form,
+    monomial,
     one,
     q_equal,
     q_of,
@@ -243,6 +246,142 @@ def test_divide_exact_roundtrip_every_kind(law, kinds):
             factor = FactorSymbol(kind, rng.choice(roots))
             product = p * expand_factor(b, factor)
             assert divide_exact(b, product, factor) == p
+
+
+def _divide_by_max(p: SElem, d: SElem) -> dict | None:
+    """Reference long division on exponent tuples: the leading remainder term
+    is found by ``max`` at every step.  Returns the quotient's terms."""
+    width = p.backend.rank + 1
+    p_terms, d_terms = dict(p.terms), dict(d.terms)
+    if not p_terms:
+        return {}
+    shift_p = shift_d = (0,) * width
+    if p.backend.law == MULTIPLICATIVE:  # Laurent: shift to exponents >= 0
+        shift_p = tuple(min(k[i] for k in p_terms) for i in range(width))
+        shift_d = tuple(min(k[i] for k in d_terms) for i in range(width))
+    p_terms = {tuple(a - b for a, b in zip(k, shift_p)): c for k, c in p_terms.items()}
+    d_terms = {tuple(a - b for a, b in zip(k, shift_d)): c for k, c in d_terms.items()}
+    lead_d = max(d_terms)
+    quotient = {}
+    while p_terms:
+        lead = max(p_terms)
+        diff = tuple(a - b for a, b in zip(lead, lead_d))
+        if min(diff) < 0 or p_terms[lead] % d_terms[lead_d]:
+            return None
+        coeff = quotient[diff] = p_terms[lead] // d_terms[lead_d]
+        for key, c in d_terms.items():
+            tgt = tuple(a + b for a, b in zip(key, diff))
+            p_terms[tgt] = p_terms.get(tgt, 0) - coeff * c
+            if not p_terms[tgt]:
+                del p_terms[tgt]
+    offset = [a - b for a, b in zip(shift_p, shift_d)]
+    return {tuple(a + b for a, b in zip(k, offset)): c for k, c in quotient.items()}
+
+
+@pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+@pytest.mark.parametrize("label", ["A1", "A2", "B3"])
+def test_heap_division_matches_the_max_reference(label, law):
+    b = get_backend(label, law)
+    rng = random.Random(f"divide-{label}-{law}")
+    divided = failed = 0
+    for _ in range(60):
+        d = random_selem(rng, b, nterms=rng.randint(1, 4), max_exp=2)
+        if d.is_zero():
+            continue
+        p = random_selem(rng, b, nterms=rng.randint(1, 6), max_exp=3) * d
+        if rng.random() < 0.5:
+            p = p + random_selem(rng, b, nterms=rng.randint(1, 2), max_exp=3)
+        got, want = _divide_selem(p, d), _divide_by_max(p, d)
+        if want is None:
+            assert got is None
+            failed += 1
+        else:
+            assert list(got.terms.items()) == list(want.items())
+            divided += 1
+    assert divided and failed
+
+
+# ---------------------------------------------------------------------------
+# Packed exponent keys
+# ---------------------------------------------------------------------------
+
+_EXPONENTS = st.integers(-EXPONENT_LIMIT, EXPONENT_LIMIT - 1)
+
+
+def _vectors(b: Backend):
+    return st.tuples(*[_EXPONENTS] * (b.rank + 1))
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_packing_round_trips_and_keeps_lexicographic_order(label, data):
+    b = get_backend(label, MULTIPLICATIVE)
+    vectors = data.draw(st.lists(_vectors(b), min_size=1, max_size=8))
+    keys = [b.pack(v) for v in vectors]
+    assert [b.unpack(k) for k in keys] == vectors
+    assert [b.unpack(k) for k in sorted(keys)] == sorted(vectors)
+    distinct = sorted(set(vectors))
+    assert SElem(b, {v: 1 for v in vectors}).sorted_terms() == [(v, 1) for v in distinct]
+
+
+@pytest.mark.parametrize("label", ["A1", "A2", "A3"])
+def test_packing_accepts_exactly_the_exponent_range(label):
+    b = get_backend(label, MULTIPLICATIVE)
+    edge = (0,) * b.rank
+    for e in (-EXPONENT_LIMIT, EXPONENT_LIMIT - 1):
+        assert b.unpack(b.pack(edge + (e,))) == edge + (e,)
+    for e in (-EXPONENT_LIMIT - 1, EXPONENT_LIMIT):
+        with pytest.raises(ExponentOverflow):
+            b.pack(edge + (e,))
+        with pytest.raises(ValueError):
+            SElem(b, {(e,) + edge: 1})
+
+
+@pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_products_outside_the_range_raise_instead_of_wrapping(law, data):
+    b = get_backend("A2", law)
+    low = 0 if law == ADDITIVE else -EXPONENT_LIMIT
+    vector = st.tuples(*[st.integers(low, EXPONENT_LIMIT - 1)] * 3)
+    u, v = data.draw(vector), data.draw(vector)
+    total = tuple(x + y for x, y in zip(u, v))
+    p = monomial(b, u) + one(b)
+    q = monomial(b, v, -3)
+    if all(-EXPONENT_LIMIT <= e < EXPONENT_LIMIT for e in total):
+        assert p * q == monomial(b, total, -3) + q
+    else:
+        with pytest.raises(ValueError) as raised:
+            p * q
+        assert raised.type is ExponentOverflow
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_weyl_action_outside_the_range_raises_instead_of_wrapping(data):
+    b = get_backend("A2", MULTIPLICATIVE)
+    datum = b.datum
+    weight = data.draw(st.tuples(_EXPONENTS, _EXPONENTS))
+    w = data.draw(st.sampled_from(list(datum.elements)))
+    moved = datum.apply(w, weight)
+    p = e_mono(b, weight, v_power=EXPONENT_LIMIT - 1)
+    if all(-EXPONENT_LIMIT <= e < EXPONENT_LIMIT for e in moved):
+        assert weyl_act(b, w, p) == e_mono(b, moved, v_power=EXPONENT_LIMIT - 1)
+    else:
+        with pytest.raises(ExponentOverflow):
+            weyl_act(b, w, p)
+
+
+def test_laurent_division_outside_the_range_raises():
+    b = get_backend("A1", MULTIPLICATIVE)
+    wide = e_mono(b, (EXPONENT_LIMIT - 1,)) + e_mono(b, (-EXPONENT_LIMIT,))
+    with pytest.raises(ExponentOverflow):
+        _divide_selem(wide, one(b) - e_mono(b, (1,)))
+    with pytest.raises(ExponentOverflow):
+        _divide_selem(e_mono(b, (-EXPONENT_LIMIT,)), e_mono(b, (1,)))
+    narrow = e_mono(b, (EXPONENT_LIMIT - 1,)) - e_mono(b, (1,))
+    assert _divide_selem(narrow, e_mono(b, (1,))) == e_mono(b, (EXPONENT_LIMIT - 2,)) - one(b)
 
 
 # ---------------------------------------------------------------------------
