@@ -38,10 +38,9 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
-from operator import mul
+from operator import itemgetter, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -504,21 +503,32 @@ ONE_PLUS_ROOT = "one_plus_root"
 FACTOR_KINDS = (X_ROOT, HAT_ADDITIVE, ONE_MINUS_E, HAT_MULTIPLICATIVE, ONE_PLUS_ROOT)
 
 
-@dataclass(frozen=True, order=True)
-class FactorSymbol:
+class FactorSymbol(tuple):
     """A symbolic denominator factor over a root ``beta`` (lattice coords).
 
     kinds: ``x_root`` = x_beta; ``hat_additive`` = h - beta;
     ``one_minus_e`` = 1 - e^beta; ``hat_multiplicative`` = 1 - q e^{-beta};
     ``one_plus_root`` = 1 + beta.
+
+    The pair ``(kind, root)`` as a tuple, so hashing, equality and ordering
+    are the tuple's own (factors sort by kind, then root).
     """
 
-    kind: str
-    root: Weight
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.kind not in FACTOR_KINDS:
-            raise ValueError(f"unknown factor kind {self.kind!r}")
+    def __new__(cls, kind: str, root: Weight) -> "FactorSymbol":
+        if kind not in FACTOR_KINDS:
+            raise ValueError(f"unknown factor kind {kind!r}")
+        return tuple.__new__(cls, (kind, root))
+
+    kind = property(itemgetter(0), doc="The factor kind, one of FACTOR_KINDS.")
+    root = property(itemgetter(1), doc="The root beta in lattice coordinates.")
+
+    def __getnewargs__(self) -> tuple[str, Weight]:
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        return f"FactorSymbol(kind={self[0]!r}, root={self[1]!r})"
 
 
 def expand_factor(backend: Backend, factor: FactorSymbol) -> SElem:
@@ -780,6 +790,8 @@ class QElem:
 
     def __add__(self, other: "QElem") -> "QElem":
         self._check(other)
+        if not self.den and not other.den:
+            return QElem(self.num + other.num, (), _raw=True)
         backend = self.backend
         # Canonical factors are equal exactly when their expansions are, so
         # the common denominator is the multiset union of the two.

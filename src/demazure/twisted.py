@@ -550,13 +550,17 @@ class Algebra:
                 break
             if w in self._b_rows:
                 continue
-            dinv = self.diag_inverse(w)
             arow = self.z_basis_element(w).coeffs
-            row: dict[WeylElement, QElem] = {w: dinv}
+            row: dict[WeylElement, QElem] = {w: self.diag_inverse(w)}
+            b_invs = [self.family.b_inv(beta) for beta in self._inversion_weights(self.words[w])]
             for v, a_wv in arow.items():
                 if v is w:
                     continue
-                scale = dinv * a_wv
+                # a_wv times diag_inverse(w), one b^-1(beta_j) at a time, so
+                # each division meets a short numerator.
+                scale = a_wv
+                for b_inv in b_invs:
+                    scale = scale * b_inv
                 for t, bvt in self._b_rows[v].items():
                     accumulate(row, t, -(scale * bvt))
             self._b_rows[w] = row
@@ -771,9 +775,11 @@ class Algebra:
 
         One left-to-right walk along I_v folds the sum over subwords E: the
         state x collects the subsets of the prefix whose products expand onto
-        Z_{I_x}.  A position in E takes the right step, one left out
-        multiplies by -a(beta_j), and the end multiplies by
-        prod_j b^-1(beta_j) (:meth:`diag_inverse`).
+        Z_{I_x}.  The factor prod_j b^-1(beta_j) enters one inversion root at
+        a time: a position in E takes the right step with weight
+        b^-1(beta_j), and one left out stays with weight
+        -a(beta_j) b^-1(beta_j).  For X and Y the first is a polynomial and
+        the second a unit, so no walk state is ever divided.
         """
         cached = self._billey_rows.get(v)
         if cached is not None:
@@ -784,17 +790,17 @@ class Algebra:
         word = self.words[v]
         state = {datum.identity: QElem.from_int(self.backend, 1)}
         for i, beta in zip(word, self._inversion_weights(word)):
-            skip = -self.family.a(beta)
+            take = self.family.b_inv(beta)
+            skip = -(self.family.a(beta) * take)
             out: dict[WeylElement, QElem] = {}
             for x, value in state.items():
+                taken = value * take
                 for target, weight in self._c_moves(x, datum.multiply_simple(x, i)):
-                    accumulate(out, target, _weighted(value, weight))
+                    accumulate(out, target, _weighted(taken, weight))
                 accumulate(out, x, value * skip)
             state = out
-        dinv = self.diag_inverse(v)
-        row = {w: value * dinv for w, value in state.items()}
-        self._billey_rows[v] = row
-        return row
+        self._billey_rows[v] = state
+        return state
 
     # -- tau inverses ---------------------------------------------------------------
 

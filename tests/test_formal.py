@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from demazure.formal import (
     ADDITIVE,
     EXPONENT_LIMIT,
+    FACTOR_KINDS,
     HAT_ADDITIVE,
     HAT_MULTIPLICATIVE,
     MULTIPLICATIVE,
@@ -521,6 +524,36 @@ def test_factor_kind_backend_mismatch():
         expand_factor(ba, FactorSymbol(HAT_MULTIPLICATIVE, alpha))
     with pytest.raises(ValueError, match="root"):
         expand_factor(ba, FactorSymbol(X_ROOT, (1, 0)))  # omega_1 is not a root
+
+
+def test_factor_symbols_hash_compare_and_sort_as_kind_root_pairs():
+    roots = [(1, -1), (-1, 0), (0, 2), (2, -1)]
+    factors = [FactorSymbol(kind, root) for kind in reversed(FACTOR_KINDS) for root in roots]
+    pairs = [(f.kind, f.root) for f in factors]
+    assert pairs == [(kind, root) for kind in reversed(FACTOR_KINDS) for root in roots]
+    assert sorted(factors) == sorted(pairs)
+    for f, pair in zip(factors, pairs):
+        assert hash(f) == hash(pair)
+        assert f == FactorSymbol(*pair) and f == pair
+        assert f != FactorSymbol(pair[0], tuple(-c for c in pair[1]))
+    for f, g in zip(factors, factors[1:]):
+        assert (f < g) == ((f.kind, f.root) < (g.kind, g.root))
+    assert len(set(factors) | set(FactorSymbol(*pair) for pair in pairs)) == len(pairs)
+
+
+def test_factor_symbols_reject_unknown_kinds_and_survive_pickle_and_copy():
+    with pytest.raises(ValueError, match="unknown factor kind 'x_rot'"):
+        FactorSymbol("x_rot", (1, 0))
+    factor = FactorSymbol(HAT_MULTIPLICATIVE, (2, -1))
+    for clone in (
+        *(pickle.loads(pickle.dumps(factor, protocol)) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)),
+        copy.copy(factor),
+        copy.deepcopy(factor),
+    ):
+        assert type(clone) is FactorSymbol
+        assert (clone.kind, clone.root) == (HAT_MULTIPLICATIVE, (2, -1))
+    with pytest.raises(AttributeError):
+        factor.kind = X_ROOT
 
 
 # ---------------------------------------------------------------------------

@@ -618,6 +618,29 @@ def test_transfer_walks_need_quadratic_constants():
         alg.billey_row(alg.datum.longest_element)
 
 
+@pytest.mark.parametrize(
+    "label,family,law",
+    [("B3", "x", MULTIPLICATIVE), ("A3", "x", ADDITIVE), ("G2", "t", ADDITIVE)],
+)
+def test_billey_rows_divide_at_most_once_per_letter(monkeypatch, label, family, law):
+    """b^-1(beta_j) enters the walk one root at a time, so a whole set of
+    Billey rows makes at most one exact division per letter of its words."""
+    import demazure.formal
+
+    alg = Algebra(BUILTIN_FAMILIES[family](Backend(get_datum(label), law)))
+    divide = demazure.formal._divide_selem
+    calls = []
+
+    def counted(p, d):
+        calls.append(None)
+        return divide(p, d)
+
+    monkeypatch.setattr(demazure.formal, "_divide_selem", counted)
+    for w in alg.datum.elements:
+        alg.billey_row(w)
+    assert len(calls) <= sum(w.length for w in alg.datum.elements)
+
+
 def _check_generalized_leibniz(alg, word, rng, pairs):
     backend = alg.backend
     k = len(word)
