@@ -19,8 +19,9 @@ Two independent routes compute the constants:
       z^{I_w}_{I_u,I_v} = sum_{E,F} z^{I_w}_{E,F} c_{I_w|E, I_u} c_{I_w|F, I_v}.
   For families with quadratic constants the sum over pairs of subwords is a
   transfer walk along I_w (``Algebra.formula_column``) that yields every
-  (u, v) of the word at once; the per-pair sum remains as its test oracle
-  and as the route of families without constants;
+  (u, v) of the word at once, and it is the only user of the quadratic
+  c-rule.  Families without constants sum pair by pair, with every c taken
+  from the generic elimination (``Algebra.c_supports``);
 * oracle route -- Hadamard-multiply the dual classes in the f-basis and
   re-expand by a triangular elimination that only ever multiplies by the
   closed-form reciprocals of the diagonal entries.  It is the same
@@ -29,7 +30,8 @@ Two independent routes compute the constants:
 
 The module also provides restriction coefficients b_{w, I_v} with their
 matrix identity and their Billey-type closed form (again one walk per word,
-``Algebra.billey_row``, when the family has quadratic constants), the
+``Algebra.billey_row``, when the family has quadratic constants, and subset
+by subset from the generic elimination otherwise), the
 stable bases built on the T (cohomological, additive) and tau (K-theoretic,
 multiplicative) families, and parabolic products over minimal coset
 representatives.
@@ -256,7 +258,6 @@ class DualBasis:
             sorted(self.datum.elements, key=WeylElement.sort_key)
         )
         self._dual_cache: dict[WeylElement, DualElem] = {}
-        self._pt_scalar: SElem | None = None
 
     # -- classes ----------------------------------------------------------
 
@@ -264,11 +265,7 @@ class DualBasis:
         return DualElem.unit(self.backend)
 
     def pt(self, w: WeylElement) -> DualElem:
-        if self._pt_scalar is None:
-            self._pt_scalar = product_over_positive_roots(
-                self.backend, lambda wt: x_class(self.backend, tuple(-c for c in wt))
-            )
-        return DualElem.f(self.backend, w, weyl_act(self.backend, w, self._pt_scalar))
+        return point_class(self.backend, w)
 
     def bott_samelson_class(self, word: Sequence[int]) -> DualElem:
         """zeta_I = Z_{I^rev} . pt_e."""
@@ -336,9 +333,9 @@ class DualBasis:
         total = QElem.from_int(self.backend, 0)
         if alg.family.quadratic is not None:
             return alg.formula_column(word).get((u, v), total)
-        supports_v = alg.c_supports(word, v)
-        for e_set, c_e in alg.c_supports(word, u):
-            for f_set, c_f in supports_v:
+        supports = alg.c_supports(word)
+        for e_set, c_e in supports[u]:
+            for f_set, c_f in supports[v]:
                 total = total + alg.leibniz_coefficient(word, e_set, f_set) * c_e * c_f
         return total
 
@@ -364,17 +361,17 @@ class DualBasis:
         pairs: Iterable[tuple[WeylElement, WeylElement]] | None = None,
         route: str = "oracle",
     ) -> StructureTable:
+        if route == "oracle":
+            product = self.product_oracle
+        elif route == "formula":
+            product = self.product_formula
+        else:
+            raise ValueError(f"unknown route {route!r}")
         records = []
         family = self.algebra.family.name
         law = self.backend.law
         for u, v in self._pairs(pairs):
-            if route == "oracle":
-                constants = self.product_oracle(u, v)
-            elif route == "formula":
-                constants = self.product_formula(u, v)
-            else:
-                raise ValueError(f"unknown route {route!r}")
-            for w, value in constants.items():
+            for w, value in product(u, v).items():
                 records.append(TableRecord(u, v, w, family, law, value, provenance=route))
         return StructureTable(records)
 
@@ -404,7 +401,7 @@ class DualBasis:
         total = QElem.from_int(self.backend, 0)
         if alg.family.quadratic is not None:
             return alg.billey_row(v).get(w, total)
-        for e_set, c_e in alg.c_supports(word, w):
+        for e_set, c_e in alg.c_supports(word)[w]:
             total = total + alg.billey_closed_form(word, e_set) * c_e
         return total
 

@@ -184,17 +184,6 @@ class SElem:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_constant(self) -> bool:
-        zero_key = self.backend.zero_key
-        return all(k == zero_key for k in self._terms)
-
-    def constant_value(self) -> int:
-        if not self._terms:
-            return 0
-        if not self.is_constant():
-            raise ValueError("element is not a constant")
-        return self._terms[self.backend.zero_key]
-
     # -- ring operations -----------------------------------------------------
 
     def _check(self, other: "SElem") -> None:

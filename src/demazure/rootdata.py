@@ -573,7 +573,8 @@ def build_root_datum(
     """Build a root datum from a type label or an explicit description.
 
     ``spec`` is either a label like ``"A2"`` or a mapping with keys
-    ``"cartan"`` (list of rows) and optionally ``"lattice"``.
+    ``"cartan"`` (list of rows) and optionally ``"lattice"`` and ``"label"``
+    (a string); a malformed mapping raises ``ValueError``.
 
     >>> d = build_root_datum("A2")
     >>> d.order, len(d.positive_roots)
@@ -586,8 +587,15 @@ def build_root_datum(
     elif isinstance(spec, Mapping):
         if "cartan" not in spec:
             raise ValueError("explicit datum requires a 'cartan' key")
-        cartan = [list(row) for row in spec["cartan"]]
+        rows = spec["cartan"]
+        if not isinstance(rows, (list, tuple)) or not all(
+            isinstance(row, (list, tuple)) for row in rows
+        ):
+            raise ValueError("'cartan' must be a list of rows, each a list of integers")
+        cartan = [list(row) for row in rows]
         label = spec.get("label")
+        if label is not None and not isinstance(label, str):
+            raise ValueError(f"'label' must be a string, got {label!r}")
         chosen = lattice or spec.get("lattice", SIMPLY_CONNECTED)
     else:
         raise ValueError(f"cannot build a root datum from {type(spec).__name__}")

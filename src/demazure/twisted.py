@@ -29,18 +29,19 @@ All but sigma record the constants (c1, c0) of their quadratic relation
     T:    (0, 1)
     tau:  (q-1, q)
 
-W fixes c1 and c0, so with the braid relations they fix every coefficient c
-of ``Z_J = sum_w c Z_{I_w}``: right multiplication by Z_i moves c from w to
-w s_i when w s_i > w, and otherwise sends c c1 to w and c c0 to w s_i; left
-multiplication does the same with s_i w.  This one rule
-(:meth:`Algebra._c_moves`) gives the reduced-subword rule (0, 0), the
-Demazure-product rule (1, 0), the group-product rule (0, 1) and the Hecke
-recursion (q-1, q).  Because the weights are W-invariant they commute with
-the Leibniz operators, so the sums over subwords behind the structure
-constants and the restrictions fold into one walk per word
-(:meth:`Algebra.formula_column`, :meth:`Algebra.billey_row`).  Families
-without constants fall back on the generic triangular expansion and the
-per-subword sums.
+W fixes c1 and c0, so with the braid relations they fix how each
+coefficient c of ``Z_J = sum_w c Z_{I_w}`` moves when J gains a letter: right
+multiplication by Z_i moves c from w to w s_i when w s_i > w, and otherwise
+sends c c1 to w and c c0 to w s_i; left multiplication does the same with
+s_i w.  This one rule (:meth:`Algebra._c_moves`) gives the reduced-subword
+rule (0, 0), the Demazure-product rule (1, 0), the group-product rule (0, 1)
+and the Hecke recursion (q-1, q), and it serves only the transfer walks:
+because the weights are W-invariant they commute with the Leibniz operators,
+so the sums over subwords behind the structure constants and the
+restrictions fold into one walk per word (:meth:`Algebra.formula_column`,
+:meth:`Algebra.billey_row`).  Every other c comes from the generic triangular
+elimination (:meth:`Algebra.expand_in_z_basis`, :meth:`Algebra.c_supports`);
+the routes of families without constants sum those values over subwords.
 """
 
 from __future__ import annotations
@@ -443,8 +444,10 @@ class Algebra:
 
     Cached here: composed words, diagonal inverses, b-rows, Leibniz
     coefficients, the inversion weights of each word, the formula column of
-    each word and the Billey row of each element.  The c-coefficients of
-    families with quadratic constants are cheap descent walks and are not.
+    each word and the Billey row of each element.  The c-rule of families
+    with quadratic constants (:meth:`_c_moves`) drives only the two walks;
+    every c-coefficient the algebra returns comes from the generic
+    elimination (:meth:`expand_in_z_basis`).
     """
 
     def __init__(self, family: OperatorFamily, words: Mapping[WeylElement, Word] | None = None):
@@ -566,13 +569,12 @@ class Algebra:
             self._b_rows[w] = row
         return self._b_rows[u]
 
-    def expand_in_z_basis(self, source) -> dict[WeylElement, QElem]:
-        """Coefficients c with source = sum_w c_w Z_{I_w} (generic triangular
-        solve); ``source`` is a word or a QWElem."""
-        z = source if isinstance(source, QWElem) else self.compose_word(tuple(source))
+    def expand_in_z_basis(self, word: Sequence[int]) -> dict[WeylElement, QElem]:
+        """The nonzero c_{J, I_w} in Z_J = sum_w c_{J, I_w} Z_{I_w} for the
+        word J, by the generic triangular elimination."""
         return expand_in_triangular_basis(
             sorted(self.datum.elements, key=WeylElement.sort_key, reverse=True),
-            z.coeffs,
+            self.compose_word(tuple(word)).coeffs,
             lambda w: self.z_basis_element(w).coeffs,
             self.diag_inverse,
         )
@@ -598,26 +600,6 @@ class Algebra:
         if c0 is not None:
             moves.append((neighbour, c0))
         return moves
-
-    def _c_step(self, state: dict[WeylElement, SElem], i: int) -> dict[WeylElement, SElem]:
-        """Right-multiply sum_w c_w Z_{I_w} by Z_i."""
-        datum = self.datum
-        out: dict[WeylElement, SElem] = {}
-        for w, c in state.items():
-            for target, weight in self._c_moves(w, datum.multiply_simple(w, i)):
-                accumulate(out, target, _weighted(c, weight))
-        return out
-
-    def c_coefficient(self, word: Sequence[int], w: WeylElement) -> QElem:
-        """c_{J, I_w} in Z_J = sum_w c Z_{I_w}, by descent steps when the
-        family has quadratic constants (the generic expansion otherwise)."""
-        if self.family.quadratic is None:
-            value = self.expand_in_z_basis(word).get(w)
-            return QElem.from_int(self.backend, 0) if value is None else value
-        state = {self.datum.identity: one(self.backend)}
-        for i in word:
-            state = self._c_step(state, i)
-        return QElem.from_s(state.get(w, zero(self.backend)))
 
     # -- Leibniz coefficients ----------------------------------------------------
 
@@ -689,36 +671,21 @@ class Algebra:
             value = value * self.family.b_inv(betas[j - 1])
         return value
 
-    def c_supports(self, word: Sequence[int], w: WeylElement) -> list[tuple[frozenset, QElem]]:
-        """All subsets E of positions with c_{word|E, I_w} nonzero, with the
-        c value; positions are 1-based, subsets in increasing bitmask order."""
+    def c_supports(self, word: Sequence[int]) -> dict[WeylElement, list[tuple[frozenset, QElem]]]:
+        """For every w, the subsets E of positions with c_{word|E, I_w} nonzero,
+        each with its c value, from one generic expansion per subword;
+        positions are 1-based, subsets in increasing bitmask order."""
         word = tuple(word)
         k = len(word)
-        found: list[tuple[int, QElem]] = []
-        if self.family.quadratic is None:
-            for mask in range(1 << k):
-                value = self.c_coefficient([word[j] for j in range(k) if mask >> j & 1], w)
-                if not value.is_zero():
-                    found.append((mask, value))
-        else:
-            # Depth first over the positions; a state that is empty stays empty.
-            stack = [(0, 0, {self.datum.identity: one(self.backend)})]
-            while stack:
-                j, mask, state = stack.pop()
-                if j == k:
-                    value = state.get(w)
-                    if value is not None:
-                        found.append((mask, QElem.from_s(value)))
-                    continue
-                stack.append((j + 1, mask, state))
-                taken = self._c_step(state, word[j])
-                if taken:
-                    stack.append((j + 1, mask | 1 << j, taken))
-        found.sort(key=lambda entry: entry[0])
-        return [
-            (frozenset(j + 1 for j in range(k) if mask >> j & 1), value)
-            for mask, value in found
-        ]
+        supports: dict[WeylElement, list[tuple[frozenset, QElem]]] = {
+            w: [] for w in self.datum.elements
+        }
+        for mask in range(1 << k):
+            positions = [j for j in range(k) if mask >> j & 1]
+            e_set = frozenset(j + 1 for j in positions)
+            for w, value in self.expand_in_z_basis([word[j] for j in positions]).items():
+                supports[w].append((e_set, value))
+        return supports
 
     # -- subword transfer walks --------------------------------------------------
 

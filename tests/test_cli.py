@@ -629,10 +629,25 @@ def test_cartan_file_lattice_key_is_honoured(tmp_path):
     assert code == code_sc == EXIT_OK
     assert json.loads(overridden)["lattice"] == "simply-connected"
     assert overridden == simply_connected
-    path.write_text(json.dumps({"cartan": [[2, -1], [-1, 2]], "lattice": 5}), encoding="utf-8")
-    code, _, err = run_cli("mult", "--cartan", str(path), "--u", "1", "--v", "1")
+
+
+@pytest.mark.parametrize(
+    "spec,key",
+    [
+        ({"cartan": [[2, -1], [-1, 2]], "lattice": 5}, "lattice"),
+        ({"cartan": 5}, "cartan"),
+        ({"cartan": [1, 2]}, "cartan"),
+        ({"cartan": [[2, -1], [-1, 2]], "label": 7}, "label"),
+    ],
+    ids=["lattice-int", "cartan-int", "cartan-flat", "label-int"],
+)
+def test_cartan_file_of_the_wrong_shape_exits_3(tmp_path, spec, key):
+    path = tmp_path / "bad_datum.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, out, err = run_cli("mult", "--cartan", str(path), "--u", "1", "--v", "1")
     assert code == EXIT_CONFIG
-    assert "lattice" in err
+    assert out == ""
+    assert key in err
 
 
 def test_cartan_file_builds_custom_datum(tmp_path):

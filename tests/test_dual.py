@@ -297,8 +297,9 @@ def test_structure_table_routes_match_and_serialize():
     assert len(oracle.to_json()) == len(oracle.records)
     text = oracle.to_text()
     assert "u=1 v=2 w=12" in text
-    with pytest.raises(ValueError):
-        basis.structure_table(pairs, route="magic")
+    for magic_pairs in (pairs, []):
+        with pytest.raises(ValueError):
+            basis.structure_table(magic_pairs, route="magic")
 
 
 # ---------------------------------------------------------------------------
