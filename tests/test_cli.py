@@ -366,12 +366,18 @@ CLI_CONTRACT = [
      "15daf7748454a51de61f2b6653a3d294f7e056d2237aaaa6f662f34673dbaac3"),
     ("mult --type A2 --family sigma --out json --check", 0,
      "c19d2af090f644767611354baf3d5d876b53c1880198249c05d55741e3ba27d7"),
+    ("mult --type B2 --family t --out json --check", 0,
+     "0e52a1ad0ae689395265a382b696efc03d47840d98dcb5a56905966491552ad2"),
+    ("mult --type B2 --family y --fgl multiplicative --out json --check", 0,
+     "815c80af1980af15637d985627744c1a9337cf9590cd426c81f1600465d29881"),
     ("restrict --type A3 --fgl multiplicative --family x --v 2132 --w 12 --out json --check", 0,
      "82a193c7339286abbf25f9c279a078d7699d1727d3b6d379c2ea9025913df843"),
     ("stab coh --type A2 --u 1 --v 1 --out json --check", 2,
      "2b41f5af1a5d55f4c23486e0d13b2a778fc823568a5f040a438d70e6a4e79730"),
     ("stab k --type A2 --u 1 --v 12 --out json --check", 0,
      "ebb94738142c53d2a031f01a448e811e9bd6f655a5e10906bc1e307c4c4bc153"),
+    ("stab k --type B2 --u 1 --v 21 --out json --check", 0,
+     "69f414419080be4a0f44bab004924b44a7c21d23cb47b5fcbf092488f6164107"),
     ("verify --suite paper-examples --type A2 --out json", 0,
      "883fcc5fae12a62f27c734b6d0ad19f7d2a6ef684da8f2fa04cbb9e391f235f7"),
 ]
