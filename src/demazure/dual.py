@@ -23,10 +23,15 @@ Two independent routes compute the constants:
   c-rule.  Families without constants sum pair by pair, with every c taken
   from the generic elimination (``Algebra.c_supports``);
 * oracle route -- Hadamard-multiply the dual classes in the f-basis and
-  re-expand by a triangular elimination that only ever multiplies by the
-  closed-form reciprocals of the diagonal entries.  It is the same
-  elimination, :func:`~demazure.twisted.expand_in_triangular_basis`, that
-  ``Algebra.expand_in_z_basis`` uses.
+  re-expand by triangular elimination.  For families with quadratic
+  constants it runs in S: the scale, the product of the denominators of
+  b^-1(beta) over the positive roots, makes every class a polynomial
+  N_w = scale Z*_{I_w}; N_u N_v = sum_w c'_w N_w costs one exact division by
+  N_w(w) per constant, and z^{I_w}_{I_u,I_v} = c'_w / scale is normalized
+  once.  Other families eliminate in Q, multiplying only by the closed-form
+  reciprocals of the diagonal entries.  Both use the one solver,
+  :func:`~demazure.twisted.expand_in_triangular_basis`, that
+  ``Algebra.expand_in_z_basis`` uses too, and neither reads a walk.
 
 The module also provides restriction coefficients b_{w, I_v} with their
 matrix identity and their Billey-type closed form (again one walk per word,
@@ -52,6 +57,7 @@ from .formal import (
     FactorSymbol,
     QElem,
     SElem,
+    divide_exact,
     expand_factor,
     one,
     product_over_positive_roots,
@@ -258,6 +264,8 @@ class DualBasis:
             sorted(self.datum.elements, key=WeylElement.sort_key)
         )
         self._dual_cache: dict[WeylElement, DualElem] = {}
+        self._scale_factors: tuple[FactorSymbol, ...] | None = None
+        self._scaled_cache: dict[WeylElement, dict[WeylElement, SElem]] = {}
 
     # -- classes ----------------------------------------------------------
 
@@ -302,12 +310,77 @@ class DualBasis:
             self.order,
             g.coeffs,
             lambda u: self.dual_basis_element(u).coeffs,
-            self.diag_reciprocal,
+            lambda u, cur: cur * self.diag_reciprocal(u),
+        )
+
+    def scale_factors(self) -> tuple[FactorSymbol, ...]:
+        """The denominator factors of b^-1(beta) over the positive roots beta.
+
+        Their product, the scale, is 1 for ``x`` and ``y``, alphahat_{w0} for
+        ``t`` and xhat_{w0} for ``tau``; it clears every denominator of a dual
+        class of a family with quadratic constants.
+        """
+        if self._scale_factors is None:
+            datum, b_inv = self.datum, self.algebra.family.b_inv
+            self._scale_factors = tuple(sorted(
+                factor
+                for beta in datum.positive_roots
+                for factor in b_inv(datum.root_to_weight(beta)).den
+            ))
+        return self._scale_factors
+
+    def scaled_class(self, u: WeylElement) -> dict[WeylElement, SElem]:
+        """N_u = scale * Z*_{I_u} as polynomials; raises ``ValueError`` when
+        the scale leaves a denominator."""
+        cached = self._scaled_cache.get(u)
+        if cached is None:
+            scale = one(self.backend)
+            for factor in self.scale_factors():
+                scale = scale * expand_factor(self.backend, factor)
+            scale = QElem.from_s(scale)
+            cached = {
+                w: (scale * val).as_selem()
+                for w, val in self.dual_basis_element(u).coeffs.items()
+            }
+            self._scaled_cache[u] = cached
+        return cached
+
+    def scaled_product(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, SElem]:
+        """The nonzero c'_w in N_u N_v = sum_w c'_w N_w, by elimination in S.
+
+        Each constant costs one exact division by the diagonal entry N_w(w);
+        a division that fails or a residue that survives raises ``ValueError``.
+        """
+        nu, nv = self.scaled_class(u), self.scaled_class(v)
+        backend = self.backend
+
+        def pivot(w: WeylElement, cur: SElem) -> SElem:
+            c = divide_exact(backend, cur, self.scaled_class(w)[w])
+            if c is None:
+                raise ValueError(
+                    f"the scaled class of {w.word} does not divide the residue there"
+                )
+            return c
+
+        return expand_in_triangular_basis(
+            self.order,
+            {w: p * nv[w] for w, p in nu.items() if w in nv},
+            self.scaled_class,
+            pivot,
         )
 
     def product_oracle(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
-        g = self.dual_basis_element(u) * self.dual_basis_element(v)
-        return self.expand(g)
+        """The nonzero z^{I_w}_{I_u, I_v}: the product of the two dual classes,
+        expanded again by triangular elimination.
+
+        Families with quadratic constants expand the scaled classes in S
+        (:meth:`scaled_product`) and divide by the scale once per constant;
+        the others expand in Q (:meth:`expand`).
+        """
+        if self.algebra.family.quadratic is None:
+            return self.expand(self.dual_basis_element(u) * self.dual_basis_element(v))
+        den = self.scale_factors()
+        return {w: QElem(c, den) for w, c in self.scaled_product(u, v).items()}
 
     # -- formula route ------------------------------------------------------
 
@@ -547,10 +620,7 @@ class CohStableBasis:
     # -- structure constants ---------------------------------------------------
 
     def constants_oracle(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
-        scale = QElem.from_s(self.alpha_hat_w0)
-        return {
-            w: scale * val for w, val in self.basis.product_oracle(u, v).items()
-        }
+        return {w: QElem.from_s(c) for w, c in self.basis.scaled_product(u, v).items()}
 
     def constant_oracle(self, u: WeylElement, v: WeylElement, w: WeylElement) -> QElem:
         return self.constants_oracle(u, v).get(w, QElem.from_int(self.backend, 0))
@@ -570,11 +640,11 @@ class CohStableBasis:
             one(self.backend), [FactorSymbol(HAT_ADDITIVE, wt) for wt in self._pos_weights]
         )
 
-        def diag_recip(w: WeylElement) -> QElem:
-            return hat_recip * self.basis.diag_reciprocal(w) * self._sign_w0
+        def pivot(w: WeylElement, cur: QElem) -> QElem:
+            return cur * (hat_recip * self.basis.diag_reciprocal(w) * self._sign_w0)
 
         return expand_in_triangular_basis(
-            self.basis.order, g.coeffs, lambda w: self.stab_minus(w).coeffs, diag_recip
+            self.basis.order, g.coeffs, lambda w: self.stab_minus(w).coeffs, pivot
         )
 
     def compare_constants(
@@ -633,8 +703,8 @@ class KStableBasis:
 
     def p_constants_oracle(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
         return {
-            w: self._prefactor(u, v, w) * val
-            for w, val in self.basis.product_oracle(u, v).items()
+            w: QElem.from_s(v_var(self.backend, u.length + v.length - w.length) * c)
+            for w, c in self.basis.scaled_product(u, v).items()
         }
 
     def p_constants_formula(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
@@ -651,15 +721,15 @@ class KStableBasis:
             [FactorSymbol(HAT_MULTIPLICATIVE, wt) for wt in self._pos_weights],
         )
 
-        def diag_recip(w: WeylElement) -> QElem:
-            return (
+        def pivot(w: WeylElement, cur: QElem) -> QElem:
+            return cur * (
                 QElem.from_s(v_var(self.backend, -w.length))
                 * hat_recip
                 * self.basis.diag_reciprocal(w)
             )
 
         return expand_in_triangular_basis(
-            self.basis.order, g.coeffs, lambda w: self.stab_minus(w).coeffs, diag_recip
+            self.basis.order, g.coeffs, lambda w: self.stab_minus(w).coeffs, pivot
         )
 
     def compare_p_constants(

@@ -31,7 +31,8 @@ Exact division is long division by the lexicographically leading term.  The
 remainder keeps a heap of its negated keys (entries of cancelled keys are
 skipped when popped), and one mask over the top bit of every field tells
 whether the divisor's leading monomial divides the remainder's.  Laurent
-operands are first shifted to non-negative exponents.
+operands are first shifted to non-negative exponents; each factor expansion
+is shifted and prepared as a divisor once, when it is first expanded.
 """
 
 from __future__ import annotations
@@ -89,6 +90,10 @@ class Backend:
         self._sign_bits = sum(1 << (s + FIELD_BITS - 1) for s in self._shifts)
         self._range_bits = self._sign_bits >> 1
         self._expand_cache: dict[FactorSymbol, SElem] = {}
+        # The prepared form (see _prepare_divisor) of each expansion in
+        # _expand_cache, keyed by the expansion's id: _expand_cache keeps
+        # every such SElem alive, so no other object can take its id.
+        self._divisor_cache: dict[int, _Divisor] = {}
         self._witness_cache: dict[FactorSymbol, _Residues] = {}
         self._act_form_cache: dict[tuple[int, ...], list[SElem]] = {}
         self._act_power_cache: dict[tuple[tuple[int, ...], int], list[SElem]] = {}
@@ -417,22 +422,21 @@ def _divide_selem(p: SElem, d: SElem) -> SElem | None:
     if p.is_zero():
         return p
     zero_key = backend.zero_key
+    divisor = backend._divisor_cache.get(id(d))
+    if divisor is None:
+        divisor = _prepare_divisor(backend, d)
+    lead_d, cd, d_items, shift_d = divisor
     if backend.law == MULTIPLICATIVE:
-        # Shift both operands by monomial units so all exponents are >= 0.
+        # Shift p by a monomial unit too, so all exponents are >= 0.
         p_terms, shift_p = _shift_to_nonnegative(backend, p._terms)
-        d_terms, shift_d = _shift_to_nonnegative(backend, d._terms)
     else:
         p_terms = dict(p._terms)
-        d_terms = d._terms
     # Exponents are now in [0, 2**14).  If d divides p, every remainder term
     # lies in the Newton polytope of p, so every quotient exponent is in
     # [0, 2**14) too: one mask checks both bounds, and a remainder key (a
     # divisor plus a quotient exponent) never carries into the next field.
     quotient_bits = backend._sign_bits | backend._range_bits
     sign_bits = backend._sign_bits
-    lead_d = max(d_terms)
-    cd = d_terms[lead_d]
-    d_items = [(key - zero_key, c) for key, c in d_terms.items()]
     quotient: dict[int, int] = {}
     remainder = p_terms
     heap = [-key for key in remainder]
@@ -463,6 +467,22 @@ def _divide_selem(p: SElem, d: SElem) -> SElem | None:
     shifted = {key + offset: c for key, c in quotient.items()}
     backend._check_keys(shifted)
     return SElem(backend, shifted, _raw=True)
+
+
+# A divisor ready for long division: its leading key and coefficient (after
+# the shift), its terms as (key - zero_key, coeff), and the packed shift
+# subtracted from its keys (0 for the additive law).
+_Divisor = tuple[int, int, list[tuple[int, int]], int]
+
+
+def _prepare_divisor(backend: Backend, d: SElem) -> _Divisor:
+    if backend.law == MULTIPLICATIVE:
+        terms, shift = _shift_to_nonnegative(backend, d._terms)
+    else:
+        terms, shift = d._terms, 0
+    lead = max(terms)
+    zero_key = backend.zero_key
+    return lead, terms[lead], [(key - zero_key, c) for key, c in terms.items()], shift
 
 
 def _shift_to_nonnegative(backend: Backend, terms: dict[int, int]) -> tuple[dict[int, int], int]:
@@ -553,6 +573,7 @@ def expand_factor(backend: Backend, factor: FactorSymbol) -> SElem:
     if value.is_zero():
         raise ValueError(f"factor {factor} expands to zero")
     backend._expand_cache[factor] = value
+    backend._divisor_cache[id(value)] = _prepare_divisor(backend, value)
     return value
 
 
@@ -873,9 +894,14 @@ def _normalize(
 
 
 def q_equal(p: QElem, q: QElem) -> bool:
-    """Equality in Q by cross-multiplication of numerators with denominators."""
+    """Equality in Q by cross-multiplication of numerators with denominators.
+
+    Equal denominators compare the numerators alone: S is a domain.
+    """
     if not p.backend.compatible(q.backend):
         raise ValueError("mixed backends in q_equal")
+    if p.den == q.den:
+        return p.num == q.num
     return (p.num * q.den_product()) == (q.num * p.den_product())
 
 

@@ -47,7 +47,7 @@ the routes of families without constants sum those values over subwords.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .formal import (
     ADDITIVE,
@@ -76,6 +76,8 @@ from .formal import (
 from .rootdata import WeylElement, Word
 
 Weight = tuple[int, ...]
+# The coefficients of one triangular elimination: all in Q or all in S.
+Coeff = TypeVar("Coeff", QElem, SElem)
 
 
 # ---------------------------------------------------------------------------
@@ -218,25 +220,26 @@ class QWElem(WeylIndexed):
 
 def expand_in_triangular_basis(
     order: Sequence[WeylElement],
-    coeffs: Mapping[WeylElement, QElem],
-    column: Callable[[WeylElement], Mapping[WeylElement, QElem]],
-    diag_recip: Callable[[WeylElement], QElem],
-) -> dict[WeylElement, QElem]:
+    coeffs: Mapping[WeylElement, Coeff],
+    column: Callable[[WeylElement], Mapping[WeylElement, Coeff]],
+    pivot: Callable[[WeylElement, Coeff], Coeff],
+) -> dict[WeylElement, Coeff]:
     """Coefficients c with coeffs = sum_u c_u column(u), by elimination.
 
-    ``column(u)`` maps elements to coefficients; its u entry must be
-    invertible with exact reciprocal ``diag_recip(u)``.  ``order`` must list
-    u before every other element in the support of ``column(u)``.  The
-    elimination never divides, so all arithmetic stays inside exact Q
-    elements; a residue that survives means ``coeffs`` lies outside the span.
+    ``order`` must list u before every other element in the support of
+    ``column(u)``.  ``pivot(u, cur)`` returns the c_u that clears the residue
+    ``cur`` at u, i.e. cur divided by the u entry of ``column(u)``: in Q by
+    multiplying with a closed-form reciprocal, in S by one exact division that
+    raises when it fails.  A residue that survives means ``coeffs`` lies
+    outside the span.
     """
-    residue: dict[WeylElement, QElem] = dict(coeffs)
-    out: dict[WeylElement, QElem] = {}
+    residue: dict[WeylElement, Coeff] = dict(coeffs)
+    out: dict[WeylElement, Coeff] = {}
     for u in order:
         cur = residue.get(u)
         if cur is None or cur.is_zero():
             continue
-        c = cur * diag_recip(u)
+        c = pivot(u, cur)
         out[u] = c
         for w, val in column(u).items():
             accumulate(residue, w, -(c * val))
@@ -576,7 +579,7 @@ class Algebra:
             sorted(self.datum.elements, key=WeylElement.sort_key, reverse=True),
             self.compose_word(tuple(word)).coeffs,
             lambda w: self.z_basis_element(w).coeffs,
-            self.diag_inverse,
+            lambda w, cur: cur * self.diag_inverse(w),
         )
 
     # -- c coefficients ---------------------------------------------------------

@@ -640,6 +640,22 @@ def test_q_equal_is_consistent_with_cross_multiplication(seed):
         assert not q_equal(p + QElem.from_int(b, 1), q)
 
 
+@pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_q_equal_agrees_with_cross_multiplication_on_normalized_pairs(law, data):
+    b = get_backend("B2", law)
+    factors = [FactorSymbol(kind, root) for kind in _KINDS[law] for root in _signed_roots(b)]
+    dens = st.lists(st.sampled_from(factors), max_size=3)
+    n1, d1 = data.draw(_selems(b)), data.draw(dens)
+    # Half the pairs share the denominator (the fast path), and half of
+    # those also share the numerator, so both verdicts occur on each path.
+    same_den = data.draw(st.booleans())
+    n2 = n1 if same_den and data.draw(st.booleans()) else data.draw(_selems(b))
+    p, q = QElem(n1, d1), QElem(n2, d1 if same_den else data.draw(dens))
+    assert q_equal(p, q) == (p.num * q.den_product() == q.num * p.den_product())
+
+
 def test_weyl_act_q_is_additive_and_multiplicative():
     for law in (ADDITIVE, MULTIPLICATIVE):
         b = get_backend("A2", law)

@@ -296,15 +296,18 @@ def test_triangular_elimination_raises_when_a_residue_survives():
     def column(w):
         return alg.z_basis_element(w).coeffs
 
-    solved = expand_in_triangular_basis(order, target, column, alg.diag_inverse)
+    def pivot(w, cur):
+        return cur * alg.diag_inverse(w)
+
+    solved = expand_in_triangular_basis(order, target, column, pivot)
     assert list(solved) == [w0]
     assert q_equal(solved[w0], QElem.from_int(alg.backend, 1))
 
-    def twice_the_reciprocal(w):
-        return alg.diag_inverse(w) * 2
+    def twice_the_pivot(w, cur):
+        return cur * alg.diag_inverse(w) * 2
 
     with pytest.raises(ValueError, match="residue survives"):
-        expand_in_triangular_basis(order, target, column, twice_the_reciprocal)
+        expand_in_triangular_basis(order, target, column, twice_the_pivot)
 
 
 @pytest.mark.parametrize(
