@@ -352,13 +352,12 @@ class DualBasis:
         a division that fails or a residue that survives raises ``ValueError``.
         """
         nu, nv = self.scaled_class(u), self.scaled_class(v)
-        backend = self.backend
 
         def pivot(w: WeylElement, cur: SElem) -> SElem:
-            c = divide_exact(backend, cur, self.scaled_class(w)[w])
+            c = divide_exact(self.backend, cur, self.scaled_class(w)[w])
             if c is None:
                 raise ValueError(
-                    f"the scaled class of {w.word} does not divide the residue there"
+                    f"the diagonal entry N_w(w) does not divide the residue at w = {w.word}"
                 )
             return c
 
