@@ -6,8 +6,9 @@ Subcommands
 ``mult``
     Structure constants of the dual classes (formula route).  With ``--u``
     and ``--v`` it prints the rows of one product; with neither it prints
-    the full table, optionally split over a worker pool (``--jobs``, capped
-    at the number of (u, v) pairs and the CPU count).
+    the full table, optionally split row by row (one u, every v) over a
+    worker pool (``--jobs``, capped at the number of table rows and the CPU
+    count).
     ``--check`` recomputes every row through the independent oracle route
     and reports any mismatch.
 ``restrict``
@@ -323,30 +324,39 @@ def _session_basis(key: str) -> DualBasis:
 # ---------------------------------------------------------------------------
 
 
-def _mult_pair_task(key: str, u_str: str, v_str: str, check: bool) -> tuple[list, list]:
-    """Formula-route rows for one (u, v), plus oracle discrepancies if asked.
+def _mult_row_task(
+    key: str, u_str: str, v_strs: Sequence[str], check: bool
+) -> tuple[list, list]:
+    """Formula-route records of one table row, the products of u with each v,
+    plus oracle discrepancies if asked.
 
-    Runs inside worker processes; everything in and out is JSON-able.
+    The pool's unit of work, and the serial path's too; it is a module-level
+    function and everything in and out is JSON-able, so any start method can
+    run it in a worker.
     """
     basis = _session_basis(key)
     datum = basis.datum
     u = datum.element_by_word(parse_word(u_str))
-    v = datum.element_by_word(parse_word(v_str))
-    oracle = basis.product_oracle(u, v) if check else None
-    formula = basis.product_formula(u, v)
-    rows = [
-        {
-            "u": word_to_str(u.word),
-            "v": word_to_str(v.word),
-            "w": word_to_str(w.word),
-            "value": qelem_to_json(value),
-            "text": qelem_to_str(value),
-        }
-        for w, value in formula.items()
-    ]
+    u_word = word_to_str(u.word)
+    rows: list = []
     report = DiscrepancyReport()
-    if check:
-        report.compare_rows((word_to_str(u.word), word_to_str(v.word)), formula, oracle)
+    for v_str in v_strs:
+        v = datum.element_by_word(parse_word(v_str))
+        v_word = word_to_str(v.word)
+        oracle = basis.product_oracle(u, v) if check else None
+        formula = basis.product_formula(u, v)
+        rows.extend(
+            {
+                "u": u_word,
+                "v": v_word,
+                "w": word_to_str(w.word),
+                "value": qelem_to_json(value),
+                "text": qelem_to_str(value),
+            }
+            for w, value in formula.items()
+        )
+        if check:
+            report.compare_rows((u_word, v_word), formula, oracle)
     return rows, [entry.as_json_entry() for entry in report.entries]
 
 
@@ -359,7 +369,8 @@ def _row_sort_key(row: Mapping) -> tuple:
 
 
 def worker_count(jobs: int, tasks: int, cpus: int | None) -> int:
-    """Pool size for ``--jobs``: never more workers than tasks or CPUs.
+    """Pool size for ``--jobs``: never more workers than tasks (table rows)
+    or CPUs.
 
     A fork pool starts every worker up front, so an unbounded ``--jobs``
     would start that many processes whatever the work."""
@@ -374,28 +385,26 @@ def cmd_mult(args: argparse.Namespace) -> int:
     basis = _session_basis(key)
     datum = basis.datum
     if args.u is not None:
-        pairs = [(word_to_str(datum.element_by_word(parse_word(args.u)).word),
-                  word_to_str(datum.element_by_word(parse_word(args.v)).word))]
+        table_rows = [(word_to_str(datum.element_by_word(parse_word(args.u)).word),
+                       [word_to_str(datum.element_by_word(parse_word(args.v)).word)])]
     else:
+        # Shortest u first: those rows have the most w above them, so the
+        # heaviest rows start first and the pool's workers finish together.
         names = [word_to_str(w.word) for w in basis.order]
-        pairs = [(u, v) for u in names for v in names]
-    rows: list = []
-    discrepancies: list = []
-    workers = worker_count(config.jobs, len(pairs), os.cpu_count())
+        table_rows = [(u, names) for u in names]
+    tasks = [(key, u, v_strs, config.check) for u, v_strs in table_rows]
+    workers = worker_count(config.jobs, len(tasks), os.cpu_count())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_mult_pair_task, key, u, v, config.check) for u, v in pairs
-            ]
-            for future in futures:
-                pair_rows, pair_bad = future.result()
-                rows.extend(pair_rows)
-                discrepancies.extend(pair_bad)
+            futures = [pool.submit(_mult_row_task, *task) for task in tasks]
+            results = [future.result() for future in futures]
     else:
-        for u, v in pairs:
-            pair_rows, pair_bad = _mult_pair_task(key, u, v, config.check)
-            rows.extend(pair_rows)
-            discrepancies.extend(pair_bad)
+        results = [_mult_row_task(*task) for task in tasks]
+    rows: list = []
+    discrepancies: list = []
+    for row_records, row_bad in results:
+        rows.extend(row_records)
+        discrepancies.extend(row_bad)
     rows.sort(key=_row_sort_key)
     discrepancies.sort(key=lambda d: d["location"])
 
@@ -599,7 +608,11 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", choices=("text", "json"), default="text")
     parser.add_argument("--check", action="store_true", help="run the oracle cross-check")
     parser.add_argument(
-        "--jobs", type=int, default=1, help="worker processes (at most the CPU count)"
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes for a mult table, one table row at a time "
+        "(at most the number of rows and the CPU count)",
     )
 
 

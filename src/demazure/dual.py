@@ -45,6 +45,7 @@ representatives.
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .formal import (
@@ -330,18 +331,25 @@ class DualBasis:
         return self._scale_factors
 
     def scaled_class(self, u: WeylElement) -> dict[WeylElement, SElem]:
-        """N_u = scale * Z*_{I_u} as polynomials; raises ``ValueError`` when
-        the scale leaves a denominator."""
+        """N_u = scale * Z*_{I_u} as polynomials: each numerator times the
+        scale factors missing from its denominator.  Raises ``ValueError``
+        when a denominator is not part of the scale."""
         cached = self._scaled_cache.get(u)
         if cached is None:
-            scale = one(self.backend)
-            for factor in self.scale_factors():
-                scale = scale * expand_factor(self.backend, factor)
-            scale = QElem.from_s(scale)
-            cached = {
-                w: (scale * val).as_selem()
-                for w, val in self.dual_basis_element(u).coeffs.items()
-            }
+            scale = Counter(self.scale_factors())
+            cached = {}
+            for w, val in self.dual_basis_element(u).coeffs.items():
+                den = Counter(val.den)
+                left = sorted(f"{f.kind}{f.root}" for f in (den - scale).elements())
+                if left:
+                    raise ValueError(
+                        f"the scale leaves a denominator {left} in the class of "
+                        f"u = {u.word} at w = {w.word}"
+                    )
+                num = val.num
+                for factor in (scale - den).elements():
+                    num = num * expand_factor(self.backend, factor)
+                cached[w] = num
             self._scaled_cache[u] = cached
         return cached
 

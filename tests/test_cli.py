@@ -4,12 +4,16 @@ import contextlib
 import hashlib
 import io
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
 from conftest import get_datum
+from demazure import cli
 from demazure.cli import EXIT_CONFIG, EXIT_DISCREPANCY, EXIT_OK, main, worker_count
 from demazure.dual import CohStableBasis, DualBasis
 from demazure.formal import (
@@ -404,16 +408,52 @@ def _run_subprocess(*argv):
     return proc.returncode, proc.stdout
 
 
-def test_output_bytes_identical_across_runs_and_worker_counts():
-    base = (
-        "mult", "--type", "A2", "--fgl", "multiplicative", "--family", "x",
-        "--out", "json", "--check",
-    )
+_B2_T_CHECK = "mult --type B2 --family t --out json --check"
+
+
+@pytest.mark.parametrize(
+    "command, stdout_sha256",
+    [
+        ("mult --type A2 --fgl multiplicative --family x --out json --check", None),
+        # Uneven rows and hat denominators; the JSON must match the contract.
+        (_B2_T_CHECK, {c: h for c, _, h in CLI_CONTRACT}[_B2_T_CHECK]),
+        (_B2_T_CHECK.replace("json", "text"), None),
+    ],
+    ids=["A2-x-multiplicative-json", "B2-t-json", "B2-t-text"],
+)
+def test_output_bytes_identical_across_runs_and_worker_counts(command, stdout_sha256):
+    base = command.split()
     code1, out1 = _run_subprocess(*base, "--jobs", "1")
     code2, out2 = _run_subprocess(*base, "--jobs", "2")
     code3, out3 = _run_subprocess(*base, "--jobs", "1")
     assert code1 == code2 == code3 == EXIT_OK
     assert out1 == out2 == out3
+    if stdout_sha256 is not None:
+        assert hashlib.sha256(out1.encode("utf-8")).hexdigest() == stdout_sha256
+
+
+def test_pool_output_does_not_depend_on_the_start_method(monkeypatch):
+    """Spawn (the default on macOS) and forkserver workers share nothing with
+    the parent, so the row task must be importable and its arguments and
+    results picklable; the bytes must equal the serial run's."""
+    argv = [
+        "mult", "--type", "A2", "--fgl", "multiplicative", "--family", "x",
+        "--out", "json", "--check",
+    ]
+    serial = run_cli(*argv, "--jobs", "1")
+    pools = []
+
+    def spawn_pool(*args, **kwargs):
+        pools.append(kwargs["max_workers"])
+        return ProcessPoolExecutor(
+            *args, mp_context=multiprocessing.get_context("spawn"), **kwargs
+        )
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
+    assert run_cli(*argv, "--jobs", "2") == serial
+    assert serial[0] == EXIT_OK
+    assert pools == [2]
 
 
 @pytest.mark.parametrize(
@@ -421,8 +461,8 @@ def test_output_bytes_identical_across_runs_and_worker_counts():
     [
         (1, 36, 8, 1),  # --jobs 1 stays serial
         (4, 36, 2, 2),  # capped by the CPU count
-        (64, 3, 8, 3),  # capped by the number of (u, v) pairs
-        (4, 1, 8, 1),  # a single pair runs in-process
+        (64, 3, 8, 3),  # capped by the number of table rows
+        (4, 1, 8, 1),  # a single row (one --u/--v product) runs in-process
         (4, 36, None, 1),  # unknown CPU count: one worker
         (3, 36, 8, 3),
     ],

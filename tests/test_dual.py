@@ -26,6 +26,7 @@ from demazure.formal import (
     X_ROOT,
     divide_exact,
     e_mono,
+    expand_factor,
     h_var,
     one,
     product_over_positive_roots,
@@ -36,6 +37,7 @@ from demazure.formal import (
 from demazure.twisted import (
     Algebra,
     BUILTIN_FAMILIES,
+    FAMILY_LAWS,
     QWElem,
     family_sigma,
     family_t,
@@ -322,20 +324,31 @@ def _reflections(datum):
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
-@pytest.mark.parametrize("family", ["x", "t"])
+@pytest.mark.parametrize("family", ["x", "y", "t", "tau"])
 def test_scaled_classes_satisfy_the_gkm_conditions(label, family):
-    """N_w(v) - N_w(s_gamma v) is divisible by x_gamma for every gamma > 0
-    (Goresky-Kottwitz-MacPherson)."""
-    basis = get_basis(label, family, ADDITIVE)
-    backend, datum = basis.backend, basis.datum
-    zero_s = SElem.constant(backend, 0)
-    for gamma, s_gamma in _reflections(datum).items():
-        x_gamma = FactorSymbol(X_ROOT, datum.root_to_weight(gamma))
+    """N_w is the product scale * Z*_{I_w} taken in Q, and N_w(v) - N_w(s_gamma v)
+    is divisible by x_gamma for every gamma > 0 (Goresky-Kottwitz-MacPherson),
+    under every law of the family."""
+    for law in FAMILY_LAWS[family]:
+        basis = get_basis(label, family, law)
+        backend, datum = basis.backend, basis.datum
+        scale = one(backend)
+        for factor in basis.scale_factors():
+            scale = scale * expand_factor(backend, factor)
         for w in basis.order:
-            n_w = basis.scaled_class(w)
-            for v in basis.order:
-                diff = n_w.get(v, zero_s) - n_w.get(datum.multiply(s_gamma, v), zero_s)
-                assert divide_exact(backend, diff, x_gamma) is not None, (w, v, gamma)
+            expected = {
+                v: (QElem.from_s(scale) * val).as_selem()
+                for v, val in basis.dual_basis_element(w).coeffs.items()
+            }
+            assert basis.scaled_class(w) == expected, (law, w)
+        zero_s = SElem.constant(backend, 0)
+        for gamma, s_gamma in _reflections(datum).items():
+            x_gamma = FactorSymbol(X_ROOT, datum.root_to_weight(gamma))
+            for w in basis.order:
+                n_w = basis.scaled_class(w)
+                for v in basis.order:
+                    diff = n_w.get(v, zero_s) - n_w.get(datum.multiply(s_gamma, v), zero_s)
+                    assert divide_exact(backend, diff, x_gamma) is not None, (law, w, v, gamma)
 
 
 def test_structure_constant_word_independent_for_braid_families():
