@@ -44,7 +44,7 @@ multiplicatively).  ``alpha_exp`` and the additive ``extra_exp`` must be
 non-negative, and every exponent must lie in [-2**14, 2**14) (the range of
 ``formal.SElem`` exponents).  Each denominator entry is ``[factor_kind,
 sign]`` applied at ``sign * alpha``.  The family is validated (b inverse,
-equivariance) before use.
+equivariance) before use.  ``--fgl`` defaults to the file's ``"law"``.
 
 Explicit word files (``--words file:PATH``) map every element's canonical
 word to the chosen reduced word, e.g. ``{"": "", "1": "1", "121": "212",
@@ -153,7 +153,12 @@ def _resolve_config(
         if law and law != forced_law:
             raise CliError(f"this command requires the {forced_law} backend")
         law = forced_law
-    if not law:
+    if not law and family.startswith("custom:"):
+        # A custom family file names its own law; a malformed file fails later.
+        with open(family[len("custom:") :], "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+        law = spec.get("law") if isinstance(spec, dict) else None
+    if law not in LAWS:
         law = FAMILY_LAWS.get(family, LAWS)[0]
     _check_family_law(family, law)
     if args.jobs < 1:
@@ -173,7 +178,7 @@ def _resolve_config(
 
 def _check_family_law(family: str, law: str) -> None:
     if family.startswith("custom:"):
-        return  # the file declares its own law; checked when loading
+        return  # the file's own law is checked when loading
     if family not in FAMILY_LAWS:
         raise CliError(f"unknown family {family!r}")
     if law not in FAMILY_LAWS[family]:
@@ -554,12 +559,12 @@ def cmd_stab(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     if args.suite not in SUITE_NAMES:
         raise CliError(f"unknown suite {args.suite!r}; choose from {SUITE_NAMES}")
+    if args.family and args.family.startswith("custom:"):
+        raise CliError("verify suites cover the built-in families")
     config = _resolve_config(args, default_family="x")
     datum = _build_datum(config)
     families = (args.family,) if args.family else None
     laws = (args.fgl,) if args.fgl else None
-    if args.family and args.family.startswith("custom:"):
-        raise CliError("verify suites cover the built-in families")
     report = run_suite(args.suite, datum, families=families, laws=laws)
     passed = report.is_empty
     if config.out == "json":
@@ -594,7 +599,7 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--fgl",
         choices=LAWS,
-        help="formal group law backend (default depends on the family)",
+        help="formal group law backend (default: the family's, or a custom file's \"law\")",
     )
     parser.add_argument(
         "--family",

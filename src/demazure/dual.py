@@ -17,11 +17,11 @@ Two independent routes compute the constants:
 
 * formula route -- the closed form built from Leibniz coefficients,
       z^{I_w}_{I_u,I_v} = sum_{E,F} z^{I_w}_{E,F} c_{I_w|E, I_u} c_{I_w|F, I_v}.
-  For families with quadratic constants the sum over pairs of subwords is a
-  transfer walk along I_w (``Algebra.formula_column``) that yields every
-  (u, v) of the word at once, and it is the only user of the quadratic
-  c-rule.  Families without constants sum pair by pair, with every c taken
-  from the generic elimination (``Algebra.c_supports``);
+  For families with quadratic constants (``Algebra.quadratic``, solved from
+  the family's relations) the sum over pairs of subwords is a transfer walk
+  along I_w (``Algebra.formula_column``) that yields every (u, v) of the word
+  at once.  Families whose relations give no c-rule sum pair by pair, with
+  every c from the generic elimination (``Algebra.c_supports``);
 * oracle route -- Hadamard-multiply the dual classes in the f-basis and
   re-expand by triangular elimination.  For families with quadratic
   constants it runs in S: the scale, the product of the denominators of
@@ -36,10 +36,9 @@ Two independent routes compute the constants:
 The module also provides restriction coefficients b_{w, I_v} with their
 matrix identity and their Billey-type closed form (again one walk per word,
 ``Algebra.billey_row``, when the family has quadratic constants, and subset
-by subset from the generic elimination otherwise), the
-stable bases built on the T (cohomological, additive) and tau (K-theoretic,
-multiplicative) families, and parabolic products over minimal coset
-representatives.
+by subset from the generic elimination otherwise), the stable bases built on
+the T (cohomological, additive) and tau (K-theoretic, multiplicative)
+families, and parabolic products over minimal coset representatives.
 """
 
 from __future__ import annotations
@@ -384,7 +383,7 @@ class DualBasis:
         (:meth:`scaled_product`) and divide by the scale once per constant;
         the others expand in Q (:meth:`expand`).
         """
-        if self.algebra.family.quadratic is None:
+        if self.algebra.quadratic is None:
             return self.expand(self.dual_basis_element(u) * self.dual_basis_element(v))
         den = self.scale_factors()
         return {w: QElem(c, den) for w, c in self.scaled_product(u, v).items()}
@@ -411,7 +410,7 @@ class DualBasis:
             if self.datum.element_by_word(word) is not w or len(word) != w.length:
                 raise ValueError(f"{word} is not a reduced word for the requested element")
         total = QElem.from_int(self.backend, 0)
-        if alg.family.quadratic is not None:
+        if alg.quadratic is not None:
             return alg.formula_column(word).get((u, v), total)
         supports = alg.c_supports(word)
         for e_set, c_e in supports[u]:
@@ -479,7 +478,7 @@ class DualBasis:
         alg = self.algebra
         word = alg.word(v)
         total = QElem.from_int(self.backend, 0)
-        if alg.family.quadratic is not None:
+        if alg.quadratic is not None:
             return alg.billey_row(v).get(w, total)
         for e_set, c_e in alg.c_supports(word)[w]:
             total = total + alg.billey_closed_form(word, e_set) * c_e

@@ -22,12 +22,12 @@ Built-in families::
     tau:  a = (q-1)/(1-e^a),  b = (1-q e^{-a})/(1-e^a)   (multiplicative, q = v^2)
     sigma (custom preset): a = -1/a, b = (1+a)/a    (additive)
 
-All but sigma record the constants (c1, c0) of their quadratic relation
-``Z_i^2 = c1 Z_i + c0`` (``OperatorFamily.quadratic``)::
+Each :class:`Algebra` solves the constants (c1, c0) of the quadratic relation
+``Z_i^2 = c1 Z_i + c0`` from the family's own relations (:attr:`Algebra.quadratic`)::
 
-    X, Y: (kappa, 0)    kappa = 0 additively, 1 multiplicatively
-    T:    (0, 1)
-    tau:  (q-1, q)
+    X, Y:      (kappa, 0)    kappa = 0 additively, 1 multiplicatively
+    T, sigma:  (0, 1)
+    tau:       (q-1, q)
 
 W fixes c1 and c0, so with the braid relations they fix how each
 coefficient c of ``Z_J = sum_w c Z_{I_w}`` moves when J gains a letter: right
@@ -47,6 +47,7 @@ the routes of families without constants sum those values over subwords.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .formal import (
@@ -69,9 +70,9 @@ from .formal import (
     q_equal,
     q_of,
     v_var,
+    weyl_act,
     weyl_act_q,
     x_class,
-    zero,
 )
 from .rootdata import WeylElement, Word
 
@@ -262,8 +263,6 @@ class OperatorFamily:
 
     ``a``, ``b``, ``b_inv`` take a *root* in lattice coordinates (any sign)
     and return QElems; ``b_inv`` must be the exact reciprocal of ``b``.
-    ``quadratic`` holds the W-invariant constants (c1, c0) in S of
-    ``Z_i^2 = c1 Z_i + c0``, or None when the family has none.
     """
 
     name: str
@@ -271,7 +270,6 @@ class OperatorFamily:
     a: Callable[[Weight], QElem]
     b: Callable[[Weight], QElem]
     b_inv: Callable[[Weight], QElem]
-    quadratic: tuple[SElem, SElem] | None = None
 
     def check_equivariance(self) -> list[str]:
         """Exact check of w(a_alpha) = a_{w(alpha)} (and b, b_inv) for every
@@ -314,11 +312,6 @@ def _x_factor(weight: Weight) -> FactorSymbol:
     return FactorSymbol(X_ROOT, tuple(weight))
 
 
-def _kappa_quadratic(backend: Backend) -> tuple[SElem, SElem]:
-    """(kappa, 0) for X and Y: kappa_alpha is 0 additively and 1 multiplicatively."""
-    return (zero(backend) if backend.law == ADDITIVE else one(backend)), zero(backend)
-
-
 def family_x(backend: Backend) -> OperatorFamily:
     def a(alpha: Weight) -> QElem:
         return QElem(one(backend), [_x_factor(alpha)])
@@ -329,7 +322,7 @@ def family_x(backend: Backend) -> OperatorFamily:
     def b_inv(alpha: Weight) -> QElem:
         return QElem.from_s(-x_class(backend, alpha))
 
-    return OperatorFamily("x", backend, a, b, b_inv, quadratic=_kappa_quadratic(backend))
+    return OperatorFamily("x", backend, a, b, b_inv)
 
 
 def family_y(backend: Backend) -> OperatorFamily:
@@ -342,7 +335,7 @@ def family_y(backend: Backend) -> OperatorFamily:
     def b_inv(alpha: Weight) -> QElem:
         return QElem.from_s(x_class(backend, alpha))
 
-    return OperatorFamily("y", backend, a, b, b_inv, quadratic=_kappa_quadratic(backend))
+    return OperatorFamily("y", backend, a, b, b_inv)
 
 
 def family_t(backend: Backend) -> OperatorFamily:
@@ -360,7 +353,7 @@ def family_t(backend: Backend) -> OperatorFamily:
     def b_inv(alpha: Weight) -> QElem:
         return QElem(linear_form(backend, alpha), [FactorSymbol(HAT_ADDITIVE, tuple(alpha))])
 
-    return OperatorFamily("t", backend, a, b, b_inv, quadratic=(zero(backend), one(backend)))
+    return OperatorFamily("t", backend, a, b, b_inv)
 
 
 def family_tau(backend: Backend) -> OperatorFamily:
@@ -378,8 +371,7 @@ def family_tau(backend: Backend) -> OperatorFamily:
         num = one(backend) - e_mono(backend, tuple(alpha))
         return QElem(num, [FactorSymbol(HAT_MULTIPLICATIVE, tuple(alpha))])
 
-    q = q_of(backend)
-    return OperatorFamily("tau", backend, a, b, b_inv, quadratic=(q - one(backend), q))
+    return OperatorFamily("tau", backend, a, b, b_inv)
 
 
 def family_sigma(backend: Backend) -> OperatorFamily:
@@ -475,13 +467,6 @@ class Algebra:
         self._inversion_weight_cache: dict[Word, tuple[Weight, ...]] = {}
         self._columns: dict[Word, dict[tuple[WeylElement, WeylElement], QElem]] = {}
         self._billey_rows: dict[WeylElement, dict[WeylElement, QElem]] = {}
-        # The c-rule weights (c1, c0) of a descent: None when zero, 1 when one.
-        self._descent_weights = None
-        if family.quadratic is not None:
-            self._descent_weights = tuple(
-                None if c.is_zero() else 1 if c == one(self.backend) else c
-                for c in family.quadratic
-            )
 
     # -- elements -------------------------------------------------------------
 
@@ -583,6 +568,26 @@ class Algebra:
         )
 
     # -- c coefficients ---------------------------------------------------------
+
+    @cached_property
+    def quadratic(self) -> tuple[SElem, SElem] | None:
+        """The constants (c1, c0) in S of ``Z_i^2 = c1 Z_i + c0``, solved on first
+        use; None unless one pair in S serves every i, every s_j fixes it and the
+        braid relations hold, all of which the c-rule of :meth:`_c_moves` needs."""
+        solved, residuals = self._relations()
+        pairs = {(c1.num, c0.num) for c1, c0 in solved}
+        if len(pairs) != 1 or any(c.den for pair in solved for c in pair):
+            return None
+        (pair,) = pairs
+        reflections = map(self.datum.simple_reflection, range(1, self.datum.rank + 1))
+        fixed = all(weyl_act(self.backend, s_j, c) == c for s_j in reflections for c in pair)
+        return pair if fixed and all(r.is_zero() for _, r in residuals) else None
+
+    @cached_property
+    def _descent_weights(self) -> tuple[SElem | int | None, ...]:
+        """The c-rule weights (c1, c0) of a descent: None when zero, 1 when one."""
+        unit = one(self.backend)
+        return tuple(None if c.is_zero() else 1 if c == unit else c for c in self.quadratic)
 
     def _c_moves(
         self, w: WeylElement, neighbour: WeylElement
@@ -709,7 +714,7 @@ class Algebra:
         cached = self._columns.get(word)
         if cached is not None:
             return cached
-        if self._descent_weights is None:
+        if self.quadratic is None:
             raise ValueError("formula columns need a family with quadratic constants")
         datum, backend, fam = self.datum, self.backend, self.family
         identity = datum.identity
@@ -754,7 +759,7 @@ class Algebra:
         cached = self._billey_rows.get(v)
         if cached is not None:
             return cached
-        if self._descent_weights is None:
+        if self.quadratic is None:
             raise ValueError("Billey rows need a family with quadratic constants")
         datum = self.datum
         word = self.words[v]
@@ -781,50 +786,41 @@ class Algebra:
         backend = self.backend
         out = QWElem.one(backend)
         q_inv = QElem.from_s(v_var(backend, -2))
-        qm1 = self.family.quadratic[0]
+        shift = QWElem.delta(backend, self.datum.identity, self.quadratic[0])
         for i in reversed(self.words[w]):
-            single = self.simple_element(i)
-            inv = q_inv * (single - QWElem.delta(backend, self.datum.identity, qm1))
-            out = out * inv
+            out = out * (q_inv * (self.simple_element(i) - shift))
         return out
 
     # -- relations -----------------------------------------------------------------
 
-    def verify_relations(self) -> list[dict]:
-        """Quadratic + braid relation report; entries are dicts with keys
-        name, passed, detail."""
-        backend = self.backend
-        datum = self.datum
-        report: list[dict] = []
-        quad = self.family.quadratic
+    def _relations(self) -> tuple[list[tuple[QElem, QElem]], list[tuple[str, QWElem]]]:
+        """The pair (c1, c0) of ``Z_i^2 = c1 Z_i + c0`` solved on the delta
+        basis for each i, and (name, residual) of every relation."""
         from .serialize import qelem_to_str
 
+        datum, one_qw = self.datum, QWElem.one(self.backend)
+        pairs, residuals = [], []
         for i in range(1, datum.rank + 1):
-            z = self.simple_element(i)
+            alpha, z = datum.simple_root(i), self.simple_element(i)
             zz = z * z
-            if quad is None:
-                # Custom family: solve Z^2 = c1 Z + c0 on the delta basis and
-                # report the resulting coefficients.
-                alpha = datum.simple_root(i)
-                c1 = zz.coeff(datum.simple_reflection(i)) * self.family.b_inv(alpha)
-                c0 = zz.coeff(datum.identity) - c1 * self.family.a(alpha)
-            else:
-                c1, c0 = (QElem.from_s(c) for c in quad)
-            residual = zz - c1 * z - c0 * QWElem.one(backend)
+            c1 = zz.coeff(datum.simple_reflection(i)) * self.family.b_inv(alpha)
+            c0 = zz.coeff(datum.identity) - c1 * self.family.a(alpha)
+            pairs.append((c1, c0))
             name = f"Z_{i}^2 = ({qelem_to_str(c1)}) Z_{i} + ({qelem_to_str(c0)})"
-            report.append(_relation_entry(name, residual))
+            residuals.append((name, zz - c1 * z - c0 * one_qw))
         for i in range(1, datum.rank + 1):
             for j in range(i + 1, datum.rank + 1):
                 m = _bond_order(datum.cartan[i - 1][j - 1] * datum.cartan[j - 1][i - 1])
-                lhs = QWElem.one(backend)
-                rhs = QWElem.one(backend)
+                lhs = rhs = one_qw
                 for t in range(m):
                     lhs = lhs * self.simple_element(i if t % 2 == 0 else j)
                     rhs = rhs * self.simple_element(j if t % 2 == 0 else i)
-                report.append(
-                    _relation_entry(f"braid({i},{j}) of order {m}", lhs - rhs)
-                )
-        return report
+                residuals.append((f"braid({i},{j}) of order {m}", lhs - rhs))
+        return pairs, residuals
+
+    def verify_relations(self) -> list[dict]:
+        """Quadratic + braid relation report: dicts with keys name, passed, detail."""
+        return [_relation_entry(name, residual) for name, residual in self._relations()[1]]
 
 
 def _weighted(value, weight: SElem | int):

@@ -8,8 +8,9 @@ from fractions import Fraction
 
 import pytest
 
-from demazure.formal import ADDITIVE, Backend, SElem
+from demazure.formal import ADDITIVE, Backend, QElem, SElem
 from demazure.rootdata import RootDatum, WeylElement, build_root_datum
+from demazure.twisted import OperatorFamily, custom_family
 
 _DATUM_CACHE: dict[tuple[str, str], RootDatum] = {}
 
@@ -44,6 +45,19 @@ def b2() -> RootDatum:
 @pytest.fixture(scope="session")
 def g2() -> RootDatum:
     return get_datum("G2")
+
+
+def unit_family(backend: Backend) -> OperatorFamily:
+    """The custom family a = b = b^-1 = 1, i.e. Z_i = 1 + delta_i.
+
+    Z_i^2 = 2 Z_i gives W-fixed constants (2, 0) for every i, but the braid
+    relations fail, so the family has no c-rule and takes the generic route.
+    """
+
+    def unit(alpha):
+        return QElem.from_int(backend, 1)
+
+    return custom_family(backend, "unit", unit, unit, unit)
 
 
 def random_weight(rng: random.Random, rank: int, span: int = 4) -> tuple[int, ...]:

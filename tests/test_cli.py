@@ -568,11 +568,31 @@ def test_custom_family_rejects_wrong_law(tmp_path):
     path = tmp_path / "bad_law.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     code, _, err = run_cli(
-        "mult", "--type", "A2", "--family", f"custom:{path}",
+        "mult", "--type", "A2", "--fgl", "additive", "--family", f"custom:{path}",
         "--u", "1", "--v", "2",
     )
     assert code == EXIT_CONFIG
     assert "law" in err
+
+
+def test_custom_family_file_sets_the_default_law(tmp_path):
+    """Without --fgl a custom family runs on the law its file declares."""
+    spec = {
+        "name": "x-file",
+        "law": "multiplicative",
+        "a": {"num": [[1, 0, 0, 0]], "den": [["x_root", 1]]},
+        "b": {"num": [[-1, 0, 0, 0]], "den": [["x_root", 1]]},
+        "b_inv": {"num": [[-1, 1, 0, 0]], "den": []},
+    }
+    path = tmp_path / "x_multiplicative.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    base = ("mult", "--type", "A2", "--family", f"custom:{path}", "--u", "1", "--v", "2",
+            "--out", "json", "--check")
+    code_d, out_default, err = run_cli(*base)
+    code_f, out_fgl, _ = run_cli(*base, "--fgl", "multiplicative")
+    assert code_d == code_f == EXIT_OK, err
+    assert json.loads(out_default)["law"] == "multiplicative"
+    assert json.loads(out_default)["records"] == json.loads(out_fgl)["records"]
 
 
 @pytest.mark.parametrize(

@@ -1,10 +1,11 @@
 """Dual bases: products by two routes, stable bases, restrictions, parabolic."""
 
 import itertools
+from fractions import Fraction
 
 import pytest
 
-from conftest import get_datum
+from conftest import get_datum, unit_family
 from demazure.dual import (
     CohStableBasis,
     DiscrepancyReport,
@@ -39,7 +40,6 @@ from demazure.twisted import (
     BUILTIN_FAMILIES,
     FAMILY_LAWS,
     QWElem,
-    family_sigma,
     family_t,
     family_tau,
     family_x,
@@ -241,10 +241,11 @@ def test_routes_agree_on_a2(family, law):
 
 
 def test_routes_agree_on_a2_for_a_family_without_quadratic_constants():
-    """sigma has no c-rule, so its formula route is the per-pair (E, F) sum
-    and its Billey route the per-subset sum; both still match the oracle."""
-    basis = DualBasis(Algebra(family_sigma(Backend(get_datum("A2"), ADDITIVE))))
-    assert basis.algebra.family.quadratic is None
+    """Z_i = 1 + delta_i breaks the braid relations, so it has no c-rule: its
+    formula route is the per-pair (E, F) sum and its Billey route the
+    per-subset sum; both still match the oracle, which eliminates in Q."""
+    basis = DualBasis(Algebra(unit_family(Backend(get_datum("A2"), ADDITIVE))))
+    assert basis.algebra.quadratic is None
     assert basis.compare_routes().is_empty
     for v in basis.datum.elements:
         for w in basis.datum.elements:
@@ -264,7 +265,7 @@ def test_product_support_lies_in_upper_cone(family, law):
 
 _QUADRATIC_FAMILIES = [
     ("x", ADDITIVE), ("x", MULTIPLICATIVE), ("y", ADDITIVE), ("y", MULTIPLICATIVE),
-    ("t", ADDITIVE), ("tau", MULTIPLICATIVE),
+    ("t", ADDITIVE), ("tau", MULTIPLICATIVE), ("sigma", ADDITIVE),
 ]
 
 
@@ -323,8 +324,8 @@ def _reflections(datum):
     return out
 
 
-@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
-@pytest.mark.parametrize("family", ["x", "y", "t", "tau"])
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+@pytest.mark.parametrize("family", ["x", "y", "t", "tau", "sigma"])
 def test_scaled_classes_satisfy_the_gkm_conditions(label, family):
     """N_w is the product scale * Z*_{I_w} taken in Q, and N_w(v) - N_w(s_gamma v)
     is divisible by x_gamma for every gamma > 0 (Goresky-Kottwitz-MacPherson),
@@ -349,6 +350,70 @@ def test_scaled_classes_satisfy_the_gkm_conditions(label, family):
                 for v in basis.order:
                     diff = n_w.get(v, zero_s) - n_w.get(datum.multiply(s_gamma, v), zero_s)
                     assert divide_exact(backend, diff, x_gamma) is not None, (law, w, v, gamma)
+
+
+def _lattice_coordinates_in_negative_simple_roots(datum):
+    """Each lattice coordinate t_i as a linear form in y_j = -x_{alpha_j}.
+
+    x_{alpha_j} = sum_i simple_root(j)[i] t_i, so t = M^-1 x with
+    M[j][i] = simple_root(j)[i], inverted here by Gauss-Jordan elimination.
+    """
+    n = datum.rank
+    rows = [
+        [Fraction(c) for c in datum.simple_root(j + 1)] + [Fraction(i == j) for i in range(n)]
+        for j in range(n)
+    ]
+    for col in range(n):
+        pivot = next(r for r in range(col, n) if rows[r][col])
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = [val / rows[col][col] for val in rows[col]]
+        for r in range(n):
+            if r != col and rows[r][col]:
+                rows[r] = [a - rows[r][col] * b for a, b in zip(rows[r], rows[col])]
+    return [
+        {tuple(int(k == j) for k in range(n)): -rows[i][n + j] for j in range(n) if rows[i][n + j]}
+        for i in range(n)
+    ]
+
+
+def _substitute(poly, t_in_y):
+    """The polynomial in the t_i (no h) with each t_i replaced by t_in_y[i]."""
+
+    def times(p, q):
+        out = {}
+        for ea, ca in p.items():
+            for eb, cb in q.items():
+                key = tuple(a + b for a, b in zip(ea, eb))
+                out[key] = out.get(key, 0) + ca * cb
+        return out
+
+    n = len(t_in_y)
+    total = {}
+    for exps, coeff in poly.terms.items():
+        assert exps[n] == 0
+        term = {(0,) * n: Fraction(coeff)}
+        for i in range(n):
+            for _ in range(exps[i]):
+                term = times(term, t_in_y[i])
+        for e, c in term.items():
+            total[e] = total.get(e, 0) + c
+    return {e: c for e, c in total.items() if c}
+
+
+@pytest.mark.parametrize("label,count", [("A2", 44), ("B2", 94), ("G2", 284), ("A3", 1105)])
+def test_x_constants_are_graham_positive(label, count):
+    """Every additive x constant, written in the negative simple roots
+    y_j = -x_{alpha_j}, has nonnegative coefficients (Graham positivity)."""
+    basis = get_basis(label, "x", ADDITIVE)
+    t_in_y = _lattice_coordinates_in_negative_simple_roots(basis.datum)
+    seen = 0
+    for u, v in itertools.product(basis.order, repeat=2):
+        for w, value in basis.product_oracle(u, v).items():
+            assert not value.den
+            negative = {e: c for e, c in _substitute(value.num, t_in_y).items() if c < 0}
+            assert not negative, (u.word, v.word, w.word, negative)
+            seen += 1
+    assert seen == count
 
 
 def test_structure_constant_word_independent_for_braid_families():

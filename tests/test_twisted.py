@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from conftest import get_datum, random_selem
+from conftest import get_datum, random_selem, unit_family
 from demazure.formal import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -19,6 +19,7 @@ from demazure.formal import (
     q_of,
     weyl_act,
     x_class,
+    zero,
 )
 from demazure.rootdata import WeylElement
 from demazure.serialize import qelem_to_str
@@ -376,7 +377,7 @@ def test_c_vanishes_above_demazure_product(label, family, law):
         ("x", MULTIPLICATIVE),  # Demazure-product rule
         ("t", ADDITIVE),  # group-product rule
         ("tau", MULTIPLICATIVE),  # Hecke recursion
-        ("sigma", ADDITIVE),  # no rule: generic expansion
+        ("sigma", ADDITIVE),  # group-product rule, solved from its relations
     ],
 )
 def test_c_supports_match_pointwise_rule(family, law):
@@ -401,21 +402,46 @@ def test_c_supports_match_pointwise_rule(family, law):
                     assert c is None
 
 
+def _expected_quadratic(name, backend):
+    """The constants (c1, c0) of each built-in family."""
+    if name == "tau":
+        return q_of(backend) - one(backend), q_of(backend)
+    if name in ("t", "sigma"):
+        return zero(backend), one(backend)
+    kappa_s = zero(backend) if backend.law == ADDITIVE else one(backend)
+    return kappa_s, zero(backend)  # x and y
+
+
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 @pytest.mark.parametrize(
     "name,law", [(name, law) for name, laws in FAMILY_LAWS.items() for law in laws]
 )
 def test_simple_reflections_fix_the_quadratic_constants(label, name, law):
+    """Algebra.quadratic, solved from the relations, is the family's known
+    pair, and every s_i fixes it."""
     backend = get_backend(label, law)
-    family = BUILTIN_FAMILIES[name](backend)
-    if family.quadratic is None:
-        assert family.name.startswith("custom:")
-        return
+    quadratic = Algebra(BUILTIN_FAMILIES[name](backend)).quadratic
+    assert quadratic == _expected_quadratic(name, backend)
     datum = backend.datum
     for i in range(1, datum.rank + 1):
         s_i = datum.simple_reflection(i)
-        for c in family.quadratic:
+        for c in quadratic:
             assert weyl_act(backend, s_i, c) == c, (name, i)
+
+
+@pytest.mark.parametrize("label", ["A2", "A3"])
+def test_a_family_that_breaks_a_braid_relation_has_no_quadratic_constants(label):
+    """Z_i = 1 + delta_i solves Z_i^2 = 2 Z_i with the same W-fixed pair for
+    every i; only its failing braid relations leave it without a c-rule."""
+    alg = Algebra(unit_family(get_backend(label, ADDITIVE)))
+    report = alg.verify_relations()
+    rank = alg.datum.rank
+    assert [entry["name"] for entry in report[:rank]] == [
+        f"Z_{i}^2 = (2) Z_{i} + (0)" for i in range(1, rank + 1)
+    ]
+    assert all(entry["passed"] for entry in report[:rank])
+    assert not all(entry["passed"] for entry in report[rank:])
+    assert alg.quadratic is None
 
 
 # ---------------------------------------------------------------------------
@@ -555,7 +581,6 @@ _WALK_GRIDS = [
     (label, name, law)
     for label in ("A2", "B2", "G2")
     for name, laws in FAMILY_LAWS.items()
-    if name != "sigma"
     for law in laws
 ]
 # The G2 tau sums over pairs of subwords of the longest words take minutes;
@@ -610,7 +635,7 @@ def test_c_rule_matches_the_generic_expansion_of_one_more_letter(label, family, 
 
 
 def test_transfer_walks_need_quadratic_constants():
-    alg = get_algebra("A2", "sigma", ADDITIVE)
+    alg = Algebra(unit_family(get_backend("A2", ADDITIVE)))
     with pytest.raises(ValueError):
         alg.formula_column((1, 2, 1))
     with pytest.raises(ValueError):
@@ -627,6 +652,7 @@ def test_billey_rows_divide_at_most_once_per_letter(monkeypatch, label, family, 
     import demazure.formal
 
     alg = Algebra(BUILTIN_FAMILIES[family](Backend(get_datum(label), law)))
+    alg.quadratic  # solved before counting: the relation check divides too
     divide = demazure.formal._divide_selem
     calls = []
 
