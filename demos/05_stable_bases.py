@@ -2,7 +2,9 @@
 
 The degenerate Hecke family T (additive law, parameter h) produces the
 cohomological stable basis; the Hecke family tau (multiplicative law,
-parameter v, q = v^2) produces the K-theoretic one.  Both come with:
+parameter v, q = v^2) produces the K-theoretic one.  Each stable basis is a
+view of the family's DualBasis, scaled by that basis's scale (the product of
+the hat classes over the positive roots).  Both come with:
 
   * two independent constructions of the classes (closed form vs operator
     route) that must agree,
@@ -16,10 +18,11 @@ compare_constants surfaces that as an explicit discrepancy report.
 Run:  python3 demos/05_stable_bases.py
 """
 
-from demazure.dual import CohStableBasis, KStableBasis
-from demazure.formal import QElem, h_var, q_equal, x_class
+from demazure.dual import CohStableBasis, DualBasis, KStableBasis
+from demazure.formal import ADDITIVE, MULTIPLICATIVE, Backend, QElem, h_var, q_equal, x_class
 from demazure.rootdata import build_root_datum
 from demazure.serialize import qelem_to_str, word_to_str
+from demazure.twisted import Algebra, family_t, family_tau
 
 a2 = build_root_datum("A2")
 
@@ -27,7 +30,7 @@ a2 = build_root_datum("A2")
 # Cohomological stable basis
 # ---------------------------------------------------------------------------
 
-coh = CohStableBasis(a2)
+coh = CohStableBasis(DualBasis(Algebra(family_t(Backend(a2, ADDITIVE)))))
 backend = coh.backend
 s1 = a2.element_by_word((1,))
 w0 = a2.longest_element
@@ -59,7 +62,7 @@ print("\ncompare_constants reports", len(report.entries), "locations; each "
 # K-theoretic stable basis
 # ---------------------------------------------------------------------------
 
-kst = KStableBasis(a2)
+kst = KStableBasis(DualBasis(Algebra(family_tau(Backend(a2, MULTIPLICATIVE)))))
 print("\nK-theory: operator route == closed form for every stab-_w:",
       all(kst.stab_minus(w) == kst.stab_minus_bullet(w) for w in a2.elements))
 print("K-theory: formula route == oracle route on the full grid:",

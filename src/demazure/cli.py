@@ -16,10 +16,11 @@ Subcommands
     basis-expansion route against the closed-form route.
 ``stab {coh,k}``
     Stable-basis structure constants for one pair (u, v), by the oracle
-    route.  For ``coh`` the literal closed form carries one extra factor
-    (the product of the hat-classes over the positive roots); ``--check``
-    surfaces that systematic difference as a discrepancy report instead of
-    hiding it.
+    route, on the session's basis of the ``t`` family (``coh``) or the
+    ``tau`` family (``k``).  For ``coh`` the literal closed form carries
+    one extra factor (the product of the hat classes over the positive
+    roots); ``--check`` surfaces that systematic difference as a
+    discrepancy report instead of hiding it.
 ``verify``
     Run a named property suite (relations, leibniz, duality,
     paper-examples, all) and exit 2 if anything fails.
@@ -138,7 +139,6 @@ class SessionConfig:
 def _resolve_config(
     args: argparse.Namespace,
     default_family: str,
-    forced_law: str | None = None,
     forced_family: str | None = None,
 ) -> SessionConfig:
     if args.cartan and args.type:
@@ -149,10 +149,6 @@ def _resolve_config(
             f"this command uses the {forced_family!r} family, not {family!r}"
         )
     law = args.fgl
-    if forced_law:
-        if law and law != forced_law:
-            raise CliError(f"this command requires the {forced_law} backend")
-        law = forced_law
     if not law and family.startswith("custom:"):
         # A custom family file names its own law; a malformed file fails later.
         with open(family[len("custom:") :], "r", encoding="utf-8") as fh:
@@ -314,12 +310,8 @@ def _session_basis(key: str) -> DualBasis:
     if basis is None:
         config = SessionConfig.from_key(key)
         datum = _build_datum(config)
-        backend = Backend(datum, config.law)
-        algebra = Algebra(_build_family(backend, config.family), None)
-        overrides = _word_overrides(datum, config.words)
-        if overrides:
-            algebra = algebra.with_words(overrides)
-        basis = DualBasis(algebra)
+        family = _build_family(Backend(datum, config.law), config.family)
+        basis = DualBasis(Algebra(family, _word_overrides(datum, config.words)))
         _SESSION_CACHE[key] = basis
     return basis
 
@@ -365,14 +357,6 @@ def _mult_row_task(
     return rows, [entry.as_json_entry() for entry in report.entries]
 
 
-def _row_sort_key(row: Mapping) -> tuple:
-    def word_key(text: str):
-        word = parse_word(text)
-        return (len(word), word)
-
-    return (word_key(row["u"]), word_key(row["v"]), word_key(row["w"]))
-
-
 def worker_count(jobs: int, tasks: int, cpus: int | None) -> int:
     """Pool size for ``--jobs``: never more workers than tasks (table rows)
     or CPUs.
@@ -395,6 +379,8 @@ def cmd_mult(args: argparse.Namespace) -> int:
     else:
         # Shortest u first: those rows have the most w above them, so the
         # heaviest rows start first and the pool's workers finish together.
+        # Rows come back in this order, each sorted by v and then w, so the
+        # records need no sort.
         names = [word_to_str(w.word) for w in basis.order]
         table_rows = [(u, names) for u in names]
     tasks = [(key, u, v_strs, config.check) for u, v_strs in table_rows]
@@ -410,7 +396,6 @@ def cmd_mult(args: argparse.Namespace) -> int:
     for row_records, row_bad in results:
         rows.extend(row_records)
         discrepancies.extend(row_bad)
-    rows.sort(key=_row_sort_key)
     discrepancies.sort(key=lambda d: d["location"])
 
     if config.out == "json":
@@ -503,22 +488,18 @@ def cmd_restrict(args: argparse.Namespace) -> int:
 
 
 def cmd_stab(args: argparse.Namespace) -> int:
-    forced_law = ADDITIVE if args.variant == "coh" else MULTIPLICATIVE
-    forced_family = "t" if args.variant == "coh" else "tau"
-    config = _resolve_config(
-        args, default_family=forced_family, forced_law=forced_law,
-        forced_family=forced_family,
-    )
+    family = "t" if args.variant == "coh" else "tau"
+    config = _resolve_config(args, default_family=family, forced_family=family)
     if args.u is None or args.v is None:
         raise CliError("stab needs --u and --v")
-    datum = _build_datum(config)
-    overrides = _word_overrides(datum, config.words)
+    basis = _session_basis(config.cache_key())
+    datum = basis.datum
     if args.variant == "coh":
-        stable = CohStableBasis(datum, words=overrides)
+        stable = CohStableBasis(basis)
         oracle = stable.constants_oracle
         formula = stable.constants_formula
     else:
-        stable = KStableBasis(datum, words=overrides)
+        stable = KStableBasis(basis)
         oracle = stable.p_constants_oracle
         formula = stable.p_constants_formula
     u = datum.element_by_word(parse_word(args.u))

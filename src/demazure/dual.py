@@ -36,9 +36,11 @@ Two independent routes compute the constants:
 The module also provides restriction coefficients b_{w, I_v} with their
 matrix identity and their Billey-type closed form (again one walk per word,
 ``Algebra.billey_row``, when the family has quadratic constants, and subset
-by subset from the generic elimination otherwise), the stable bases built on
-the T (cohomological, additive) and tau (K-theoretic, multiplicative)
-families, and parabolic products over minimal coset representatives.
+by subset from the generic elimination otherwise), the stable bases, and
+parabolic products over minimal coset representatives.  A stable basis is a
+view of a :class:`DualBasis` of T (:class:`CohStableBasis`, additive) or of
+tau (:class:`KStableBasis`, multiplicative): its classes are the dual
+classes times the basis's scale, alphahat_{w0} or xhat_{w0}.
 """
 
 from __future__ import annotations
@@ -48,10 +50,6 @@ from collections import Counter
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .formal import (
-    ADDITIVE,
-    MULTIPLICATIVE,
-    HAT_ADDITIVE,
-    HAT_MULTIPLICATIVE,
     X_ROOT,
     Backend,
     FactorSymbol,
@@ -74,8 +72,6 @@ from .twisted import (
     WeylIndexed,
     accumulate,
     expand_in_triangular_basis,
-    family_t,
-    family_tau,
 )
 
 
@@ -260,9 +256,7 @@ class DualBasis:
         self.algebra = algebra
         self.backend = algebra.backend
         self.datum: RootDatum = algebra.datum
-        self.order: tuple[WeylElement, ...] = tuple(
-            sorted(self.datum.elements, key=WeylElement.sort_key)
-        )
+        self.order: tuple[WeylElement, ...] = self.datum.elements  # in sort_key order
         self._dual_cache: dict[WeylElement, DualElem] = {}
         self._scale_factors: tuple[FactorSymbol, ...] | None = None
         self._scaled_cache: dict[WeylElement, dict[WeylElement, SElem]] = {}
@@ -285,9 +279,7 @@ class DualBasis:
         cached = self._dual_cache.get(u)
         if cached is None:
             coeffs = {}
-            for w in self.order:
-                if not self.datum.bruhat_leq(u, w):
-                    continue
+            for w in self.order:  # b_row(w) holds only keys v <= w
                 val = self.algebra.b_row(w).get(u)
                 if val is not None:
                     coeffs[w] = val
@@ -318,7 +310,8 @@ class DualBasis:
 
         Their product, the scale, is 1 for ``x`` and ``y``, alphahat_{w0} for
         ``t`` and xhat_{w0} for ``tau``; it clears every denominator of a dual
-        class of a family with quadratic constants.
+        class of a family with quadratic constants, and the stable bases of
+        ``t`` and ``tau`` are the dual classes times it.
         """
         if self._scale_factors is None:
             datum, b_inv = self.datum, self.algebra.family.b_inv
@@ -549,12 +542,26 @@ class DualBasis:
         return StructureTable(records)
 
 
+def _stable_view(basis: DualBasis, family: str) -> tuple[Algebra, Backend, RootDatum, SElem]:
+    """The algebra, backend and datum of a DualBasis of ``family``, and its
+    scale expanded: prod_{beta>0} of the family's hat class (the product of
+    ``basis.scale_factors()``).  Raises ``ValueError`` for another family."""
+    name = basis.algebra.family.name
+    if name != family:
+        raise ValueError(f"this stable basis wraps a DualBasis of {family!r}, not {name!r}")
+    scale = one(basis.backend)
+    for factor in basis.scale_factors():
+        scale = scale * expand_factor(basis.backend, factor)
+    return basis.algebra, basis.backend, basis.datum, scale
+
+
 class CohStableBasis:
-    """Stable classes over the additive backend, built on the T family.
+    """Stable classes over the additive backend: a view of a DualBasis of T.
 
     stab+_w = T_{w^-1} . (alpha_{w0} f_e)            (support {v <= w}),
     stab-_w = (-1)^{l(w0)} T_{w^-1 w0} . (alpha_{w0} f_{w0})   (support {v >= w}),
-    and stab-_w = (-1)^{l(w0)} alphahat_{w0} T*_w.
+    and stab-_w = (-1)^{l(w0)} alphahat_{w0} T*_w, where alphahat_{w0} is the
+    scale of the T basis.
 
     ``constants_oracle`` expands products of the *normalized* classes
     N_w = alphahat_{w0} T*_w, whose constants are alphahat_{w0} z^T_{u,v,w};
@@ -564,20 +571,11 @@ class CohStableBasis:
     silently reconciling the two routes.
     """
 
-    def __init__(self, datum: RootDatum, words: Mapping[WeylElement, Word] | None = None):
-        self.datum = datum
-        self.backend = Backend(datum, ADDITIVE)
-        self.algebra = Algebra(family_t(self.backend), words)
-        self.basis = DualBasis(self.algebra)
-        self._pos_weights = tuple(
-            datum.root_to_weight(beta) for beta in datum.positive_roots
-        )
+    def __init__(self, basis: DualBasis):
+        self.basis = basis
+        self.algebra, self.backend, self.datum, self.alpha_hat_w0 = _stable_view(basis, "t")
         self.alpha_w0 = product_over_positive_roots(
             self.backend, lambda wt: x_class(self.backend, wt)
-        )
-        self.alpha_hat_w0 = product_over_positive_roots(
-            self.backend,
-            lambda wt: expand_factor(self.backend, FactorSymbol(HAT_ADDITIVE, wt)),
         )
         self._sign_w0 = -1 if self.datum.longest_element.length % 2 else 1
 
@@ -605,9 +603,9 @@ class CohStableBasis:
 
     def hat_y(self) -> QWElem:
         """hY = sum_w delta_w (alpha_{w0} alphahat_{w0})^{-1} (coefficient on the right)."""
-        den = [FactorSymbol(X_ROOT, wt) for wt in self._pos_weights]
-        den += [FactorSymbol(HAT_ADDITIVE, wt) for wt in self._pos_weights]
-        base = QElem(one(self.backend), den)
+        datum = self.datum
+        den = [FactorSymbol(X_ROOT, datum.root_to_weight(beta)) for beta in datum.positive_roots]
+        base = QElem(one(self.backend), den + list(self.basis.scale_factors()))
         coeffs = {
             w: weyl_act_q(self.backend, w, base) for w in self.datum.elements
         }
@@ -642,9 +640,7 @@ class CohStableBasis:
         carries the sign (-1)^{l(w0)} relative to the normalized class.
         """
         g = self.stab_minus(u) * self.stab_minus(v)
-        hat_recip = QElem(
-            one(self.backend), [FactorSymbol(HAT_ADDITIVE, wt) for wt in self._pos_weights]
-        )
+        hat_recip = QElem(one(self.backend), self.basis.scale_factors())
 
         def pivot(w: WeylElement, cur: QElem) -> QElem:
             return cur * (hat_recip * self.basis.diag_reciprocal(w) * self._sign_w0)
@@ -662,7 +658,8 @@ class CohStableBasis:
 
 
 class KStableBasis:
-    """Stable classes over the multiplicative backend, built on the tau family.
+    """Stable classes over the multiplicative backend: a view of a DualBasis
+    of tau, whose scale is xhat_{w0}.
 
     stab-_w = q_w^{1/2} xhat_{w0} (tau_w)*          (dual-basis route)
             = q_{w0} q_w^{-1/2} (tau_{w0 w})^{-1} . (prod_{alpha>0} (1 - e^alpha) f_{w0})
@@ -675,18 +672,9 @@ class KStableBasis:
     so ``compare_p_constants`` returns an empty report.
     """
 
-    def __init__(self, datum: RootDatum, words: Mapping[WeylElement, Word] | None = None):
-        self.datum = datum
-        self.backend = Backend(datum, MULTIPLICATIVE)
-        self.algebra = Algebra(family_tau(self.backend), words)
-        self.basis = DualBasis(self.algebra)
-        self._pos_weights = tuple(
-            datum.root_to_weight(beta) for beta in datum.positive_roots
-        )
-        self.xhat_w0 = product_over_positive_roots(
-            self.backend,
-            lambda wt: expand_factor(self.backend, FactorSymbol(HAT_MULTIPLICATIVE, wt)),
-        )
+    def __init__(self, basis: DualBasis):
+        self.basis = basis
+        self.algebra, self.backend, self.datum, self.xhat_w0 = _stable_view(basis, "tau")
         # prod_{alpha > 0} (1 - e^alpha) = prod_{alpha < 0} x_alpha
         self.pos_exp_prod = product_over_positive_roots(
             self.backend, lambda wt: x_class(self.backend, tuple(-c for c in wt))
@@ -722,10 +710,7 @@ class KStableBasis:
     def p_constants_raw(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
         """Expand stab-_u stab-_v directly in the stab- basis."""
         g = self.stab_minus(u) * self.stab_minus(v)
-        hat_recip = QElem(
-            one(self.backend),
-            [FactorSymbol(HAT_MULTIPLICATIVE, wt) for wt in self._pos_weights],
-        )
+        hat_recip = QElem(one(self.backend), self.basis.scale_factors())
 
         def pivot(w: WeylElement, cur: QElem) -> QElem:
             return cur * (

@@ -561,7 +561,7 @@ class Algebra:
         """The nonzero c_{J, I_w} in Z_J = sum_w c_{J, I_w} Z_{I_w} for the
         word J, by the generic triangular elimination."""
         return expand_in_triangular_basis(
-            sorted(self.datum.elements, key=WeylElement.sort_key, reverse=True),
+            self.datum.elements[::-1],  # longest first: sort_key order, reversed
             self.compose_word(tuple(word)).coeffs,
             lambda w: self.z_basis_element(w).coeffs,
             lambda w, cur: cur * self.diag_inverse(w),
@@ -572,16 +572,10 @@ class Algebra:
     @cached_property
     def quadratic(self) -> tuple[SElem, SElem] | None:
         """The constants (c1, c0) in S of ``Z_i^2 = c1 Z_i + c0``, solved on first
-        use; None unless one pair in S serves every i, every s_j fixes it and the
-        braid relations hold, all of which the c-rule of :meth:`_c_moves` needs."""
-        solved, residuals = self._relations()
-        pairs = {(c1.num, c0.num) for c1, c0 in solved}
-        if len(pairs) != 1 or any(c.den for pair in solved for c in pair):
-            return None
-        (pair,) = pairs
-        reflections = map(self.datum.simple_reflection, range(1, self.datum.rank + 1))
-        fixed = all(weyl_act(self.backend, s_j, c) == c for s_j in reflections for c in pair)
-        return pair if fixed and all(r.is_zero() for _, r in residuals) else None
+        use: the pair of i = 1 when every entry of :meth:`verify_relations`
+        passes, which the c-rule of :meth:`_c_moves` needs, else None."""
+        first, entries = self._relations()
+        return first if all(passed for _, _, passed in entries) else None
 
     @cached_property
     def _descent_weights(self) -> tuple[SElem | int | None, ...]:
@@ -793,21 +787,32 @@ class Algebra:
 
     # -- relations -----------------------------------------------------------------
 
-    def _relations(self) -> tuple[list[tuple[QElem, QElem]], list[tuple[str, QWElem]]]:
+    def _relations(self) -> tuple[tuple[SElem, SElem] | None, list[tuple[str, QWElem, bool]]]:
         """The pair (c1, c0) of ``Z_i^2 = c1 Z_i + c0`` solved on the delta
-        basis for each i, and (name, residual) of every relation."""
+        basis for i = 1 (None when it leaves S), and (name, residual, passed)
+        of every relation.  The quadratic entry of i passes only when its
+        residual is zero and its own pair lies in S, equals the pair of i = 1
+        and is fixed by every s_j; a braid entry passes when its residual is
+        zero."""
         from .serialize import qelem_to_str
 
         datum, one_qw = self.datum, QWElem.one(self.backend)
-        pairs, residuals = [], []
+        reflections = [datum.simple_reflection(j) for j in range(1, datum.rank + 1)]
+        first, entries = None, []
         for i in range(1, datum.rank + 1):
             alpha, z = datum.simple_root(i), self.simple_element(i)
             zz = z * z
             c1 = zz.coeff(datum.simple_reflection(i)) * self.family.b_inv(alpha)
             c0 = zz.coeff(datum.identity) - c1 * self.family.a(alpha)
-            pairs.append((c1, c0))
+            pair = None if c1.den or c0.den else (c1.num, c0.num)
+            if i == 1:
+                first = pair
+            residual = zz - c1 * z - c0 * one_qw
+            passed = residual.is_zero() and pair is not None and pair == first and all(
+                weyl_act(self.backend, s_j, c) == c for s_j in reflections for c in pair
+            )
             name = f"Z_{i}^2 = ({qelem_to_str(c1)}) Z_{i} + ({qelem_to_str(c0)})"
-            residuals.append((name, zz - c1 * z - c0 * one_qw))
+            entries.append((name, residual, passed))
         for i in range(1, datum.rank + 1):
             for j in range(i + 1, datum.rank + 1):
                 m = _bond_order(datum.cartan[i - 1][j - 1] * datum.cartan[j - 1][i - 1])
@@ -815,12 +820,13 @@ class Algebra:
                 for t in range(m):
                     lhs = lhs * self.simple_element(i if t % 2 == 0 else j)
                     rhs = rhs * self.simple_element(j if t % 2 == 0 else i)
-                residuals.append((f"braid({i},{j}) of order {m}", lhs - rhs))
-        return pairs, residuals
+                residual = lhs - rhs
+                entries.append((f"braid({i},{j}) of order {m}", residual, residual.is_zero()))
+        return first, entries
 
     def verify_relations(self) -> list[dict]:
         """Quadratic + braid relation report: dicts with keys name, passed, detail."""
-        return [_relation_entry(name, residual) for name, residual in self._relations()[1]]
+        return [_relation_entry(*entry) for entry in self._relations()[1]]
 
 
 def _weighted(value, weight: SElem | int):
@@ -832,9 +838,11 @@ def _bond_order(product: int) -> int:
     return {0: 2, 1: 3, 2: 4, 3: 6}[product]
 
 
-def _relation_entry(name: str, residual: QWElem) -> dict:
-    passed = residual.is_zero()
+def _relation_entry(name: str, residual: QWElem, passed: bool) -> dict:
     entry = {"name": name, "passed": passed}
-    if not passed:  # pragma: no cover - exercised only by broken families
-        entry["detail"] = repr(residual)
+    if not passed:
+        entry["detail"] = (
+            "the solved pair is not one W-fixed pair in S" if residual.is_zero()
+            else repr(residual)
+        )
     return entry

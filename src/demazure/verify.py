@@ -71,9 +71,10 @@ def _combos(
     return out
 
 
-def _algebra(datum: RootDatum, family: str, law: str) -> Algebra:
-    backend = Backend(datum, law)
-    return Algebra(BUILTIN_FAMILIES[family](backend))
+def _algebra(
+    datum: RootDatum, family: str, law: str, words: Mapping[WeylElement, Word] | None = None
+) -> Algebra:
+    return Algebra(BUILTIN_FAMILIES[family](Backend(datum, law)), words)
 
 
 # ---------------------------------------------------------------------------
@@ -275,30 +276,12 @@ class _CorpusContext:
     def __init__(self) -> None:
         self._data: dict = {}
         self._bases: dict = {}
-        self._coh: dict = {}
 
     def datum(self, label: str, lattice: str) -> RootDatum:
         key = (label, lattice)
         if key not in self._data:
             self._data[key] = build_root_datum(label, lattice=lattice)
         return self._data[key]
-
-    @staticmethod
-    def _words_key(words: Mapping[str, str] | None) -> tuple:
-        if not words:
-            return ()
-        return tuple(sorted(words.items()))
-
-    @staticmethod
-    def _word_overrides(
-        datum: RootDatum, words: Mapping[str, str] | None
-    ) -> dict[WeylElement, Word] | None:
-        if not words:
-            return None
-        return {
-            datum.element_by_word(parse_word(key)): parse_word(value)
-            for key, value in words.items()
-        }
 
     def basis(
         self,
@@ -308,25 +291,15 @@ class _CorpusContext:
         family: str,
         words: Mapping[str, str] | None = None,
     ) -> DualBasis:
-        key = (label, lattice, law, family, self._words_key(words))
+        words = words or {}
+        key = (label, lattice, law, family, tuple(sorted(words.items())))
         if key not in self._bases:
             datum = self.datum(label, lattice)
-            algebra = _algebra(datum, family, law)
-            overrides = self._word_overrides(datum, words)
-            if overrides:
-                algebra = algebra.with_words(overrides)
-            self._bases[key] = DualBasis(algebra)
+            overrides = {
+                datum.element_by_word(parse_word(k)): parse_word(v) for k, v in words.items()
+            }
+            self._bases[key] = DualBasis(_algebra(datum, family, law, overrides))
         return self._bases[key]
-
-    def coh(
-        self, label: str, lattice: str, words: Mapping[str, str] | None = None
-    ) -> CohStableBasis:
-        key = (label, lattice, self._words_key(words))
-        if key not in self._coh:
-            datum = self.datum(label, lattice)
-            overrides = self._word_overrides(datum, words)
-            self._coh[key] = CohStableBasis(datum, words=overrides)
-        return self._coh[key]
 
 
 def _compare(
@@ -382,7 +355,7 @@ def run_corpus_entry(entry: Mapping, context: _CorpusContext | None = None) -> D
         billey = basis.restriction_via_billey(v, w)
         _compare(report, (entry_id, "billey"), billey, expected)
     elif kind == "stab-coh":
-        coh = context.coh(label, lattice, words)
+        coh = CohStableBasis(context.basis(label, lattice, ADDITIVE, "t", words))
         u, v, w = element("u"), element("v"), element("w")
         expected = parse_qelem(backend, entry["value"])
         value = coh.constant_oracle(u, v, w)

@@ -237,7 +237,7 @@ def test_criterion_5_stable_basis_oracle_values(capfd):
     failures = []
     try:
         a2 = get_datum("A2")
-        coh2 = CohStableBasis(a2)
+        coh2 = CohStableBasis(get_basis("A2", "t", ADDITIVE))
         b2 = coh2.backend
         h = h_var(b2)
         al1 = x_class(b2, wt(a2, 1))
@@ -266,7 +266,8 @@ def test_criterion_5_stable_basis_oracle_values(capfd):
 
         a3 = get_datum("A3")
         top = by_word(a3, (1, 2, 3, 1, 2))
-        coh3 = CohStableBasis(a3, words={top: (1, 2, 3, 1, 2)})
+        t3 = BUILTIN_FAMILIES["t"](Backend(a3, ADDITIVE))
+        coh3 = CohStableBasis(DualBasis(Algebra(t3, {top: (1, 2, 3, 1, 2)})))
         b3 = coh3.backend
         h = h_var(b3)
         a_1 = x_class(b3, wt(a3, 1))
@@ -511,7 +512,7 @@ def test_criterion_7_property_suite(capfd):
                 failures.append(f"kappa_12 nonzero under {backend.law}")
 
         # (i) the stable pairings are diagonal
-        coh = CohStableBasis(get_datum("A2"))
+        coh = CohStableBasis(get_basis("A2", "t", ADDITIVE))
         sign = (-1) ** coh.datum.longest_element.length
         signed_unit = QElem.from_int(coh.backend, sign) * DualElem.unit(coh.backend)
         for v in coh.datum.elements:
@@ -528,7 +529,7 @@ def test_criterion_7_property_suite(capfd):
                     failures.append(f"stable pairing not diagonal at ({v.word},{u.word})")
 
         # (j) the K-theoretic stable class agrees with its operator form
-        kst = KStableBasis(get_datum("A2"))
+        kst = KStableBasis(get_basis("A2", "tau", MULTIPLICATIVE))
         for w in kst.datum.elements:
             if kst.stab_minus(w) != kst.stab_minus_bullet(w):
                 failures.append(f"K-stable routes differ at w={w.word}")

@@ -229,7 +229,8 @@ def test_stab_coh_check_reports_the_hat_scale_factor():
     payload = json.loads(out)
     report = payload["report"]
     assert report["count"] == 4
-    coh = CohStableBasis(get_datum("A2"))
+    t_a2 = BUILTIN_FAMILIES["t"](Backend(get_datum("A2"), ADDITIVE))
+    coh = CohStableBasis(DualBasis(Algebra(t_a2)))
     backend = coh.backend
     hat = QElem.from_s(coh.alpha_hat_w0)
     for entry in report["discrepancies"]:

@@ -594,16 +594,45 @@ def test_additive_sign_bridge_between_structure_constants():
 
 @pytest.fixture(scope="module")
 def coh_a2():
-    return CohStableBasis(get_datum("A2"))
+    return CohStableBasis(get_basis("A2", "t", ADDITIVE))
 
 
-def test_stab_supports(coh_a2):
-    datum = coh_a2.datum
+@pytest.mark.parametrize(
+    "stable, law", [(CohStableBasis, ADDITIVE), (KStableBasis, MULTIPLICATIVE)]
+)
+def test_stable_classes_need_their_family(stable, law):
+    """Each stable basis wraps a DualBasis of its own family, T or tau."""
+    with pytest.raises(ValueError, match="'x'"):
+        stable(get_basis("A2", "x", law))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3"])
+def test_stable_envelope_axioms(label):
+    """stab-_w satisfies the axioms of a stable envelope (Maulik-Okounkov,
+    arXiv:1211.1287, section 3), with N = |positive roots|: its support lies
+    in {v >= w}; its diagonal entry is (-1)^{N - l(w)} prod_{beta>0} f(w beta),
+    where f(gamma) = x_gamma for gamma < 0 and h - x_gamma otherwise; and every
+    off-diagonal entry is a polynomial of degree below N in t, h not counted.
+    stab+_w is supported on {v <= w}."""
+    coh = CohStableBasis(get_basis(label, "t", ADDITIVE))
+    datum, backend = coh.datum, coh.backend
+    h = h_var(backend)
+    n_pos = len(datum.positive_roots)
     for w in datum.elements:
-        for v in coh_a2.stab_plus(w).support():
-            assert datum.bruhat_leq(v, w)
-        for v in coh_a2.stab_minus(w).support():
-            assert datum.bruhat_leq(w, v)
+        assert all(datum.bruhat_leq(v, w) for v in coh.stab_plus(w).support())
+        stab = coh.stab_minus(w)
+        diagonal = one(backend) * (-1) ** (n_pos - w.length)
+        for beta in datum.positive_roots:
+            image = datum.root_action(w, beta)
+            x_image = x_class(backend, datum.root_to_weight(image))
+            diagonal = diagonal * (x_image if min(image) < 0 else h - x_image)
+        assert q_equal(stab.coeff(w), QElem.from_s(diagonal)), w.word
+        for v, value in stab.coeffs.items():
+            assert datum.bruhat_leq(w, v), (w.word, v.word)
+            if v is not w:
+                assert not value.den, (w.word, v.word)
+                degree = max(sum(exps[:-1]) for exps in value.num.terms)
+                assert degree < n_pos, (w.word, v.word)
 
 
 def test_stab_minus_closed_form(coh_a2):
@@ -673,7 +702,7 @@ def test_coh_constants_scale_example(coh_a2):
 
 @pytest.fixture(scope="module")
 def k_a2():
-    return KStableBasis(get_datum("A2"))
+    return KStableBasis(get_basis("A2", "tau", MULTIPLICATIVE))
 
 
 def test_k_stab_two_routes_agree(k_a2):

@@ -28,6 +28,7 @@ from demazure.twisted import (
     FAMILY_LAWS,
     Algebra,
     QWElem,
+    custom_family,
     expand_in_triangular_basis,
     family_sigma,
     family_t,
@@ -441,6 +442,25 @@ def test_a_family_that_breaks_a_braid_relation_has_no_quadratic_constants(label)
     ]
     assert all(entry["passed"] for entry in report[:rank])
     assert not all(entry["passed"] for entry in report[rank:])
+    assert alg.quadratic is None
+
+
+def test_quadratic_entries_fail_when_the_pairs_differ_across_i():
+    """a(alpha) = x_alpha^2, b = b^-1 = 1 solves Z_i^2 = c1 Z_i + c0 with zero
+    residual, but c1 = 2 x_{alpha_i}^2 differs between i = 1 and 2 and s_2
+    moves x_{alpha_1}^2, so neither quadratic entry passes."""
+    backend = get_backend("A2", ADDITIVE)
+
+    def square(alpha):
+        return QElem.from_s(x_class(backend, alpha) ** 2)
+
+    def unit(alpha):
+        return QElem.from_int(backend, 1)
+
+    alg = Algebra(custom_family(backend, "square", square, unit, unit))
+    report = alg.verify_relations()
+    assert [entry["passed"] for entry in report[:2]] == [False, False]
+    assert all("W-fixed" in entry["detail"] for entry in report[:2])
     assert alg.quadratic is None
 
 
