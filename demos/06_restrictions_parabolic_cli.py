@@ -59,9 +59,9 @@ for subset in ((1,), (2,)):
     reps = set(a2.min_coset_reps(subset))
     table = basis.parabolic_table(subset)
     confined = all(
-        rec.u in reps and rec.v in reps and rec.w in reps for rec in table.records
+        u in reps and v in reps and set(row) <= reps for (u, v), row in table.items()
     )
-    print(f"J={set(subset)}: {len(table.records)} products, confined to W^J:",
+    print(f"J={set(subset)}: {sum(map(len, table.values()))} products, confined to W^J:",
           confined)
 
 # ---------------------------------------------------------------------------

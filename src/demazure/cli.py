@@ -61,7 +61,7 @@ import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .dual import CohStableBasis, DiscrepancyReport, DualBasis, KStableBasis
 from .formal import (
@@ -398,43 +398,41 @@ def cmd_mult(args: argparse.Namespace) -> int:
         discrepancies.extend(row_bad)
     discrepancies.sort(key=lambda d: d["location"])
 
+    payload = {
+        "command": "mult",
+        "datum": datum.label or "custom",
+        "lattice": datum.lattice,
+        "law": config.law,
+        "family": config.family,
+        "records": [{k: row[k] for k in ("u", "v", "w", "value")} for row in rows],
+    }
+    lines = (
+        f"u={row['u'] or 'e'} v={row['v'] or 'e'} w={row['w'] or 'e'}  {row['text']}"
+        for row in rows
+    )
+    return _finish(config, payload, lines, discrepancies)
+
+
+def _finish(
+    config: SessionConfig, payload: dict, lines: Iterable[str], discrepancies: list
+) -> int:
+    """Write a command's output and return its exit code.
+
+    JSON output is ``payload``, plus ``"report"`` under ``--check``; text
+    output is ``lines``, then under ``--check`` the report's summary line and
+    one line per discrepancy.
+    """
     if config.out == "json":
-        payload = {
-            "command": "mult",
-            "datum": datum.label or "custom",
-            "lattice": datum.lattice,
-            "law": config.law,
-            "family": config.family,
-            "records": [
-                {k: row[k] for k in ("u", "v", "w", "value")} for row in rows
-            ],
-        }
-        _write_json(payload, config.check, discrepancies)
+        if config.check:
+            payload["report"] = discrepancy_to_json(discrepancies)
+        sys.stdout.write(dumps_canonical(payload))
     else:
-        for row in rows:
-            print(
-                f"u={row['u'] or 'e'} v={row['v'] or 'e'} "
-                f"w={row['w'] or 'e'}  {row['text']}"
-            )
-        _print_text_report(config.check, discrepancies)
+        for line in lines:
+            print(line)
+        if config.check:
+            print(f"check: {len(discrepancies)} discrepancies" if discrepancies else "check: ok")
+            _print_discrepancies(discrepancies)
     return EXIT_DISCREPANCY if discrepancies else EXIT_OK
-
-
-def _write_json(payload: dict, checked: bool, discrepancies: list) -> None:
-    """Write a command's JSON payload, with the check report when asked."""
-    if checked:
-        payload["report"] = discrepancy_to_json(discrepancies)
-    sys.stdout.write(dumps_canonical(payload))
-
-
-def _print_text_report(checked: bool, discrepancies: list) -> None:
-    if not checked:
-        return
-    if not discrepancies:
-        print("check: ok")
-        return
-    print(f"check: {len(discrepancies)} discrepancies")
-    _print_discrepancies(discrepancies)
 
 
 def _print_discrepancies(entries: Sequence[Mapping]) -> None:
@@ -464,22 +462,17 @@ def cmd_restrict(args: argparse.Namespace) -> int:
         if not q_equal(value, closed):
             report.add((word_to_str(v.word), word_to_str(w.word)), closed, value)
     discrepancies = [entry.as_json_entry() for entry in report.entries]
-    if config.out == "json":
-        payload = {
-            "command": "restrict",
-            "datum": datum.label or "custom",
-            "lattice": datum.lattice,
-            "law": config.law,
-            "family": config.family,
-            "v": word_to_str(v.word),
-            "w": word_to_str(w.word),
-            "value": qelem_to_json(value),
-        }
-        _write_json(payload, config.check, discrepancies)
-    else:
-        print(qelem_to_str(value))
-        _print_text_report(config.check, discrepancies)
-    return EXIT_DISCREPANCY if discrepancies else EXIT_OK
+    payload = {
+        "command": "restrict",
+        "datum": datum.label or "custom",
+        "lattice": datum.lattice,
+        "law": config.law,
+        "family": config.family,
+        "v": word_to_str(v.word),
+        "w": word_to_str(w.word),
+        "value": qelem_to_json(value),
+    }
+    return _finish(config, payload, [qelem_to_str(value)], discrepancies)
 
 
 # ---------------------------------------------------------------------------
@@ -505,31 +498,28 @@ def cmd_stab(args: argparse.Namespace) -> int:
     u = datum.element_by_word(parse_word(args.u))
     v = datum.element_by_word(parse_word(args.v))
     constants = oracle(u, v)
-    rows = [
-        {"w": word_to_str(w.word), "value": qelem_to_json(value), "text": qelem_to_str(value)}
-        for w, value in constants.items()
-    ]
     report = DiscrepancyReport()
     if config.check:
         report.compare_rows((word_to_str(u.word), word_to_str(v.word)), formula(u, v), constants)
     discrepancies = [entry.as_json_entry() for entry in report.entries]
-    if config.out == "json":
-        payload = {
-            "command": "stab",
-            "variant": args.variant,
-            "datum": datum.label or "custom",
-            "lattice": datum.lattice,
-            "law": config.law,
-            "u": word_to_str(u.word),
-            "v": word_to_str(v.word),
-            "rows": [{k: row[k] for k in ("w", "value")} for row in rows],
-        }
-        _write_json(payload, config.check, discrepancies)
-    else:
-        for row in rows:
-            print(f"w={row['w'] or 'e'}  {row['text']}")
-        _print_text_report(config.check, discrepancies)
-    return EXIT_DISCREPANCY if discrepancies else EXIT_OK
+    payload = {
+        "command": "stab",
+        "variant": args.variant,
+        "datum": datum.label or "custom",
+        "lattice": datum.lattice,
+        "law": config.law,
+        "u": word_to_str(u.word),
+        "v": word_to_str(v.word),
+        "rows": [
+            {"w": word_to_str(w.word), "value": qelem_to_json(value)}
+            for w, value in constants.items()
+        ],
+    }
+    lines = (
+        f"w={word_to_str(w.word) or 'e'}  {qelem_to_str(value)}"
+        for w, value in constants.items()
+    )
+    return _finish(config, payload, lines, discrepancies)
 
 
 # ---------------------------------------------------------------------------

@@ -136,36 +136,6 @@ def point_class(backend: Backend, w: WeylElement) -> DualElem:
 
 
 @dataclasses.dataclass(frozen=True)
-class TableRecord:
-    """One structure constant: the coefficient of Z*_{I_w} in Z*_{I_u} Z*_{I_v}."""
-
-    u: WeylElement
-    v: WeylElement
-    w: WeylElement
-    family: str
-    backend_law: str
-    value: QElem
-    provenance: str = "oracle"
-
-
-@dataclasses.dataclass
-class StructureTable:
-    """A bundle of structure-constant records with canonical serialization."""
-
-    records: list[TableRecord]
-
-    def to_json(self) -> list[dict]:
-        from .serialize import table_records_to_json
-
-        return table_records_to_json(self.records)
-
-    def to_text(self) -> str:
-        from .serialize import table_records_to_text
-
-        return table_records_to_text(self.records)
-
-
-@dataclasses.dataclass(frozen=True)
 class Discrepancy:
     location: tuple
     formula: QElem | str
@@ -421,31 +391,12 @@ class DualBasis:
                     out[w] = val
         return out
 
-    # -- tables and route comparison ----------------------------------------
+    # -- route comparison --------------------------------------------------
 
     def _pairs(self, pairs: Iterable[tuple[WeylElement, WeylElement]] | None):
         if pairs is None:
             return [(u, v) for u in self.order for v in self.order]
         return list(pairs)
-
-    def structure_table(
-        self,
-        pairs: Iterable[tuple[WeylElement, WeylElement]] | None = None,
-        route: str = "oracle",
-    ) -> StructureTable:
-        if route == "oracle":
-            product = self.product_oracle
-        elif route == "formula":
-            product = self.product_formula
-        else:
-            raise ValueError(f"unknown route {route!r}")
-        records = []
-        family = self.algebra.family.name
-        law = self.backend.law
-        for u, v in self._pairs(pairs):
-            for w, value in product(u, v).items():
-                records.append(TableRecord(u, v, w, family, law, value, provenance=route))
-        return StructureTable(records)
 
     def compare_routes(
         self, pairs: Iterable[tuple[WeylElement, WeylElement]] | None = None
@@ -527,19 +478,16 @@ class DualBasis:
         words = self.datum.j_compatible_words(subset)
         return DualBasis(self.algebra.with_words(words))
 
-    def parabolic_table(self, subset: Iterable[int]) -> StructureTable:
-        """Products of dual classes indexed by minimal coset representatives."""
+    def parabolic_table(
+        self, subset: Iterable[int]
+    ) -> dict[tuple[WeylElement, WeylElement], dict[WeylElement, QElem]]:
+        """The products of the parabolic basis's dual classes, pair by pair:
+        (u, v) -> the nonzero z^{I_w}_{I_u, I_v}, for u and v over the
+        minimal coset representatives of W_J, in ``sort_key`` order."""
         subset = tuple(subset)
         basis = self.parabolic_basis(subset)
-        reps = set(self.datum.min_coset_reps(subset))
-        records = []
-        family = self.algebra.family.name
-        law = self.backend.law
-        for u in sorted(reps, key=WeylElement.sort_key):
-            for v in sorted(reps, key=WeylElement.sort_key):
-                for w, value in basis.product_oracle(u, v).items():
-                    records.append(TableRecord(u, v, w, family, law, value))
-        return StructureTable(records)
+        reps = self.datum.min_coset_reps(subset)
+        return {(u, v): basis.product_oracle(u, v) for u in reps for v in reps}
 
 
 def _stable_view(basis: DualBasis, family: str) -> tuple[Algebra, Backend, RootDatum, SElem]:
@@ -601,25 +549,29 @@ class CohStableBasis:
     def normalized_class(self, w: WeylElement) -> DualElem:
         return QElem.from_s(self.alpha_hat_w0) * self.basis.dual_basis_element(w)
 
-    def hat_y(self) -> QWElem:
-        """hY = sum_w delta_w (alpha_{w0} alphahat_{w0})^{-1} (coefficient on the right)."""
+    def _hat_y_bullet(self, g: DualElem) -> DualElem:
+        """hY . g for hY = sum_w delta_w w(c), c = (alpha_{w0} alphahat_{w0})^{-1}.
+
+        Since (v w^-1)(w(c)) = v(c), every f_t gets the same coefficient
+        sum_x x(c) g_x, so hY . g is that sum times the unit.
+        """
         datum = self.datum
         den = [FactorSymbol(X_ROOT, datum.root_to_weight(beta)) for beta in datum.positive_roots]
-        base = QElem(one(self.backend), den + list(self.basis.scale_factors()))
-        coeffs = {
-            w: weyl_act_q(self.backend, w, base) for w in self.datum.elements
-        }
-        return QWElem(self.backend, coeffs, _raw=True)
+        c = QElem(one(self.backend), den + list(self.basis.scale_factors()))
+        total = QElem.from_int(self.backend, 0)
+        for x, g_x in g.coeffs.items():
+            total = total + weyl_act_q(self.backend, x, c) * g_x
+        return total * self.basis.unit()
 
     # -- duality pairings (Lemma-style identities) ----------------------------
 
     def pairing_with_stab(self, v: WeylElement, u: WeylElement) -> DualElem:
         """hY . (stab+_v stab-_u); equals (-1)^{l(w0)} 1 iff v == u, else 0."""
-        return bullet(self.hat_y(), self.stab_plus(v) * self.stab_minus(u))
+        return self._hat_y_bullet(self.stab_plus(v) * self.stab_minus(u))
 
     def pairing_with_dual(self, v: WeylElement, u: WeylElement) -> DualElem:
         """hY . (stab+_v alphahat_{w0} T*_u); equals 1 iff v == u, else 0."""
-        return bullet(self.hat_y(), self.stab_plus(v) * self.normalized_class(u))
+        return self._hat_y_bullet(self.stab_plus(v) * self.normalized_class(u))
 
     # -- structure constants ---------------------------------------------------
 

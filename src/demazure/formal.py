@@ -869,28 +869,18 @@ def _normalize(
         return num, []
     if not den:
         return num, den
-    den = sorted(den)
-    # Factors known not to divide num.  They stay ruled out as num is divided:
-    # if f divided num / g it would divide num.
-    ruled_out: set[FactorSymbol] = set()
-    changed = True
-    while changed and den:
-        changed = False
-        for idx, factor in enumerate(den):
-            if factor in ruled_out:
-                continue
-            if _witness_rules_out(backend, num, factor):
-                ruled_out.add(factor)
-                continue
+    # One pass in sorted order: a factor that does not divide num does not
+    # divide num / g either, so each is tried once (a copy of a kept factor
+    # is kept without a test).
+    kept: list[FactorSymbol] = []
+    for factor in sorted(den):
+        if factor not in kept and not _witness_rules_out(backend, num, factor):
             quotient = _divide_selem(num, expand_factor(backend, factor))
-            if quotient is None:
-                ruled_out.add(factor)
+            if quotient is not None:
+                num = quotient
                 continue
-            num = quotient
-            del den[idx]
-            changed = True
-            break
-    return num, den
+        kept.append(factor)
+    return num, kept
 
 
 def q_equal(p: QElem, q: QElem) -> bool:

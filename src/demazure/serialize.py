@@ -9,10 +9,10 @@ Formats (all deterministic, round-tripping byte-identically):
   ``c * E(m1,...,mn) v^k`` terms (multiplicative), joined by `` + `` with the
   sign carried by the coefficient, terms in sorted exponent order;
 * Q elements: ``{"num": <selem str>, "den": [{"kind": ..., "root": [...]}]}``;
-* Q_W elements: a map from word string to Q element;
-* root data: ``{"cartan": [[...]], "lattice": "simply-connected"}``;
-* structure tables: arrays of ``{u, v, w, family, backend, value}`` records
-  sorted by (u, v, w); discrepancy lists of ``{location, formula, oracle}``.
+* discrepancy lists of ``{location, formula, oracle}``.
+
+The structure-constant table is the record list of ``demazure mult``
+(:mod:`demazure.cli`).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .formal import (
     QElem,
     SElem,
 )
-from .rootdata import RootDatum, Word, build_root_datum
+from .rootdata import Word
 
 
 # ---------------------------------------------------------------------------
@@ -184,80 +184,9 @@ def qelem_to_str(p: QElem) -> str:
     return f"({num}) / ({den})"
 
 
-def qwelem_to_json(z) -> dict:
-    return {
-        word_to_str(w.word): qelem_to_json(c)
-        for w, c in sorted(z.coeffs.items(), key=lambda kv: kv[0].sort_key())
-    }
-
-
-def parse_qwelem(backend: Backend, obj: Mapping):
-    from .twisted import QWElem
-
-    datum = backend.datum
-    coeffs = {
-        datum.element_by_word(parse_word(key)): parse_qelem(backend, value)
-        for key, value in obj.items()
-    }
-    return QWElem(backend, coeffs)
-
-
 # ---------------------------------------------------------------------------
-# Root data
+# Discrepancy reports
 # ---------------------------------------------------------------------------
-
-
-def datum_to_json(datum: RootDatum) -> dict:
-    out = {"cartan": [list(row) for row in datum.cartan], "lattice": datum.lattice}
-    if datum.label:
-        out["label"] = datum.label
-    return out
-
-
-def datum_from_json(obj: Mapping) -> RootDatum:
-    return build_root_datum(dict(obj))
-
-
-# ---------------------------------------------------------------------------
-# Tables and discrepancy reports
-# ---------------------------------------------------------------------------
-
-
-def table_records_to_json(records: Iterable) -> list[dict]:
-    """Records carry (u, v, w: WeylElement, family, backend_law, value: QElem)."""
-    rows = []
-    for rec in records:
-        rows.append(
-            {
-                "u": word_to_str(rec.u.word),
-                "v": word_to_str(rec.v.word),
-                "w": word_to_str(rec.w.word),
-                "family": rec.family,
-                "backend": rec.backend_law,
-                "value": qelem_to_json(rec.value),
-            }
-        )
-    rows.sort(key=lambda r: (_word_key(r["u"]), _word_key(r["v"]), _word_key(r["w"])))
-    return rows
-
-
-def _word_key(word_str: str) -> tuple[int, Word]:
-    word = parse_word(word_str)
-    return (len(word), word)
-
-
-def table_records_to_text(records: Iterable) -> str:
-    rows = []
-    for rec in sorted(
-        records, key=lambda r: (r.u.sort_key(), r.v.sort_key(), r.w.sort_key())
-    ):
-        value = qelem_to_str(rec.value)
-        rows.append(
-            f"u={word_to_str(rec.u.word) or 'e'} "
-            f"v={word_to_str(rec.v.word) or 'e'} "
-            f"w={word_to_str(rec.w.word) or 'e'}  {value}"
-        )
-    return "\n".join(rows)
 
 
 def discrepancy_to_json(entries: Iterable[Mapping]) -> dict:

@@ -379,6 +379,8 @@ CLI_CONTRACT = [
      "82a193c7339286abbf25f9c279a078d7699d1727d3b6d379c2ea9025913df843"),
     ("stab coh --type A2 --u 1 --v 1 --out json --check", 2,
      "2b41f5af1a5d55f4c23486e0d13b2a778fc823568a5f040a438d70e6a4e79730"),
+    ("stab coh --type A2 --u 1 --v 1 --check", 2,
+     "336b89d3207d9c7ea2a274494fb633f71fb522916c94a0208b71eaa6335d38db"),
     ("stab k --type A2 --u 1 --v 12 --out json --check", 0,
      "ebb94738142c53d2a031f01a448e811e9bd6f655a5e10906bc1e307c4c4bc153"),
     ("stab k --type B2 --u 1 --v 21 --out json --check", 0,

@@ -1,6 +1,5 @@
 """Round-trips and determinism of the text/JSON conventions."""
 
-import dataclasses
 import json
 import random
 
@@ -17,25 +16,18 @@ from demazure.formal import (
     x_class,
 )
 from demazure.serialize import (
-    datum_from_json,
-    datum_to_json,
     discrepancy_to_json,
     dumps_canonical,
     factor_to_json,
     parse_factor,
     parse_qelem,
-    parse_qwelem,
     parse_selem,
     parse_word,
     qelem_to_json,
     qelem_to_str,
-    qwelem_to_json,
     selem_to_str,
-    table_records_to_json,
-    table_records_to_text,
     word_to_str,
 )
-from demazure.twisted import Algebra, BUILTIN_FAMILIES
 
 
 # ---------------------------------------------------------------------------
@@ -123,68 +115,9 @@ def test_factor_round_trip():
     assert parse_factor(factor_to_json(factor)) == factor
 
 
-def test_qwelem_round_trip():
-    datum = get_datum("A2")
-    backend = Backend(datum, ADDITIVE)
-    algebra = Algebra(BUILTIN_FAMILIES["x"](backend))
-    z = algebra.compose_word((1, 2)) + algebra.compose_word((2, 1))
-    blob = qwelem_to_json(z)
-    assert parse_qwelem(backend, blob) == z
-    # keys are canonical words of the support
-    assert all(isinstance(k, str) for k in blob)
-
-
 # ---------------------------------------------------------------------------
-# root data
+# reports, canonical dumps
 # ---------------------------------------------------------------------------
-
-
-def test_datum_json_round_trip():
-    datum = get_datum("B2")
-    blob = datum_to_json(datum)
-    back = datum_from_json(blob)
-    assert back.cartan == datum.cartan
-    assert back.lattice == datum.lattice
-    assert back.label == datum.label
-
-
-# ---------------------------------------------------------------------------
-# tables, reports, canonical dumps
-# ---------------------------------------------------------------------------
-
-
-@dataclasses.dataclass
-class _Rec:
-    u: object
-    v: object
-    w: object
-    family: str
-    backend_law: str
-    value: QElem
-
-
-def _records(datum, backend):
-    by = datum.element_by_word
-    one = QElem.from_int(backend, 1)
-    recs = [
-        _Rec(by((1, 2, 1)), by((1,)), by((1, 2, 1)), "x", backend.law, one),
-        _Rec(by(()), by((1,)), by((1,)), "x", backend.law, one),
-        _Rec(by((1,)), by((2,)), by((1, 2)), "x", backend.law, one),
-    ]
-    return recs
-
-
-def test_table_records_sorted_by_word_length_then_letters():
-    datum = get_datum("A2")
-    backend = Backend(datum, ADDITIVE)
-    rows = table_records_to_json(_records(datum, backend))
-    assert [(r["u"], r["v"], r["w"]) for r in rows] == [
-        ("", "1", "1"),
-        ("1", "2", "12"),
-        ("121", "1", "121"),
-    ]
-    text = table_records_to_text(_records(datum, backend))
-    assert text.splitlines()[0] == "u=e v=1 w=1  1"
 
 
 def test_discrepancy_json_shape():
