@@ -20,8 +20,10 @@ Two independent routes compute the constants:
   For families with quadratic constants (``Algebra.quadratic``, solved from
   the family's relations) the sum over pairs of subwords is a transfer walk
   along I_w (``Algebra.formula_column``) that yields every (u, v) of the word
-  at once.  Families whose relations give no c-rule sum pair by pair, with
-  every c from the generic elimination (``Algebra.c_supports``);
+  at once; it grows from the cached column of the longest suffix of I_w and
+  walks only the half u <= v, since z^{I_w}_{I_u,I_v} = z^{I_w}_{I_v,I_u}.
+  Families whose relations give no c-rule sum pair by pair, with every c
+  from the generic elimination (``Algebra.c_supports``);
 * oracle route -- Hadamard-multiply the dual classes in the f-basis and
   re-expand by triangular elimination.  For families with quadratic
   constants it runs in S: the scale, the product of the denominators of
@@ -34,9 +36,10 @@ Two independent routes compute the constants:
   ``Algebra.expand_in_z_basis`` uses too, and neither reads a walk.
 
 The module also provides restriction coefficients b_{w, I_v} with their
-matrix identity and their Billey-type closed form (again one walk per word,
-``Algebra.billey_row``, when the family has quadratic constants, and subset
-by subset from the generic elimination otherwise), the stable bases, and
+matrix identity and their Billey-type closed form (again a walk along the
+word, grown from the cached row of its longest prefix, ``Algebra.billey_row``,
+when the family has quadratic constants, and subset by subset from the
+generic elimination otherwise), the stable bases, and
 parabolic products over minimal coset representatives.  A stable basis is a
 view of a :class:`DualBasis` of T (:class:`CohStableBasis`, additive) or of
 tau (:class:`KStableBasis`, multiplicative): its classes are the dual

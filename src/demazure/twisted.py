@@ -38,10 +38,14 @@ rule (0, 0), the Demazure-product rule (1, 0), the group-product rule (0, 1)
 and the Hecke recursion (q-1, q), and it serves only the transfer walks:
 because the weights are W-invariant they commute with the Leibniz operators,
 so the sums over subwords behind the structure constants and the
-restrictions fold into one walk per word (:meth:`Algebra.formula_column`,
-:meth:`Algebra.billey_row`).  Every other c comes from the generic triangular
-elimination (:meth:`Algebra.expand_in_z_basis`, :meth:`Algebra.c_supports`);
-the routes of families without constants sum those values over subwords.
+restrictions fold into walks along the words (:meth:`Algebra.formula_column`,
+:meth:`Algebra.billey_row`).  A walk's state after part of a word is the
+column (or row) of that part, so each walk grows letter by letter from the
+longest cached suffix (or prefix); every suffix and prefix of a lexmin word is
+lexmin, so all columns together walk |W| - 1 letters, and so do all rows.
+Every other c comes from the generic triangular elimination
+(:meth:`Algebra.expand_in_z_basis`, :meth:`Algebra.c_supports`); the routes of
+families without constants sum those values over subwords.
 """
 
 from __future__ import annotations
@@ -438,8 +442,8 @@ class Algebra:
     """An operator family together with a fixed reduced word I_w per element.
 
     Cached here: composed words, diagonal inverses, b-rows, Leibniz
-    coefficients, the inversion weights of each word, the formula column of
-    each word and the Billey row of each element.  The c-rule of families
+    coefficients, the inversion weights of each word, and the formula column
+    and the Billey row of each word walked.  The c-rule of families
     with quadratic constants (:meth:`_c_moves`) drives only the two walks;
     every c-coefficient the algebra returns comes from the generic
     elimination (:meth:`expand_in_z_basis`).
@@ -466,7 +470,7 @@ class Algebra:
         self._leibniz_cache: dict[tuple[Word, tuple[int, ...]], QElem] = {}
         self._inversion_weight_cache: dict[Word, tuple[Weight, ...]] = {}
         self._columns: dict[Word, dict[tuple[WeylElement, WeylElement], QElem]] = {}
-        self._billey_rows: dict[WeylElement, dict[WeylElement, QElem]] = {}
+        self._billey_rows: dict[Word, dict[WeylElement, QElem]] = {}
 
     # -- elements -------------------------------------------------------------
 
@@ -695,81 +699,136 @@ class Algebra:
         """Every z^I_{I_u,I_v} = sum_{E,F} z^I_{E,F} c_{I|E,I_u} c_{I|F,I_v} of
         one word I, keyed by (u, v), zeros left out; needs quadratic constants.
 
-        One right-to-left walk along I folds the sum over pairs of subwords:
+        A right-to-left walk along I folds the sum over pairs of subwords:
         the state (x, y) collects the pairs (E, F) of the suffix whose
         products expand onto Z_{I_x} and Z_{I_y}, and its value is their
-        Leibniz coefficients times c-weights.  At letter i, with
-        a = a(alpha_i), b^-1 = b^-1(alpha_i) and r = s_i(value), a position in
-        both subwords sends b^-1 r to the left steps of x and y, one in E or F
-        only sends -a b^-1 r to the left step of that coordinate, and one in
-        neither leaves a value + a^2 b^-1 r at (x, y).
+        Leibniz coefficients times c-weights (:meth:`_formula_step`).  The
+        state after a suffix is that suffix's own column, so the walk starts
+        from the longest suffix already walked (``()`` holds the start state
+        (e, e) with value 1), walks only the letters before it and keeps the
+        column of every suffix it passes.  With the lexmin words every suffix
+        is a chosen word, so all columns together walk |W| - 1 letters.  A
+        column is symmetric, z_{u,v} = z_{v,u}: the walk keeps the half
+        x.index <= y.index, and the (v, u) entry of a finished column is the
+        same object as its (u, v) entry.
         """
         word = tuple(word)
-        cached = self._columns.get(word)
+        columns = self._columns
+        cached = columns.get(word)
         if cached is not None:
             return cached
         if self.quadratic is None:
             raise ValueError("formula columns need a family with quadratic constants")
-        datum, backend, fam = self.datum, self.backend, self.family
-        identity = datum.identity
-        state = {(identity, identity): QElem.from_int(backend, 1)}
-        for i in reversed(word):
-            alpha = datum.simple_root(i)
-            s_i = datum.simple_reflection(i)
-            a, b_inv = fam.a(alpha), fam.b_inv(alpha)
-            one_side = -(a * b_inv)
-            neither = a * a * b_inv
-            out: dict[tuple[WeylElement, WeylElement], QElem] = {}
+        start = next((j for j in range(1, len(word) + 1) if word[j:] in columns), None)
+        if start is None:
+            start, identity = len(word), self.datum.identity
+            columns[()] = {(identity, identity): QElem.from_int(self.backend, 1)}
+        state = {
+            key: value
+            for key, value in columns[word[start:]].items()
+            if key[0].index <= key[1].index
+        }
+        for j in range(start - 1, -1, -1):
+            state = self._formula_step(word[j], state)
+            column = dict(state)
             for (x, y), value in state.items():
-                x_moves = self._c_moves(x, datum.left_multiply_simple(i, x))
-                y_moves = self._c_moves(y, datum.left_multiply_simple(i, y))
-                reflected = weyl_act_q(backend, s_i, value)
-                both = b_inv * reflected
-                for tx, wx in x_moves:
-                    for ty, wy in y_moves:
-                        accumulate(out, (tx, ty), _weighted(_weighted(both, wx), wy))
-                single = one_side * reflected
-                for tx, wx in x_moves:
-                    accumulate(out, (tx, y), _weighted(single, wx))
+                if x is not y:
+                    column[(y, x)] = value
+            columns[word[j:]] = column
+        return columns[word]
+
+    def _formula_step(
+        self, i: int, state: Mapping[tuple[WeylElement, WeylElement], QElem]
+    ) -> dict[tuple[WeylElement, WeylElement], QElem]:
+        """The half column of i J from the half column of J (x.index <= y.index).
+
+        With a = a(alpha_i), b^-1 = b^-1(alpha_i) and r = s_i(value), a
+        position in both subwords sends b^-1 r to the left steps of x and y,
+        one in E or F only sends -a b^-1 r to the left step of that
+        coordinate, and one in neither leaves a value + a^2 b^-1 r at (x, y).
+        The rule is symmetric in x and y, so the mirror (y, x) of an
+        off-diagonal state sends the same values to the mirrored targets:
+        each target (p, q) of (x, y) adds its value at (min, max), twice when
+        p is q.  A diagonal state keeps only its targets with p.index <= q.index.
+        """
+        datum, backend, fam = self.datum, self.backend, self.family
+        alpha = datum.simple_root(i)
+        s_i = datum.simple_reflection(i)
+        a, b_inv = fam.a(alpha), fam.b_inv(alpha)
+        one_side = -(a * b_inv)
+        neither = a * a * b_inv
+        out: dict[tuple[WeylElement, WeylElement], QElem] = {}
+        for (x, y), value in state.items():
+            mirrored = x is not y
+            x_moves = self._c_moves(x, datum.left_multiply_simple(i, x))
+            y_moves = (
+                self._c_moves(y, datum.left_multiply_simple(i, y)) if mirrored else x_moves
+            )
+            reflected = weyl_act_q(backend, s_i, value)
+            both = b_inv * reflected
+            for tx, wx in x_moves:
                 for ty, wy in y_moves:
-                    accumulate(out, (x, ty), _weighted(single, wy))
-                accumulate(out, (x, y), a * value + neither * reflected)
-            state = out
-        self._columns[word] = state
-        return state
+                    _fold(out, tx, ty, _weighted(_weighted(both, wx), wy), mirrored)
+            single = one_side * reflected
+            for tx, wx in x_moves:
+                _fold(out, tx, y, _weighted(single, wx), mirrored)
+            for ty, wy in y_moves:
+                _fold(out, x, ty, _weighted(single, wy), mirrored)
+            accumulate(out, (x, y), a * value + neither * reflected)
+        return out
 
     def billey_row(self, v: WeylElement) -> dict[WeylElement, QElem]:
         """Every b_{v,I_w} = sum_E z^{I_v}_{[k],E} c_{I_v|E,I_w}, keyed by w,
         zeros left out; needs quadratic constants.
 
-        One left-to-right walk along I_v folds the sum over subwords E: the
+        A left-to-right walk along I_v folds the sum over subwords E: the
         state x collects the subsets of the prefix whose products expand onto
-        Z_{I_x}.  The factor prod_j b^-1(beta_j) enters one inversion root at
-        a time: a position in E takes the right step with weight
-        b^-1(beta_j), and one left out stays with weight
-        -a(beta_j) b^-1(beta_j).  For X and Y the first is a polynomial and
-        the second a unit, so no walk state is ever divided.
+        Z_{I_x} (:meth:`_billey_step`).  The inversion roots of a prefix are
+        the leading ones of the word, so the state after a prefix is that
+        prefix's own row: rows are kept by word, and the walk starts from the
+        longest prefix already walked (``()`` holds e with value 1) and keeps
+        the row of every prefix it passes.  With the lexmin words every
+        prefix is a chosen word, so all rows together walk |W| - 1 letters.
         """
-        cached = self._billey_rows.get(v)
+        word = self.words[v]
+        rows = self._billey_rows
+        cached = rows.get(word)
         if cached is not None:
             return cached
         if self.quadratic is None:
             raise ValueError("Billey rows need a family with quadratic constants")
-        datum = self.datum
-        word = self.words[v]
-        state = {datum.identity: QElem.from_int(self.backend, 1)}
-        for i, beta in zip(word, self._inversion_weights(word)):
-            take = self.family.b_inv(beta)
-            skip = -(self.family.a(beta) * take)
-            out: dict[WeylElement, QElem] = {}
-            for x, value in state.items():
-                taken = value * take
-                for target, weight in self._c_moves(x, datum.multiply_simple(x, i)):
-                    accumulate(out, target, _weighted(taken, weight))
-                accumulate(out, x, value * skip)
-            state = out
-        self._billey_rows[v] = state
+        end = next((m for m in range(len(word) - 1, -1, -1) if word[:m] in rows), None)
+        if end is None:
+            end = 0
+            rows[()] = {self.datum.identity: QElem.from_int(self.backend, 1)}
+        state = rows[word[:end]]
+        for m, beta in enumerate(self._inversion_weights(word)[end:], end):
+            state = self._billey_step(word[m], beta, state)
+            rows[word[: m + 1]] = state
         return state
+
+    def _billey_step(
+        self, i: int, beta: Weight, state: Mapping[WeylElement, QElem]
+    ) -> dict[WeylElement, QElem]:
+        """The row of J i from the row of J, where beta is the inversion root
+        of the new position.
+
+        The factor prod_j b^-1(beta_j) enters one inversion root at a time: a
+        position in E takes the right step with weight b^-1(beta), and one
+        left out stays with weight -a(beta) b^-1(beta).  For X and Y the first
+        is a polynomial and the second a unit, so no walk state is ever
+        divided.
+        """
+        datum = self.datum
+        take = self.family.b_inv(beta)
+        skip = -(self.family.a(beta) * take)
+        out: dict[WeylElement, QElem] = {}
+        for x, value in state.items():
+            taken = value * take
+            for target, weight in self._c_moves(x, datum.multiply_simple(x, i)):
+                accumulate(out, target, _weighted(taken, weight))
+            accumulate(out, x, value * skip)
+        return out
 
     # -- tau inverses ---------------------------------------------------------------
 
@@ -827,6 +886,23 @@ class Algebra:
     def verify_relations(self) -> list[dict]:
         """Quadratic + braid relation report: dicts with keys name, passed, detail."""
         return [_relation_entry(*entry) for entry in self._relations()[1]]
+
+
+def _fold(out: dict, p: WeylElement, q: WeylElement, value: QElem, mirrored: bool) -> None:
+    """Add a contribution to the target (p, q) of a half formula column.
+
+    ``mirrored`` says that the source state stands for itself and its mirror,
+    which sends the same value to (q, p): the value lands at the key with the
+    lower index first, twice when p is q.  A diagonal source adds only to
+    targets with p.index <= q.index, since its mirror image is itself.
+    """
+    if p.index > q.index:
+        if not mirrored:
+            return
+        p, q = q, p
+    elif mirrored and p is q:
+        accumulate(out, (p, q), value)
+    accumulate(out, (p, q), value)
 
 
 def _weighted(value, weight: SElem | int):

@@ -26,13 +26,11 @@ from demazure.formal import (
     SElem,
     X_ROOT,
     divide_exact,
-    e_mono,
     expand_factor,
     h_var,
     one,
     product_over_positive_roots,
     q_equal,
-    v_var,
     weyl_act_q,
     x_class,
 )
@@ -42,9 +40,6 @@ from demazure.twisted import (
     FAMILY_LAWS,
     QWElem,
     family_t,
-    family_tau,
-    family_x,
-    family_y,
 )
 
 BASIS_CACHE = {}

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -632,6 +633,91 @@ def test_transfer_walks_match_the_per_subword_sums_on_the_a3_longest_word(family
     _assert_same_entries(alg.billey_row(w0), _per_subset_row(alg, w0), word)
 
 
+def _count_walk_steps(monkeypatch):
+    """Count the calls of each walk's per-letter step from now on."""
+    counts = Counter()
+    for name in ("_formula_step", "_billey_step"):
+
+        def counted(self, *args, _name=name, _step=getattr(Algebra, name)):
+            counts[_name] += 1
+            return _step(self, *args)
+
+        monkeypatch.setattr(Algebra, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("label,family,law", _WALK_GRIDS)
+def test_all_walks_share_their_suffixes_and_prefixes(monkeypatch, label, family, law):
+    """Every suffix and every prefix of a lexmin word is a lexmin word, so
+    all columns and all Billey rows keep |W| entries each and walk |W| - 1
+    letters each."""
+    alg = Algebra(BUILTIN_FAMILIES[family](get_backend(label, law)))
+    counts = _count_walk_steps(monkeypatch)
+    elements = alg.datum.elements
+    for w in elements:
+        alg.formula_column(alg.word(w))
+        alg.billey_row(w)
+    assert len(alg._columns) == len(alg._billey_rows) == len(elements)
+    assert counts == {"_formula_step": len(elements) - 1, "_billey_step": len(elements) - 1}
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+def test_a_walk_grows_by_one_letter_from_a_cached_walk(monkeypatch, label):
+    """With the column of w0's word minus its first letter and the row of the
+    word minus its last letter cached, w0's walks take one step each."""
+    alg = Algebra(family_t(get_backend(label, ADDITIVE)))
+    w0 = alg.datum.longest_element
+    word = alg.word(w0)
+    alg.formula_column(word[1:])
+    alg.billey_row(alg.datum.element_by_word(word[:-1]))
+    counts = _count_walk_steps(monkeypatch)
+    column = alg.formula_column(word)
+    alg.billey_row(w0)
+    assert counts == {"_formula_step": 1, "_billey_step": 1}
+    for (u, v), value in column.items():
+        assert column[(v, u)] is value
+
+
+@pytest.mark.parametrize("label,family,law", _WALK_GRIDS)
+def test_per_pair_sums_are_symmetric(label, family, law):
+    """z_{u,v} = z_{v,u} summed pair by pair, the premise of the walk's fold."""
+    alg = get_algebra(label, family, law)
+    max_length = _WALK_MAX_LENGTH.get((label, family), alg.datum.longest_element.length)
+    for w in alg.datum.elements:
+        if w.length > max_length:
+            continue
+        summed = _per_pair_column(alg, alg.word(w))
+        for (u, v), value in summed.items():
+            assert qelem_to_str(value) == qelem_to_str(summed[(v, u)]), (w.word, u.word, v.word)
+
+
+_NON_LEXMIN = [
+    ("A2", name, law, (2, 1, 2)) for name, laws in FAMILY_LAWS.items() for law in laws
+] + [("A3", "t", ADDITIVE, (1, 2, 3, 1, 2))]
+
+
+@pytest.mark.parametrize(
+    "label,family,law,word",
+    _NON_LEXMIN,
+    ids=[f"{label}-{name}-{law}-{''.join(map(str, word))}" for label, name, law, word in _NON_LEXMIN],
+)
+def test_transfer_walks_match_the_per_subword_sums_under_a_non_lexmin_word(
+    label, family, law, word
+):
+    """A chosen word that is not lexmin: its walks start from the cached walks
+    of other words and pass suffixes and prefixes that no element has chosen."""
+    datum = get_datum(label)
+    top = datum.element_by_word(word)
+    alg = Algebra(BUILTIN_FAMILIES[family](get_backend(label, law)), {top: word})
+    for w in datum.elements:
+        alg.formula_column(alg.word(w))
+        alg.billey_row(w)
+    for j in range(len(word)):
+        suffix = word[j:]
+        _assert_same_entries(alg.formula_column(suffix), _per_pair_column(alg, suffix), suffix)
+    _assert_same_entries(alg.billey_row(top), _per_subset_row(alg, top), word)
+
+
 @pytest.mark.parametrize("label,family,law", _WALK_GRIDS)
 def test_c_rule_matches_the_generic_expansion_of_one_more_letter(label, family, law):
     """The walks' one c-rule: Z_{I_w} Z_i and Z_i Z_{I_w} expanded by
@@ -668,7 +754,8 @@ def test_transfer_walks_need_quadratic_constants():
 )
 def test_billey_rows_divide_at_most_once_per_letter(monkeypatch, label, family, law):
     """b^-1(beta_j) enters the walk one root at a time, so a whole set of
-    Billey rows makes at most one exact division per letter of its words."""
+    Billey rows makes at most one exact division per letter walked, and the
+    rows share their prefixes, so they walk |W| - 1 letters in all."""
     import demazure.formal
 
     alg = Algebra(BUILTIN_FAMILIES[family](Backend(get_datum(label), law)))
@@ -683,7 +770,7 @@ def test_billey_rows_divide_at_most_once_per_letter(monkeypatch, label, family, 
     monkeypatch.setattr(demazure.formal, "_divide_selem", counted)
     for w in alg.datum.elements:
         alg.billey_row(w)
-    assert len(calls) <= sum(w.length for w in alg.datum.elements)
+    assert len(calls) <= len(alg.datum.elements) - 1
 
 
 def _check_generalized_leibniz(alg, word, rng, pairs):
