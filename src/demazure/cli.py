@@ -75,7 +75,7 @@ from .formal import (
     SElem,
     e_mono,
     h_var,
-    q_equal,
+    q_equal,  # not called here; perfbench/tests/test_tracer.py checks its rebinding
     v_var,
     x_class,
 )
@@ -458,9 +458,9 @@ def cmd_restrict(args: argparse.Namespace) -> int:
     value = basis.restriction(v, w)
     report = DiscrepancyReport()
     if config.check:
-        closed = basis.restriction_via_billey(v, w)
-        if not q_equal(value, closed):
-            report.add((word_to_str(v.word), word_to_str(w.word)), closed, value)
+        report.compare(
+            (word_to_str(v.word), word_to_str(w.word)), basis.restriction_via_billey(v, w), value
+        )
     discrepancies = [entry.as_json_entry() for entry in report.entries]
     payload = {
         "command": "restrict",

@@ -42,10 +42,12 @@ restrictions fold into walks along the words (:meth:`Algebra.formula_column`,
 :meth:`Algebra.billey_row`).  A walk's state after part of a word is the
 column (or row) of that part, so each walk grows letter by letter from the
 longest cached suffix (or prefix); every suffix and prefix of a lexmin word is
-lexmin, so all columns together walk |W| - 1 letters, and so do all rows.
+lexmin, so all columns together walk |W| - 1 letters, and so do all rows.  A
+column is symmetric in (u, v) and is kept as its half u.index <= v.index.
 Every other c comes from the generic triangular elimination
-(:meth:`Algebra.expand_in_z_basis`, :meth:`Algebra.c_supports`); the routes of
-families without constants sum those values over subwords.
+(:meth:`Algebra.expand_in_z_basis`, :meth:`Algebra.c_supports`); for families
+without constants the same two methods sum those values over the subwords of
+one word, once per word.
 """
 
 from __future__ import annotations
@@ -403,15 +405,11 @@ def custom_family(
     a: Callable[[Weight], QElem],
     b: Callable[[Weight], QElem],
     b_inv: Callable[[Weight], QElem],
-    check: bool = True,
 ) -> OperatorFamily:
     fam = OperatorFamily(f"custom:{name}", backend, a, b, b_inv)
-    if check:
-        problems = fam.check_b_inverse() + fam.check_equivariance()
-        if problems:
-            raise ValueError(
-                "custom family failed validation: " + "; ".join(problems[:5])
-            )
+    problems = fam.check_b_inverse() + fam.check_equivariance()
+    if problems:
+        raise ValueError("custom family failed validation: " + "; ".join(problems[:5]))
     return fam
 
 
@@ -442,11 +440,13 @@ class Algebra:
     """An operator family together with a fixed reduced word I_w per element.
 
     Cached here: composed words, diagonal inverses, b-rows, Leibniz
-    coefficients, the inversion weights of each word, and the formula column
-    and the Billey row of each word walked.  The c-rule of families
-    with quadratic constants (:meth:`_c_moves`) drives only the two walks;
-    every c-coefficient the algebra returns comes from the generic
-    elimination (:meth:`expand_in_z_basis`).
+    coefficients, the inversion weights of each word, and the half formula
+    column and the Billey row of each word.  Only this class builds those
+    columns and rows: by a walk when the family has quadratic constants,
+    whose c-rule (:meth:`_c_moves`) drives nothing else, and by sums over
+    the subwords of one :meth:`c_supports` otherwise.  Every c-coefficient
+    the algebra returns comes from the generic elimination
+    (:meth:`expand_in_z_basis`).
     """
 
     def __init__(self, family: OperatorFamily, words: Mapping[WeylElement, Word] | None = None):
@@ -476,11 +476,6 @@ class Algebra:
 
     def word(self, w: WeylElement) -> Word:
         return self.words[w]
-
-    def with_words(self, overrides: Mapping[WeylElement, Word]) -> "Algebra":
-        table = dict(self.words)
-        table.update({w: tuple(word) for w, word in overrides.items()})
-        return Algebra(self.family, table)
 
     def simple_element(self, i: int) -> QWElem:
         cached = self._simple_cache.get(i)
@@ -696,21 +691,23 @@ class Algebra:
     # -- subword transfer walks --------------------------------------------------
 
     def formula_column(self, word: Sequence[int]) -> dict[tuple[WeylElement, WeylElement], QElem]:
-        """Every z^I_{I_u,I_v} = sum_{E,F} z^I_{E,F} c_{I|E,I_u} c_{I|F,I_v} of
-        one word I, keyed by (u, v), zeros left out; needs quadratic constants.
+        """The half column of one word I: every z^I_{I_u,I_v} =
+        sum_{E,F} z^I_{E,F} c_{I|E,I_u} c_{I|F,I_v} with u.index <= v.index,
+        keyed by (u, v), zeros left out.  The column is symmetric,
+        z_{u,v} = z_{v,u}, so the other half is read at (v, u).
 
-        A right-to-left walk along I folds the sum over pairs of subwords:
-        the state (x, y) collects the pairs (E, F) of the suffix whose
-        products expand onto Z_{I_x} and Z_{I_y}, and its value is their
-        Leibniz coefficients times c-weights (:meth:`_formula_step`).  The
-        state after a suffix is that suffix's own column, so the walk starts
-        from the longest suffix already walked (``()`` holds the start state
-        (e, e) with value 1), walks only the letters before it and keeps the
-        column of every suffix it passes.  With the lexmin words every suffix
-        is a chosen word, so all columns together walk |W| - 1 letters.  A
-        column is symmetric, z_{u,v} = z_{v,u}: the walk keeps the half
-        x.index <= y.index, and the (v, u) entry of a finished column is the
-        same object as its (u, v) entry.
+        With quadratic constants a right-to-left walk along I folds the sum
+        over pairs of subwords: the state (x, y) collects the pairs (E, F) of
+        the suffix whose products expand onto Z_{I_x} and Z_{I_y}, and its
+        value is their Leibniz coefficients times c-weights
+        (:meth:`_formula_step`).  The state after a suffix is that suffix's
+        own half column, so the walk starts from the longest suffix already
+        walked (``()`` holds the start state (e, e) with value 1), walks only
+        the letters before it and keeps the state of every suffix it passes.
+        With the lexmin words every suffix is a chosen word, so all columns
+        together walk |W| - 1 letters.  A family without quadratic constants
+        sums Leibniz coefficient times c_E c_F over the pairs of one
+        :meth:`c_supports` of I instead, and keeps that column.
         """
         word = tuple(word)
         columns = self._columns
@@ -718,24 +715,26 @@ class Algebra:
         if cached is not None:
             return cached
         if self.quadratic is None:
-            raise ValueError("formula columns need a family with quadratic constants")
+            supports = self.c_supports(word)
+            column: dict[tuple[WeylElement, WeylElement], QElem] = {}
+            for u, pairs_u in supports.items():
+                for v, pairs_v in supports.items():
+                    if u.index > v.index:
+                        continue
+                    for e_set, c_e in pairs_u:
+                        for f_set, c_f in pairs_v:
+                            value = self.leibniz_coefficient(word, e_set, f_set) * c_e * c_f
+                            accumulate(column, (u, v), value)
+            columns[word] = column
+            return column
         start = next((j for j in range(1, len(word) + 1) if word[j:] in columns), None)
         if start is None:
             start, identity = len(word), self.datum.identity
             columns[()] = {(identity, identity): QElem.from_int(self.backend, 1)}
-        state = {
-            key: value
-            for key, value in columns[word[start:]].items()
-            if key[0].index <= key[1].index
-        }
+        state = columns[word[start:]]
         for j in range(start - 1, -1, -1):
-            state = self._formula_step(word[j], state)
-            column = dict(state)
-            for (x, y), value in state.items():
-                if x is not y:
-                    column[(y, x)] = value
-            columns[word[j:]] = column
-        return columns[word]
+            state = columns[word[j:]] = self._formula_step(word[j], state)
+        return state
 
     def _formula_step(
         self, i: int, state: Mapping[tuple[WeylElement, WeylElement], QElem]
@@ -779,16 +778,19 @@ class Algebra:
 
     def billey_row(self, v: WeylElement) -> dict[WeylElement, QElem]:
         """Every b_{v,I_w} = sum_E z^{I_v}_{[k],E} c_{I_v|E,I_w}, keyed by w,
-        zeros left out; needs quadratic constants.
+        zeros left out.
 
-        A left-to-right walk along I_v folds the sum over subwords E: the
-        state x collects the subsets of the prefix whose products expand onto
-        Z_{I_x} (:meth:`_billey_step`).  The inversion roots of a prefix are
-        the leading ones of the word, so the state after a prefix is that
-        prefix's own row: rows are kept by word, and the walk starts from the
-        longest prefix already walked (``()`` holds e with value 1) and keeps
-        the row of every prefix it passes.  With the lexmin words every
-        prefix is a chosen word, so all rows together walk |W| - 1 letters.
+        With quadratic constants a left-to-right walk along I_v folds the sum
+        over subwords E: the state x collects the subsets of the prefix whose
+        products expand onto Z_{I_x} (:meth:`_billey_step`).  The inversion
+        roots of a prefix are the leading ones of the word, so the state after
+        a prefix is that prefix's own row: rows are kept by word, and the walk
+        starts from the longest prefix already walked (``()`` holds e with
+        value 1) and keeps the row of every prefix it passes.  With the lexmin
+        words every prefix is a chosen word, so all rows together walk |W| - 1
+        letters.  A family without quadratic constants sums Billey's closed
+        form times c_E over one :meth:`c_supports` of I_v instead, and keeps
+        that row.
         """
         word = self.words[v]
         rows = self._billey_rows
@@ -796,7 +798,12 @@ class Algebra:
         if cached is not None:
             return cached
         if self.quadratic is None:
-            raise ValueError("Billey rows need a family with quadratic constants")
+            row: dict[WeylElement, QElem] = {}
+            for w, pairs in self.c_supports(word).items():
+                for e_set, c_e in pairs:
+                    accumulate(row, w, self.billey_closed_form(word, e_set) * c_e)
+            rows[word] = row
+            return row
         end = next((m for m in range(len(word) - 1, -1, -1) if word[:m] in rows), None)
         if end is None:
             end = 0

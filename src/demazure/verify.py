@@ -46,13 +46,18 @@ from .formal import (
     QElem,
     SElem,
     kappa_pair,
-    q_equal,
 )
 from .rootdata import RootDatum, WeylElement, Word, build_root_datum
 from .serialize import parse_qelem, parse_word, word_to_str
 from .twisted import BUILTIN_FAMILIES, FAMILY_LAWS, Algebra
 
 SUITE_NAMES = ("relations", "leibniz", "duality", "paper-examples", "all")
+
+# The leibniz suite checks every word up to this length, with this many
+# seeded (p, q) samples per word, drawn from a generator seeded by this string.
+LEIBNIZ_MAX_LEN = 3
+LEIBNIZ_SAMPLES = 2
+LEIBNIZ_SEED = "demazure-verify"
 
 
 def _combos(
@@ -175,29 +180,25 @@ def check_generalized_leibniz(
                 continue
             inner = inner + coeff * acts_q[F]
         rhs = rhs + acts_p[E] * inner
-    if not q_equal(lhs, rhs):
-        report.add(location + (word_to_str(word),), rhs, lhs)
+    report.compare(location + (word_to_str(word),), rhs, lhs)
 
 
 def suite_leibniz(
     datum: RootDatum,
     families: Sequence[str] | None = None,
     laws: Sequence[str] | None = None,
-    max_len: int = 3,
-    samples: int = 2,
-    seed: str = "demazure-verify",
 ) -> DiscrepancyReport:
     """Generalized Leibniz rule on seeded random pairs, plus the closed-form
     identity z_{[k],E} = Billey product for every subset E."""
     report = DiscrepancyReport()
     label = datum.label or "?"
     combos = _combos(families, laws) if families else [("x", law) for law in (laws or LAWS)]
-    words = _all_words(datum.rank, max_len)
+    words = _all_words(datum.rank, LEIBNIZ_MAX_LEN)
     for family, law in combos:
         algebra = _algebra(datum, family, law)
-        rng = random.Random(f"{seed}/{label}/{family}/{law}")
+        rng = random.Random(f"{LEIBNIZ_SEED}/{label}/{family}/{law}")
         for word in words:
-            for index in range(samples):
+            for index in range(LEIBNIZ_SAMPLES):
                 p = QElem.from_s(_seeded_selem(rng, algebra.backend, 2, 1))
                 q = QElem.from_s(_seeded_selem(rng, algebra.backend, 2, 1))
                 check_generalized_leibniz(
@@ -212,21 +213,18 @@ def suite_leibniz(
             for size in range(len(word) + 1):
                 for combo in itertools.combinations(range(1, len(word) + 1), size):
                     subset = frozenset(combo)
-                    direct = algebra.leibniz_coefficient(word, full, subset)
-                    closed = algebra.billey_closed_form(word, subset)
-                    if not q_equal(direct, closed):
-                        report.add(
-                            (
-                                "billey",
-                                label,
-                                law,
-                                family,
-                                word_to_str(word),
-                                "".join(map(str, sorted(subset))),
-                            ),
-                            closed,
-                            direct,
-                        )
+                    report.compare(
+                        (
+                            "billey",
+                            label,
+                            law,
+                            family,
+                            word_to_str(word),
+                            "".join(map(str, sorted(subset))),
+                        ),
+                        algebra.billey_closed_form(word, subset),
+                        algebra.leibniz_coefficient(word, full, subset),
+                    )
     return report
 
 
@@ -248,14 +246,11 @@ def suite_duality(
         backend = basis.backend
         for u in datum.elements:
             for v in datum.elements:
-                value = basis.duality_pairing(u, v)
-                expected = QElem.from_int(backend, 1 if u == v else 0)
-                if not q_equal(value, expected):
-                    report.add(
-                        ("duality", label, law, family, word_to_str(u.word), word_to_str(v.word)),
-                        value,
-                        expected,
-                    )
+                report.compare(
+                    ("duality", label, law, family, word_to_str(u.word), word_to_str(v.word)),
+                    basis.duality_pairing(u, v),
+                    QElem.from_int(backend, 1 if u == v else 0),
+                )
     return report
 
 
@@ -302,13 +297,6 @@ class _CorpusContext:
         return self._bases[key]
 
 
-def _compare(
-    report: DiscrepancyReport, location: tuple, computed: QElem, expected: QElem
-) -> None:
-    if not q_equal(computed, expected):
-        report.add(location, computed, expected)
-
-
 def run_corpus_entry(entry: Mapping, context: _CorpusContext | None = None) -> DiscrepancyReport:
     """Recompute one corpus entry and compare it against the stored value."""
     context = context or _CorpusContext()
@@ -344,22 +332,20 @@ def run_corpus_entry(entry: Mapping, context: _CorpusContext | None = None) -> D
         top_word = parse_word(entry["top_word"]) if entry.get("top_word") else None
         expected = parse_qelem(backend, entry["value"])
         oracle = basis.product_oracle(u, v).get(w, QElem.from_int(backend, 0))
-        _compare(report, (entry_id, "oracle"), oracle, expected)
+        report.compare((entry_id, "oracle"), oracle, expected)
         formula = basis.structure_constant(u, v, w, top_word=top_word)
-        _compare(report, (entry_id, "formula"), formula, expected)
+        report.compare((entry_id, "formula"), formula, expected)
     elif kind == "restriction":
         basis = context.basis(label, lattice, law, entry["family"], words)
         v, w = element("v"), element("w")
         expected = parse_qelem(backend, entry["value"])
-        _compare(report, (entry_id, "expand"), basis.restriction(v, w), expected)
-        billey = basis.restriction_via_billey(v, w)
-        _compare(report, (entry_id, "billey"), billey, expected)
+        report.compare((entry_id, "expand"), basis.restriction(v, w), expected)
+        report.compare((entry_id, "billey"), basis.restriction_via_billey(v, w), expected)
     elif kind == "stab-coh":
         coh = CohStableBasis(context.basis(label, lattice, ADDITIVE, "t", words))
         u, v, w = element("u"), element("v"), element("w")
         expected = parse_qelem(backend, entry["value"])
-        value = coh.constant_oracle(u, v, w)
-        _compare(report, (entry_id, "oracle"), value, expected)
+        report.compare((entry_id, "oracle"), coh.constant_oracle(u, v, w), expected)
     elif kind == "dual-class":
         basis = context.basis(label, lattice, law, entry["family"], words)
         dual = basis.dual_basis_element(element("u"))
@@ -371,7 +357,7 @@ def run_corpus_entry(entry: Mapping, context: _CorpusContext | None = None) -> D
         f_set = frozenset(entry["f"])
         value = basis.algebra.leibniz_coefficient(word, e_set, f_set)
         expected = parse_qelem(backend, entry["value"])
-        _compare(report, (entry_id,), value, expected)
+        report.compare((entry_id,), value, expected)
     else:
         raise ValueError(f"unknown corpus entry kind {kind!r}")
     return report
