@@ -10,7 +10,9 @@ Subcommands
     worker pool (``--jobs``, capped at the number of table rows and the CPU
     count).
     ``--check`` recomputes every row through the independent oracle route
-    and reports any mismatch.
+    and reports any mismatch.  It computes one oracle product per unordered
+    pair {u, v}, since the constants are symmetric in u and v, and reports a
+    mismatch at both (u, v, w) and (v, u, w).
 ``restrict``
     One restriction coefficient b_{v, I_w}.  ``--check`` cross-checks the
     basis-expansion route against the closed-form route.
@@ -322,10 +324,16 @@ def _session_basis(key: str) -> DualBasis:
 
 
 def _mult_row_task(
-    key: str, u_str: str, v_strs: Sequence[str], check: bool
+    key: str, u_str: str, v_strs: Sequence[str], check: bool, whole_table: bool, text: bool
 ) -> tuple[list, list]:
     """Formula-route records of one table row, the products of u with each v,
-    plus oracle discrepancies if asked.
+    plus oracle discrepancies if asked; each record carries its printed
+    ``"text"`` only when ``text`` is set.
+
+    In a whole table the oracle runs once per unordered pair: only for
+    v.index >= u.index, and a mismatch there is reported at (v, u) too, since
+    both orders read the same half-column entry and the product of the
+    classes commutes.  A single product is always checked, at (u, v) alone.
 
     The pool's unit of work, and the serial path's too; it is a module-level
     function and everything in and out is JSON-able, so any start method can
@@ -340,20 +348,20 @@ def _mult_row_task(
     for v_str in v_strs:
         v = datum.element_by_word(parse_word(v_str))
         v_word = word_to_str(v.word)
-        oracle = basis.product_oracle(u, v) if check else None
         formula = basis.product_formula(u, v)
-        rows.extend(
-            {
-                "u": u_word,
-                "v": v_word,
-                "w": word_to_str(w.word),
-                "value": qelem_to_json(value),
-                "text": qelem_to_str(value),
+        for w, value in formula.items():
+            row = {
+                "u": u_word, "v": v_word, "w": word_to_str(w.word), "value": qelem_to_json(value)
             }
-            for w, value in formula.items()
-        )
-        if check:
-            report.compare_rows((u_word, v_word), formula, oracle)
+            if text:
+                row["text"] = qelem_to_str(value)
+            rows.append(row)
+        if not check:
+            continue
+        if not whole_table:
+            report.compare_rows((u_word, v_word), formula, basis.product_oracle(u, v))
+        elif v.index >= u.index:
+            report.compare_product(u_word, v_word, formula, basis.product_oracle(u, v))
     return rows, [entry.as_json_entry() for entry in report.entries]
 
 
@@ -383,7 +391,11 @@ def cmd_mult(args: argparse.Namespace) -> int:
         # records need no sort.
         names = [word_to_str(w.word) for w in basis.order]
         table_rows = [(u, names) for u in names]
-    tasks = [(key, u, v_strs, config.check) for u, v_strs in table_rows]
+    whole_table = args.u is None
+    tasks = [
+        (key, u, v_strs, config.check, whole_table, config.out == "text")
+        for u, v_strs in table_rows
+    ]
     workers = worker_count(config.jobs, len(tasks), os.cpu_count())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -404,7 +416,7 @@ def cmd_mult(args: argparse.Namespace) -> int:
         "lattice": datum.lattice,
         "law": config.law,
         "family": config.family,
-        "records": [{k: row[k] for k in ("u", "v", "w", "value")} for row in rows],
+        "records": rows,
     }
     lines = (
         f"u={row['u'] or 'e'} v={row['v'] or 'e'} w={row['w'] or 'e'}  {row['text']}"

@@ -30,11 +30,17 @@ Two independent routes compute the constants:
   constants it runs in S: the scale, the product of the denominators of
   b^-1(beta) over the positive roots, makes every class a polynomial
   N_w = scale Z*_{I_w}; N_u N_v = sum_w c'_w N_w costs one exact division by
-  N_w(w) per constant, and z^{I_w}_{I_u,I_v} = c'_w / scale is normalized
-  once.  Other families eliminate in Q, multiplying only by the closed-form
-  reciprocals of the diagonal entries.  Both use the one solver,
+  N_w(w) per constant (each N_w(w) prepared as a divisor once), and
+  z^{I_w}_{I_u,I_v} = c'_w / scale is normalized once.  Other families
+  eliminate in Q, multiplying only by the closed-form reciprocals of the
+  diagonal entries.  Both use the one solver,
   :func:`~demazure.twisted.expand_in_triangular_basis`, that
   ``Algebra.expand_in_z_basis`` uses too, and neither reads a walk.
+
+Checking a table (``compare_routes``, ``mult --check``) computes one oracle
+product per unordered pair {u, v}: the product of two classes commutes and
+the formula route reads both orders from one half-column entry, so a
+mismatch is reported at both (u, v, w) and (v, u, w).
 
 The module also provides restriction coefficients b_{w, I_v} with their
 matrix identity and their Billey-type closed form (read off the row of the
@@ -56,12 +62,14 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .formal import (
     X_ROOT,
     Backend,
+    Divisor,
     FactorSymbol,
     QElem,
     SElem,
     divide_exact,
     expand_factor,
     one,
+    prepare_divisor,
     product_over_positive_roots,
     q_equal,
     v_var,
@@ -205,6 +213,25 @@ class DiscrepancyReport:
             if not q_equal(f_val, o_val):
                 self.add(prefix + (word_to_str(w.word),), f_val, o_val)
 
+    def compare_product(
+        self,
+        u: str,
+        v: str,
+        formula: Mapping[WeylElement, QElem],
+        oracle: Mapping[WeylElement, QElem],
+    ) -> None:
+        """``compare_rows`` of the product of u and v at ``(u, v)``, and each
+        mismatch again at ``(v, u)`` when u != v: the formula route reads both
+        orders from one half-column entry and the product commutes, so one
+        comparison serves both."""
+        start = len(self.entries)
+        self.compare_rows((u, v), formula, oracle)
+        if u != v:
+            self.entries.extend(
+                Discrepancy((v, u) + entry.location[2:], entry.formula, entry.oracle)
+                for entry in self.entries[start:]
+            )
+
     def to_json(self) -> dict:
         from .serialize import discrepancy_to_json
 
@@ -216,15 +243,23 @@ def _compare_products(
     formula: Callable[[WeylElement, WeylElement], Mapping[WeylElement, QElem]],
     oracle: Callable[[WeylElement, WeylElement], Mapping[WeylElement, QElem]],
 ) -> DiscrepancyReport:
-    """Formula row vs oracle row of the product for each pair (u, v)."""
+    """Formula row vs oracle row of the product for each pair (u, v).
+
+    Both rows are symmetric in u and v, so a pair whose mirror (v, u) is
+    listed too is compared once, at the order with v.index > u.index, and its
+    mismatches are reported at both orders, one after the other.
+    """
     from .serialize import word_to_str
 
+    pairs = list(pairs)
+    listed = set(pairs)
     report = DiscrepancyReport()
     for u, v in pairs:
-        oracle_row = oracle(u, v)
-        report.compare_rows(
-            (word_to_str(u.word), word_to_str(v.word)), formula(u, v), oracle_row
-        )
+        words = word_to_str(u.word), word_to_str(v.word)
+        if u is v or (v, u) not in listed:
+            report.compare_rows(words, formula(u, v), oracle(u, v))
+        elif v.index > u.index:
+            report.compare_product(*words, formula(u, v), oracle(u, v))
     return report
 
 
@@ -239,6 +274,8 @@ class DualBasis:
         self._dual_cache: dict[WeylElement, DualElem] = {}
         self._scale_factors: tuple[FactorSymbol, ...] | None = None
         self._scaled_cache: dict[WeylElement, dict[WeylElement, SElem]] = {}
+        # Beside each N_u: its diagonal entry N_u(u), prepared as a divisor.
+        self._pivot_cache: dict[WeylElement, Divisor] = {}
 
     # -- classes ----------------------------------------------------------
 
@@ -327,13 +364,17 @@ class DualBasis:
     def scaled_product(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, SElem]:
         """The nonzero c'_w in N_u N_v = sum_w c'_w N_w, by elimination in S.
 
-        Each constant costs one exact division by the diagonal entry N_w(w);
-        a division that fails or a residue that survives raises ``ValueError``.
+        Each constant costs one exact division by the diagonal entry N_w(w),
+        prepared once per class; a division that fails or a residue that
+        survives raises ``ValueError``.  The cached classes are never changed.
         """
         nu, nv = self.scaled_class(u), self.scaled_class(v)
 
         def pivot(w: WeylElement, cur: SElem) -> SElem:
-            c = divide_exact(self.backend, cur, self.scaled_class(w)[w])
+            divisor = self._pivot_cache.get(w)
+            if divisor is None:
+                divisor = self._pivot_cache[w] = prepare_divisor(self.scaled_class(w)[w])
+            c = divide_exact(self.backend, cur, divisor)
             if c is None:
                 raise ValueError(
                     f"the diagonal entry N_w(w) does not divide the residue at w = {w.word}"

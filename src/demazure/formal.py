@@ -31,8 +31,9 @@ Exact division is long division by the lexicographically leading term.  The
 remainder keeps a heap of its negated keys (entries of cancelled keys are
 skipped when popped), and one mask over the top bit of every field tells
 whether the divisor's leading monomial divides the remainder's.  Laurent
-operands are first shifted to non-negative exponents; each factor expansion
-is shifted and prepared as a divisor once, when it is first expanded.
+operands are first shifted to non-negative exponents.  A divisor used again
+and again is prepared once (:func:`prepare_divisor`): each factor expansion
+keeps its prepared form beside it, keyed by the factor.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from fractions import Fraction
 from math import prod
 from operator import itemgetter, mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .rootdata import RootDatum, WeylElement
 
@@ -89,11 +90,8 @@ class Backend:
         # exactly when bit 15 is set.
         self._sign_bits = sum(1 << (s + FIELD_BITS - 1) for s in self._shifts)
         self._range_bits = self._sign_bits >> 1
-        self._expand_cache: dict[FactorSymbol, SElem] = {}
-        # The prepared form (see _prepare_divisor) of each expansion in
-        # _expand_cache, keyed by the expansion's id: _expand_cache keeps
-        # every such SElem alive, so no other object can take its id.
-        self._divisor_cache: dict[int, _Divisor] = {}
+        # Each factor's expansion and its prepared divisor (prepare_divisor).
+        self._expand_cache: dict[FactorSymbol, tuple[SElem, Divisor]] = {}
         self._witness_cache: dict[FactorSymbol, _Residues] = {}
         self._act_form_cache: dict[tuple[int, ...], list[SElem]] = {}
         self._act_power_cache: dict[tuple[tuple[int, ...], int], list[SElem]] = {}
@@ -248,6 +246,37 @@ class SElem:
         return SElem(backend, out, _raw=True)
 
     __rmul__ = __mul__
+
+    def copy(self) -> "SElem":
+        """A new element with terms of its own: the only kind of element that
+        :meth:`subtract_product` may change.  Every other SElem is treated as
+        immutable (it may be cached, shared or hashed)."""
+        return SElem(self.backend, dict(self._terms), _raw=True)
+
+    def subtract_product(self, a: "SElem", b: "SElem") -> None:
+        """``self -= a * b`` in place, in one pass over the terms of a and b,
+        with no product, negation or new element built.  ``self`` must be held
+        by no one else, such as a fresh :meth:`copy` or zero.  Each new key is
+        checked as a product's would be, so every exponent stays in range."""
+        self._check(a)
+        self._check(b)
+        zero_key, bits = self.backend.zero_key, self.backend._range_bits
+        terms = self._terms
+        get = terms.get
+        theirs = b._terms.items()
+        for ka, ca in a._terms.items():
+            base = ka - zero_key
+            for kb, cb in theirs:
+                key = base + kb
+                val = get(key)
+                if val is None:
+                    if (key ^ key >> 1) & bits != bits:
+                        raise ExponentOverflow(f"exponent outside {_RANGE}")
+                    terms[key] = -ca * cb
+                elif val != ca * cb:
+                    terms[key] = val - ca * cb
+                else:
+                    del terms[key]
 
     def __pow__(self, n: int) -> "SElem":
         if n < 0:
@@ -414,18 +443,37 @@ def weyl_act(backend: Backend, w: WeylElement, p: SElem) -> SElem:
 # ---------------------------------------------------------------------------
 
 
-def _divide_selem(p: SElem, d: SElem) -> SElem | None:
-    """Exact division in S; ``None`` when d does not divide p."""
-    backend = p.backend
+class Divisor(NamedTuple):
+    """A divisor ready for long division (see :func:`prepare_divisor`)."""
+
+    lead: int  # leading key, after the shift
+    coeff: int  # its coefficient
+    items: list[tuple[int, int]]  # every term as (key - zero_key, coeff)
+    shift: int  # packed offset subtracted from the keys (0 additively)
+
+
+def prepare_divisor(d: SElem) -> Divisor:
+    """``d`` prepared for :func:`_divide_selem`, for a divisor used many times."""
     if d.is_zero():
         raise ZeroDivisionError("division by zero in S")
+    backend = d.backend
+    if backend.law == MULTIPLICATIVE:
+        terms, shift = _shift_to_nonnegative(backend, d._terms)
+    else:
+        terms, shift = d._terms, 0
+    lead = max(terms)
+    zero_key = backend.zero_key
+    return Divisor(lead, terms[lead], [(key - zero_key, c) for key, c in terms.items()], shift)
+
+
+def _divide_selem(p: SElem, d: SElem | Divisor) -> SElem | None:
+    """Exact division in S by ``d`` or its prepared form; ``None`` when d
+    does not divide p."""
+    backend = p.backend
+    lead_d, cd, d_items, shift_d = d if isinstance(d, Divisor) else prepare_divisor(d)
     if p.is_zero():
         return p
     zero_key = backend.zero_key
-    divisor = backend._divisor_cache.get(id(d))
-    if divisor is None:
-        divisor = _prepare_divisor(backend, d)
-    lead_d, cd, d_items, shift_d = divisor
     if backend.law == MULTIPLICATIVE:
         # Shift p by a monomial unit too, so all exponents are >= 0.
         p_terms, shift_p = _shift_to_nonnegative(backend, p._terms)
@@ -467,22 +515,6 @@ def _divide_selem(p: SElem, d: SElem) -> SElem | None:
     shifted = {key + offset: c for key, c in quotient.items()}
     backend._check_keys(shifted)
     return SElem(backend, shifted, _raw=True)
-
-
-# A divisor ready for long division: its leading key and coefficient (after
-# the shift), its terms as (key - zero_key, coeff), and the packed shift
-# subtracted from its keys (0 for the additive law).
-_Divisor = tuple[int, int, list[tuple[int, int]], int]
-
-
-def _prepare_divisor(backend: Backend, d: SElem) -> _Divisor:
-    if backend.law == MULTIPLICATIVE:
-        terms, shift = _shift_to_nonnegative(backend, d._terms)
-    else:
-        terms, shift = d._terms, 0
-    lead = max(terms)
-    zero_key = backend.zero_key
-    return lead, terms[lead], [(key - zero_key, c) for key, c in terms.items()], shift
 
 
 def _shift_to_nonnegative(backend: Backend, terms: dict[int, int]) -> tuple[dict[int, int], int]:
@@ -541,9 +573,17 @@ class FactorSymbol(tuple):
 
 
 def expand_factor(backend: Backend, factor: FactorSymbol) -> SElem:
-    cached = backend._expand_cache.get(factor)
-    if cached is not None:
-        return cached
+    entry = backend._expand_cache.get(factor)
+    return (entry or _expand_new_factor(backend, factor))[0]
+
+
+def _factor_divisor(backend: Backend, factor: FactorSymbol) -> Divisor:
+    """The prepared divisor of a factor's expansion."""
+    entry = backend._expand_cache.get(factor)
+    return (entry or _expand_new_factor(backend, factor))[1]
+
+
+def _expand_new_factor(backend: Backend, factor: FactorSymbol) -> tuple[SElem, Divisor]:
     beta = factor.root
     if len(beta) != backend.rank:
         raise ValueError("factor root has wrong coordinate length")
@@ -572,15 +612,18 @@ def expand_factor(backend: Backend, factor: FactorSymbol) -> SElem:
         raise ValueError(f"unknown factor kind {kind!r}")
     if value.is_zero():
         raise ValueError(f"factor {factor} expands to zero")
-    backend._expand_cache[factor] = value
-    backend._divisor_cache[id(value)] = _prepare_divisor(backend, value)
-    return value
+    entry = backend._expand_cache[factor] = (value, prepare_divisor(value))
+    return entry
 
 
-def divide_exact(backend: Backend, p: SElem, factor: FactorSymbol | SElem) -> SElem | None:
-    """Exact division of p by a factor symbol (or a raw S element)."""
-    divisor = factor if isinstance(factor, SElem) else expand_factor(backend, factor)
-    return _divide_selem(p, divisor)
+def divide_exact(
+    backend: Backend, p: SElem, factor: FactorSymbol | SElem | Divisor
+) -> SElem | None:
+    """Exact division of p by a factor symbol, a raw S element, or a divisor
+    prepared by :func:`prepare_divisor`."""
+    if isinstance(factor, FactorSymbol):
+        factor = _factor_divisor(backend, factor)
+    return _divide_selem(p, factor)
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +918,7 @@ def _normalize(
     kept: list[FactorSymbol] = []
     for factor in sorted(den):
         if factor not in kept and not _witness_rules_out(backend, num, factor):
-            quotient = _divide_selem(num, expand_factor(backend, factor))
+            quotient = _divide_selem(num, _factor_divisor(backend, factor))
             if quotient is not None:
                 num = quotient
                 continue

@@ -239,17 +239,33 @@ def expand_in_triangular_basis(
     multiplying with a closed-form reciprocal, in S by one exact division that
     raises when it fails.  A residue that survives means ``coeffs`` lies
     outside the span.
+
+    In S each residue is updated in place: the solver copies the values of
+    ``coeffs`` once, applies r <- r - c_u column(u)[w] to its own copy in one
+    pass over the terms of c_u and column(u)[w] (:meth:`SElem.subtract_product`),
+    and hands the pivot a copy of the residue at u.  It never changes
+    ``coeffs`` or a column value, which may be cached.  In Q each update is
+    ``accumulate`` of the product, as the printed form of a Q value depends on
+    how its sum was formed.
     """
-    residue: dict[WeylElement, Coeff] = dict(coeffs)
+    in_s = isinstance(next(iter(coeffs.values()), None), SElem)
+    residue: dict[WeylElement, Coeff] = {
+        w: val.copy() if in_s else val for w, val in coeffs.items()
+    }
     out: dict[WeylElement, Coeff] = {}
     for u in order:
         cur = residue.get(u)
         if cur is None or cur.is_zero():
             continue
-        c = pivot(u, cur)
-        out[u] = c
+        c = out[u] = pivot(u, cur.copy() if in_s else cur)
         for w, val in column(u).items():
-            accumulate(residue, w, -(c * val))
+            if not in_s:
+                accumulate(residue, w, -(c * val))
+                continue
+            target = residue.get(w)
+            if target is None:
+                target = residue[w] = SElem.constant(c.backend, 0)
+            target.subtract_product(c, val)
     bad = [w for w, val in residue.items() if not val.is_zero()]
     if bad:
         raise ValueError(

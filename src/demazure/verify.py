@@ -35,7 +35,6 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from importlib import resources
 from typing import Mapping, Sequence
 
 from .dual import CohStableBasis, DiscrepancyReport, DualBasis
@@ -261,6 +260,8 @@ def suite_duality(
 
 def load_corpus() -> dict:
     """Load the bundled worked-example corpus (``data/golden.json``)."""
+    from importlib import resources  # imported here: it costs the CLI's start-up
+
     text = resources.files(__package__).joinpath("data/golden.json").read_text("utf-8")
     return json.loads(text)
 

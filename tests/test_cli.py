@@ -435,6 +435,37 @@ def test_output_bytes_identical_across_runs_and_worker_counts(command, stdout_sh
         assert hashlib.sha256(out1.encode("utf-8")).hexdigest() == stdout_sha256
 
 
+def test_mult_check_reports_a_wrong_oracle_pair_at_both_orders(monkeypatch):
+    """A mutant oracle, wrong on the one unordered pair {1, 2} only: the table
+    check computes that product once, for (1, 2), and must still report both
+    (1, 2, w) and (2, 1, w); a single product is checked in the order asked."""
+    honest = DualBasis.product_oracle
+    calls = []
+
+    def mutant(self, u, v):
+        calls.append((u.word, v.word))
+        row = dict(honest(self, u, v))
+        if {u.word, v.word} == {(1,), (2,)}:
+            row[self.datum.longest_element] = QElem.from_int(self.backend, 7)
+        return row
+
+    monkeypatch.setattr(DualBasis, "product_oracle", mutant)
+    argv = ("mult", "--type", "A2", "--family", "x", "--out", "json", "--check", "--jobs", "1")
+    code, out, _ = run_cli(*argv)
+    assert code == EXIT_DISCREPANCY
+    report = json.loads(out)["report"]
+    locations = [d["location"] for d in report["discrepancies"]]
+    assert locations == [["1", "2", "121"], ["2", "1", "121"]]
+    assert len(calls) == len(set(calls)) == 6 * 7 // 2
+    calls.clear()
+    code, out, _ = run_cli(
+        "mult", "--type", "A2", "--family", "x", "--u", "2", "--v", "1", "--check"
+    )
+    assert code == EXIT_DISCREPANCY
+    assert calls == [((2,), (1,))]
+    assert "  at 2,1,121: formula=0 oracle=7" in out.splitlines()
+
+
 def test_pool_output_does_not_depend_on_the_start_method(monkeypatch):
     """Spawn (the default on macOS) and forkserver workers share nothing with
     the parent, so the row task must be importable and its arguments and

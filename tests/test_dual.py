@@ -39,6 +39,7 @@ from demazure.twisted import (
     BUILTIN_FAMILIES,
     FAMILY_LAWS,
     QWElem,
+    expand_in_triangular_basis,
     family_t,
 )
 
@@ -283,6 +284,56 @@ def test_oracle_in_s_matches_the_elimination_in_q(label, family, law):
         assert set(in_s) == set(in_q)
         for w, val in in_q.items():
             assert (in_s[w].num, in_s[w].den) == (val.num, val.den)
+
+
+@pytest.mark.parametrize("family,law", [("t", ADDITIVE), ("tau", MULTIPLICATIVE)])
+def test_scaled_product_leaves_every_cached_class_unchanged(family, law):
+    """The elimination in S updates its residues in place; it must never
+    write into a cached scaled class, whose entries are its columns."""
+    basis = DualBasis(Algebra(BUILTIN_FAMILIES[family](Backend(get_datum("A2"), law))))
+    before = {
+        u: {w: dict(val.terms) for w, val in basis.scaled_class(u).items()}
+        for u in basis.order
+    }
+    for u, v in itertools.product(basis.order, repeat=2):
+        basis.scaled_product(u, v)
+    # The solver copies its input too: here the input is a cached class.
+    for u in basis.order:
+        assert expand_in_triangular_basis(
+            basis.order,
+            basis.scaled_class(u),
+            basis.scaled_class,
+            lambda w, cur: divide_exact(basis.backend, cur, basis.scaled_class(w)[w]),
+        ) == {u: one(basis.backend)}
+    after = {
+        u: {w: dict(val.terms) for w, val in basis.scaled_class(u).items()}
+        for u in basis.order
+    }
+    assert after == before
+
+
+def test_compare_routes_runs_the_oracle_once_per_unordered_pair(monkeypatch):
+    """A wrong oracle row for {u, v} is reported at both orders, although the
+    oracle runs only for the order with the lower index first."""
+    basis = DualBasis(Algebra(BUILTIN_FAMILIES["x"](Backend(get_datum("A2"), ADDITIVE))))
+    s1, s2 = by_word(basis.datum, "1"), by_word(basis.datum, "2")
+    honest = basis.product_oracle
+    calls = []
+
+    def oracle(u, v):
+        calls.append((u, v))
+        row = dict(honest(u, v))
+        if {u, v} == {s1, s2}:
+            row[basis.datum.longest_element] = QElem.from_int(basis.backend, 7)
+        return row
+
+    monkeypatch.setattr(basis, "product_oracle", oracle)
+    report = basis.compare_routes()
+    n = len(basis.order)
+    assert len(calls) == n * (n + 1) // 2
+    assert all(u.index <= v.index for u, v in calls)
+    assert [entry.location for entry in report.entries] == [("1", "2", "121"), ("2", "1", "121")]
+    assert not basis.compare_routes([(s2, s1)]).is_empty
 
 
 def test_oracle_in_s_raises_instead_of_returning_a_wrong_value():

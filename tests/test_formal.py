@@ -41,6 +41,7 @@ from demazure.formal import (
     linear_form,
     monomial,
     one,
+    prepare_divisor,
     q_equal,
     q_of,
     v_var,
@@ -358,6 +359,58 @@ def test_products_outside_the_range_raise_instead_of_wrapping(law, data):
         with pytest.raises(ValueError) as raised:
             p * q
         assert raised.type is ExponentOverflow
+
+
+@pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_s_multiplication_commutes_exactly(law, data):
+    """a * b and b * a hold the same packed terms: the oracle of a table
+    computes each product of two classes for one order only."""
+    b = get_backend("A2", law)
+    x, y = data.draw(_selems(b)), data.draw(_selems(b))
+    assert (x * y)._terms == (y * x)._terms
+
+
+@pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_subtract_product_in_place_equals_the_difference(law, data):
+    b = get_backend("A2", law)
+    r, x, y = (data.draw(_selems(b)) for _ in range(3))
+    before = [dict(p._terms) for p in (r, x, y)]
+    residue = r.copy()
+    residue.subtract_product(x, y)
+    assert residue._terms == (r - x * y)._terms
+    assert [p._terms for p in (r, x, y)] == before
+    residue.subtract_product(x, y * -1)
+    assert residue._terms == r._terms
+
+
+def test_subtract_product_outside_the_range_raises_like_a_product():
+    b = get_backend("A2", MULTIPLICATIVE)
+    top = monomial(b, (0, 0, EXPONENT_LIMIT - 1))
+    residue = zero(b).copy()
+    with pytest.raises(ExponentOverflow):
+        residue.subtract_product(top, monomial(b, (0, 0, 1)))
+    residue = (top * monomial(b, (1, 0, 0))).copy()
+    residue.subtract_product(top, monomial(b, (1, 0, 0)))
+    assert residue.is_zero()
+
+
+@pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_a_prepared_divisor_divides_like_the_element(law, data):
+    b = get_backend("A2", law)
+    p, d = data.draw(_selems(b)), data.draw(_selems(b))
+    if d.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            prepare_divisor(d)
+        return
+    prepared = prepare_divisor(d)
+    assert divide_exact(b, p * d, prepared) == p
+    assert divide_exact(b, p, prepared) == _divide_selem(p, d)
 
 
 @settings(max_examples=60, deadline=None)
