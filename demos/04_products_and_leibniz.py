@@ -9,7 +9,9 @@ offers two independent routes:
   * formula route  assemble the constant from Leibniz coefficients
                    z^{I}_{E,F} and the evaluation coefficients c.
 
-A discrepancy report collects any disagreement instead of hiding it.
+A discrepancy report collects any disagreement instead of hiding it.  The
+demo ends with the Bott-Samelson class zeta_I = Z_{I^rev} . pt_e of the
+word I = 121, over the fixed points and in the dual classes.
 
 Run:  python3 demos/04_products_and_leibniz.py
 """
@@ -84,3 +86,16 @@ w0 = a2.longest_element
 c_121 = basis.structure_constant(u, u, w0, top_word=(1, 2, 1))
 c_212 = basis.structure_constant(u, u, w0, top_word=(2, 1, 2))
 print("\nz^(121)_(1,1) == z^(212)_(1,1):", q_equal(c_121, c_212))
+
+# ---------------------------------------------------------------------------
+# The Bott-Samelson class zeta_I = Z_{I^rev} . pt_e, over the fixed points
+# and in the dual classes
+# ---------------------------------------------------------------------------
+
+zeta = basis.bott_samelson_class(word)
+print("\nzeta_(121) over the fixed points:")
+for w in zeta.support():
+    print(f"    f_{word_to_str(w.word) or 'e':<4} {qelem_to_str(zeta.coeffs[w])}")
+print("zeta_(121) in the dual classes:")
+for w, coeff in sorted(basis.expand(zeta).items(), key=lambda kv: kv[0].sort_key()):
+    print(f"    Z*_{word_to_str(w.word) or 'e':<4} {qelem_to_str(coeff)}")

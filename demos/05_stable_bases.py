@@ -36,15 +36,15 @@ s1 = a2.element_by_word((1,))
 w0 = a2.longest_element
 
 print("stab-_1 expanded over the fixed points:")
-for w, coeff in sorted(coh.stab_minus(s1).coeffs.items(),
+for w, coeff in sorted(coh.stab_minus_bullet(s1).coeffs.items(),
                        key=lambda kv: kv[0].sort_key()):
     print(f"    f_{word_to_str(w.word) or 'e':<4} {qelem_to_str(coeff)}")
 
 print("\nclosed form == operator route for every stab-_w:",
-      all(coh.stab_minus(w) == coh.stab_minus_dual(w) for w in a2.elements))
+      all(coh.stab_minus_bullet(w) == coh.stab_minus(w) for w in a2.elements))
 
 # the oracle-route structure constant highlighted in the product table
-value = coh.constant_oracle(s1, s1, w0)
+value = coh.constants_oracle(s1, s1)[w0]
 h = h_var(backend)
 al1 = x_class(backend, a2.simple_root(1))
 print("\nt^(121)_(1,1) =", qelem_to_str(value))
@@ -53,7 +53,7 @@ print("   == h^2 (h + alpha1):",
 
 # the formula route exceeds the oracle by one hat factor; the report says so
 report = coh.compare_constants([(s1, s1)])
-hat = QElem.from_s(coh.alpha_hat_w0)
+hat = QElem.from_s(coh.scale)
 print("\ncompare_constants reports", len(report.entries), "locations; each "
       "formula value equals hat_(w0) * oracle value:",
       all(q_equal(e.formula, hat * e.oracle) for e in report.entries))
@@ -66,9 +66,9 @@ kst = KStableBasis(DualBasis(Algebra(family_tau(Backend(a2, MULTIPLICATIVE)))))
 print("\nK-theory: operator route == closed form for every stab-_w:",
       all(kst.stab_minus(w) == kst.stab_minus_bullet(w) for w in a2.elements))
 print("K-theory: formula route == oracle route on the full grid:",
-      kst.compare_p_constants().is_empty)
+      kst.compare_constants().is_empty)
 
-rows = kst.p_constants_oracle(s1, s1)
+rows = kst.constants_oracle(s1, s1)
 print("\np^(.)_(1,1) rows (K-theoretic constants):")
 for w in sorted(rows, key=lambda e: e.sort_key()):
     if not rows[w].is_zero():

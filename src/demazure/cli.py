@@ -90,7 +90,14 @@ from .serialize import (
     qelem_to_str,
     word_to_str,
 )
-from .twisted import Algebra, BUILTIN_FAMILIES, FAMILY_LAWS, OperatorFamily, custom_family
+from .twisted import (
+    Algebra,
+    BUILTIN_FAMILIES,
+    FAMILY_LAWS,
+    OperatorFamily,
+    check_family_law,
+    custom_family,
+)
 from .verify import SUITE_NAMES, run_suite
 
 EXIT_OK = 0
@@ -179,8 +186,7 @@ def _check_family_law(family: str, law: str) -> None:
         return  # the file's own law is checked when loading
     if family not in FAMILY_LAWS:
         raise CliError(f"unknown family {family!r}")
-    if law not in FAMILY_LAWS[family]:
-        raise CliError(f"family {family!r} requires the {FAMILY_LAWS[family][0]} backend")
+    check_family_law(family, law)
 
 
 # ---------------------------------------------------------------------------
@@ -493,26 +499,20 @@ def cmd_restrict(args: argparse.Namespace) -> int:
 
 
 def cmd_stab(args: argparse.Namespace) -> int:
-    family = "t" if args.variant == "coh" else "tau"
+    stable_basis = CohStableBasis if args.variant == "coh" else KStableBasis
+    family = stable_basis.family
     config = _resolve_config(args, default_family=family, forced_family=family)
     if args.u is None or args.v is None:
         raise CliError("stab needs --u and --v")
-    basis = _session_basis(config.cache_key())
-    datum = basis.datum
-    if args.variant == "coh":
-        stable = CohStableBasis(basis)
-        oracle = stable.constants_oracle
-        formula = stable.constants_formula
-    else:
-        stable = KStableBasis(basis)
-        oracle = stable.p_constants_oracle
-        formula = stable.p_constants_formula
+    stable = stable_basis(_session_basis(config.cache_key()))
+    datum = stable.datum
     u = datum.element_by_word(parse_word(args.u))
     v = datum.element_by_word(parse_word(args.v))
-    constants = oracle(u, v)
+    constants = stable.constants_oracle(u, v)
     report = DiscrepancyReport()
     if config.check:
-        report.compare_rows((word_to_str(u.word), word_to_str(v.word)), formula(u, v), constants)
+        formula = stable.constants_formula(u, v)
+        report.compare_rows((word_to_str(u.word), word_to_str(v.word)), formula, constants)
     discrepancies = [entry.as_json_entry() for entry in report.entries]
     payload = {
         "command": "stab",

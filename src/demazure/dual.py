@@ -50,7 +50,10 @@ otherwise), the stable bases, and
 parabolic products over minimal coset representatives.  A stable basis is a
 view of a :class:`DualBasis` of T (:class:`CohStableBasis`, additive) or of
 tau (:class:`KStableBasis`, multiplicative): its classes are the dual
-classes times the basis's scale, alphahat_{w0} or xhat_{w0}.
+classes times the basis's scale, alphahat_{w0} or xhat_{w0}.  Both answer to
+one vocabulary: ``stab_minus`` (the dual-basis class), ``stab_minus_bullet``
+(the operator-route class), and ``constants_oracle``, ``constants_formula``,
+``raw_constants`` and ``compare_constants``.
 """
 
 from __future__ import annotations
@@ -417,7 +420,7 @@ class DualBasis:
             word: Word = self.algebra.word(w)
         else:
             word = tuple(top_word)
-            if self.datum.element_by_word(word) is not w or len(word) != w.length:
+            if not self.datum.is_reduced_word(word, w):
                 raise ValueError(f"{word} is not a reduced word for the requested element")
         key = (u, v) if u.index <= v.index else (v, u)
         value = self.algebra.formula_column(word).get(key)
@@ -522,42 +525,92 @@ class DualBasis:
         return {(u, v): basis.product_oracle(u, v) for u in reps for v in reps}
 
 
-def _stable_view(basis: DualBasis, family: str) -> tuple[Algebra, Backend, RootDatum, SElem]:
-    """The algebra, backend and datum of a DualBasis of ``family``, and its
-    scale expanded: prod_{beta>0} of the family's hat class (the product of
-    ``basis.scale_factors()``).  Raises ``ValueError`` for another family."""
-    name = basis.algebra.family.name
-    if name != family:
-        raise ValueError(f"this stable basis wraps a DualBasis of {family!r}, not {name!r}")
-    scale = one(basis.backend)
-    for factor in basis.scale_factors():
-        scale = scale * expand_factor(basis.backend, factor)
-    return basis.algebra, basis.backend, basis.datum, scale
+class StableBasis:
+    """What the two stable bases share: a view of a :class:`DualBasis` of the
+    operator family named ``family``, whose scale (the product of
+    ``basis.scale_factors()``) times lambda_w Z*_{I_w} is the class stab-_w.
+
+    Both bases answer to one vocabulary.  ``stab_minus`` is the dual-basis
+    class and ``stab_minus_bullet`` the same class by the operator route;
+    ``constants_oracle`` expands products by the S oracle,
+    ``constants_formula`` reads them off the formula route, ``raw_constants``
+    expands stab-_u stab-_v in the operator-route classes (a third route,
+    which reads no b-matrix), and ``compare_constants`` reports where the
+    formula and oracle routes differ.  Each subclass gives ``family``,
+    lambda_w and its inverse (``_weight``, ``_inverse_weight``),
+    ``stab_minus_bullet`` and its constants convention.
+    """
+
+    family: str
+
+    def __init__(self, basis: DualBasis):
+        name = basis.algebra.family.name
+        if name != self.family:
+            raise ValueError(
+                f"this stable basis wraps a DualBasis of {self.family!r}, not {name!r}"
+            )
+        self.basis, self.algebra = basis, basis.algebra
+        self.backend, self.datum = basis.backend, basis.datum
+        self.scale = one(self.backend)
+        for factor in basis.scale_factors():
+            self.scale = self.scale * expand_factor(self.backend, factor)
+
+    def stab_minus(self, w: WeylElement) -> DualElem:
+        """The dual-basis class lambda_w scale Z*_{I_w}."""
+        return QElem.from_s(self.scale * self._weight(w)) * self.basis.dual_basis_element(w)
+
+    def raw_constants(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
+        """Expansion of stab-_u stab-_v in the operator-route classes: the S
+        oracle's constants of the scaled classes times lambda_u lambda_v / lambda_w."""
+        g = self.stab_minus_bullet(u) * self.stab_minus_bullet(v)
+        hat_recip = QElem(one(self.backend), self.basis.scale_factors())
+
+        def pivot(w: WeylElement, cur: QElem) -> QElem:
+            return cur * (hat_recip * self.basis.diag_reciprocal(w) * self._inverse_weight(w))
+
+        return expand_in_triangular_basis(
+            self.basis.order, g.coeffs, lambda w: self.stab_minus_bullet(w).coeffs, pivot
+        )
+
+    def compare_constants(
+        self, pairs: Iterable[tuple[WeylElement, WeylElement]] | None = None
+    ) -> DiscrepancyReport:
+        return _compare_products(
+            self.basis._pairs(pairs), self.constants_formula, self.constants_oracle
+        )
 
 
-class CohStableBasis:
-    """Stable classes over the additive backend: a view of a DualBasis of T.
+class CohStableBasis(StableBasis):
+    """Stable classes over the additive backend: a view of a DualBasis of T,
+    whose scale is alphahat_{w0}, with lambda_w = (-1)^{l(w0)}:
 
-    stab+_w = T_{w^-1} . (alpha_{w0} f_e)            (support {v <= w}),
-    stab-_w = (-1)^{l(w0)} T_{w^-1 w0} . (alpha_{w0} f_{w0})   (support {v >= w}),
-    and stab-_w = (-1)^{l(w0)} alphahat_{w0} T*_w, where alphahat_{w0} is the
-    scale of the T basis.
+    stab+_w = T_{w^-1} . (alpha_{w0} f_e)                       (support {v <= w}),
+    stab-_w = (-1)^{l(w0)} alphahat_{w0} T*_w                    (dual-basis route)
+            = (-1)^{l(w0)} T_{w^-1 w0} . (alpha_{w0} f_{w0})     (bullet route, support {v >= w}).
 
     ``constants_oracle`` expands products of the *normalized* classes
     N_w = alphahat_{w0} T*_w, whose constants are alphahat_{w0} z^T_{u,v,w};
-    these are the values the worked small-rank tables reproduce.  The literal
-    closed form ``constants_formula`` carries one extra factor alphahat_{w0},
-    and ``compare_constants`` reports that systematic mismatch instead of
+    these are the values the worked small-rank tables reproduce, and
+    ``raw_constants`` gives (-1)^{l(w0)} times them.  The literal closed form
+    ``constants_formula`` carries one extra factor alphahat_{w0}, and
+    ``compare_constants`` reports that systematic mismatch instead of
     silently reconciling the two routes.
     """
 
+    family = "t"
+
     def __init__(self, basis: DualBasis):
-        self.basis = basis
-        self.algebra, self.backend, self.datum, self.alpha_hat_w0 = _stable_view(basis, "t")
+        super().__init__(basis)
         self.alpha_w0 = product_over_positive_roots(
             self.backend, lambda wt: x_class(self.backend, wt)
         )
         self._sign_w0 = -1 if self.datum.longest_element.length % 2 else 1
+
+    def _weight(self, w: WeylElement) -> int:
+        """lambda_w = (-1)^{l(w0)}, its own inverse."""
+        return self._sign_w0
+
+    _inverse_weight = _weight
 
     # -- the classes ---------------------------------------------------------
 
@@ -566,20 +619,12 @@ class CohStableBasis:
         start = DualElem.f(self.backend, self.datum.identity, self.alpha_w0)
         return bullet(z, start)
 
-    def stab_minus(self, w: WeylElement) -> DualElem:
+    def stab_minus_bullet(self, w: WeylElement) -> DualElem:
         w0 = self.datum.longest_element
         target = self.datum.multiply(self.datum.inverse(w), w0)
         z = self.algebra.z_basis_element(target)
         start = DualElem.f(self.backend, w0, self.alpha_w0)
         return self._sign_w0 * bullet(z, start)
-
-    def stab_minus_dual(self, w: WeylElement) -> DualElem:
-        """The closed form (-1)^{l(w0)} alphahat_{w0} T*_w."""
-        scaled = QElem.from_s(self.alpha_hat_w0 * self._sign_w0)
-        return scaled * self.basis.dual_basis_element(w)
-
-    def normalized_class(self, w: WeylElement) -> DualElem:
-        return QElem.from_s(self.alpha_hat_w0) * self.basis.dual_basis_element(w)
 
     def _hat_y_bullet(self, g: DualElem) -> DualElem:
         """hY . g for hY = sum_w delta_w w(c), c = (alpha_{w0} alphahat_{w0})^{-1}.
@@ -598,52 +643,28 @@ class CohStableBasis:
     # -- duality pairings (Lemma-style identities) ----------------------------
 
     def pairing_with_stab(self, v: WeylElement, u: WeylElement) -> DualElem:
-        """hY . (stab+_v stab-_u); equals (-1)^{l(w0)} 1 iff v == u, else 0."""
-        return self._hat_y_bullet(self.stab_plus(v) * self.stab_minus(u))
+        """hY . (stab+_v stab-_u), stab-_u by the operator route; equals
+        (-1)^{l(w0)} 1 iff v == u, else 0."""
+        return self._hat_y_bullet(self.stab_plus(v) * self.stab_minus_bullet(u))
 
     def pairing_with_dual(self, v: WeylElement, u: WeylElement) -> DualElem:
-        """hY . (stab+_v alphahat_{w0} T*_u); equals 1 iff v == u, else 0."""
-        return self._hat_y_bullet(self.stab_plus(v) * self.normalized_class(u))
+        """hY . (stab+_v alphahat_{w0} T*_u), from stab-_u by the dual-basis
+        route; equals 1 iff v == u, else 0."""
+        return self._sign_w0 * self._hat_y_bullet(self.stab_plus(v) * self.stab_minus(u))
 
     # -- structure constants ---------------------------------------------------
 
     def constants_oracle(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
         return {w: QElem.from_s(c) for w, c in self.basis.scaled_product(u, v).items()}
 
-    def constant_oracle(self, u: WeylElement, v: WeylElement, w: WeylElement) -> QElem:
-        return self.constants_oracle(u, v).get(w, QElem.from_int(self.backend, 0))
-
     def constants_formula(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
-        scale = QElem.from_s(self.alpha_hat_w0 * self.alpha_hat_w0)
+        scale = QElem.from_s(self.scale * self.scale)
         return {w: scale * val for w, val in self.basis.product_formula(u, v).items()}
 
-    def raw_constants(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
-        """Expansion of stab-_u stab-_v in the stab- basis itself.
 
-        Equals (-1)^{l(w0)} times ``constants_oracle`` because each stab class
-        carries the sign (-1)^{l(w0)} relative to the normalized class.
-        """
-        g = self.stab_minus(u) * self.stab_minus(v)
-        hat_recip = QElem(one(self.backend), self.basis.scale_factors())
-
-        def pivot(w: WeylElement, cur: QElem) -> QElem:
-            return cur * (hat_recip * self.basis.diag_reciprocal(w) * self._sign_w0)
-
-        return expand_in_triangular_basis(
-            self.basis.order, g.coeffs, lambda w: self.stab_minus(w).coeffs, pivot
-        )
-
-    def compare_constants(
-        self, pairs: Iterable[tuple[WeylElement, WeylElement]] | None = None
-    ) -> DiscrepancyReport:
-        return _compare_products(
-            self.basis._pairs(pairs), self.constants_formula, self.constants_oracle
-        )
-
-
-class KStableBasis:
+class KStableBasis(StableBasis):
     """Stable classes over the multiplicative backend: a view of a DualBasis
-    of tau, whose scale is xhat_{w0}.
+    of tau, whose scale is xhat_{w0}, with lambda_w = q_w^{1/2} = v^{l(w)}:
 
     stab-_w = q_w^{1/2} xhat_{w0} (tau_w)*          (dual-basis route)
             = q_{w0} q_w^{-1/2} (tau_{w0 w})^{-1} . (prod_{alpha>0} (1 - e^alpha) f_{w0})
@@ -652,21 +673,25 @@ class KStableBasis:
 
         p^w_{u,v} = q^{(l(u)+l(v)-l(w))/2} xhat_{w0} z^tau_{u,v,w}.
 
-    Both the formula route and the oracle route compute z^tau; they agree,
-    so ``compare_p_constants`` returns an empty report.
+    The oracle, formula and raw routes all compute p^w_{u,v}; they agree, so
+    ``compare_constants`` returns an empty report.
     """
 
+    family = "tau"
+
     def __init__(self, basis: DualBasis):
-        self.basis = basis
-        self.algebra, self.backend, self.datum, self.xhat_w0 = _stable_view(basis, "tau")
+        super().__init__(basis)
         # prod_{alpha > 0} (1 - e^alpha) = prod_{alpha < 0} x_alpha
         self.pos_exp_prod = product_over_positive_roots(
             self.backend, lambda wt: x_class(self.backend, tuple(-c for c in wt))
         )
 
-    def stab_minus(self, w: WeylElement) -> DualElem:
-        scale = QElem.from_s(v_var(self.backend, w.length) * self.xhat_w0)
-        return scale * self.basis.dual_basis_element(w)
+    def _weight(self, w: WeylElement) -> SElem:
+        """lambda_w = v^{l(w)}."""
+        return v_var(self.backend, w.length)
+
+    def _inverse_weight(self, w: WeylElement) -> SElem:
+        return v_var(self.backend, -w.length)
 
     def stab_minus_bullet(self, w: WeylElement) -> DualElem:
         w0 = self.datum.longest_element
@@ -675,41 +700,14 @@ class KStableBasis:
         start = DualElem.f(self.backend, w0, self.pos_exp_prod)
         return scale * bullet(z, start)
 
-    def _prefactor(self, u: WeylElement, v: WeylElement, w: WeylElement) -> QElem:
-        power = u.length + v.length - w.length
-        return QElem.from_s(v_var(self.backend, power) * self.xhat_w0)
-
-    def p_constants_oracle(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
+    def constants_oracle(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
         return {
             w: QElem.from_s(v_var(self.backend, u.length + v.length - w.length) * c)
             for w, c in self.basis.scaled_product(u, v).items()
         }
 
-    def p_constants_formula(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
+    def constants_formula(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
         return {
-            w: self._prefactor(u, v, w) * val
+            w: QElem.from_s(v_var(self.backend, u.length + v.length - w.length) * self.scale) * val
             for w, val in self.basis.product_formula(u, v).items()
         }
-
-    def p_constants_raw(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
-        """Expand stab-_u stab-_v directly in the stab- basis."""
-        g = self.stab_minus(u) * self.stab_minus(v)
-        hat_recip = QElem(one(self.backend), self.basis.scale_factors())
-
-        def pivot(w: WeylElement, cur: QElem) -> QElem:
-            return cur * (
-                QElem.from_s(v_var(self.backend, -w.length))
-                * hat_recip
-                * self.basis.diag_reciprocal(w)
-            )
-
-        return expand_in_triangular_basis(
-            self.basis.order, g.coeffs, lambda w: self.stab_minus(w).coeffs, pivot
-        )
-
-    def compare_p_constants(
-        self, pairs: Iterable[tuple[WeylElement, WeylElement]] | None = None
-    ) -> DiscrepancyReport:
-        return _compare_products(
-            self.basis._pairs(pairs), self.p_constants_formula, self.p_constants_oracle
-        )

@@ -427,9 +427,6 @@ class RootDatum:
         self._bruhat_cache[key] = result
         return result
 
-    def bruhat_interval_below(self, w: WeylElement) -> tuple[WeylElement, ...]:
-        return tuple(u for u in self._elements if self.bruhat_leq(u, w))
-
     def all_reduced_words(self, w: WeylElement) -> tuple[Word, ...]:
         cached = self._all_words_cache.get(w.index)
         if cached is not None:
@@ -445,8 +442,9 @@ class RootDatum:
         self._all_words_cache[w.index] = result
         return result
 
-    def is_reduced(self, word: Sequence[int]) -> bool:
-        return self.element_by_word(word).length == len(word)
+    def is_reduced_word(self, word: Sequence[int], w: WeylElement) -> bool:
+        """Whether ``word`` is a reduced word for ``w``."""
+        return self.element_by_word(word) is w and len(word) == w.length
 
     # -- lattice action ------------------------------------------------------
 
@@ -516,11 +514,6 @@ class RootDatum:
                 raise ValueError(f"parabolic index {j} out of range 1..{self.rank}")
         return J
 
-    def parabolic_elements(self, subset: Iterable[int]) -> tuple[WeylElement, ...]:
-        """Elements of the standard parabolic subgroup W_J."""
-        J = set(self._check_parabolic(subset))
-        return tuple(w for w in self._elements if set(w.word) <= J)
-
     def min_coset_reps(self, subset: Iterable[int]) -> tuple[WeylElement, ...]:
         """Minimal-length representatives of the cosets w W_J."""
         J = self._check_parabolic(subset)
@@ -553,7 +546,7 @@ class RootDatum:
         for w in self._elements:
             u, v = self.coset_factorization(w, J)
             word = u.word + v.word
-            if self.element_by_word(word) is not w or len(word) != w.length:
+            if not self.is_reduced_word(word, w):
                 raise AssertionError("coset factorization produced a bad word")
             out[w] = word
         return out

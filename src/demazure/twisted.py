@@ -361,8 +361,7 @@ def family_y(backend: Backend) -> OperatorFamily:
 
 
 def family_t(backend: Backend) -> OperatorFamily:
-    if backend.law != ADDITIVE:
-        raise ValueError("the T family requires the additive backend (with h)")
+    check_family_law("t", backend.law)
 
     def a(alpha: Weight) -> QElem:
         return QElem(-h_var(backend), [_x_factor(alpha)])
@@ -379,8 +378,7 @@ def family_t(backend: Backend) -> OperatorFamily:
 
 
 def family_tau(backend: Backend) -> OperatorFamily:
-    if backend.law != MULTIPLICATIVE:
-        raise ValueError("the tau family requires the multiplicative backend (with v)")
+    check_family_law("tau", backend.law)
 
     def a(alpha: Weight) -> QElem:
         return QElem(q_of(backend) - one(backend), [FactorSymbol(ONE_MINUS_E, tuple(alpha))])
@@ -398,8 +396,7 @@ def family_tau(backend: Backend) -> OperatorFamily:
 
 def family_sigma(backend: Backend) -> OperatorFamily:
     """Custom preset: sigma_alpha = ((1+alpha)/alpha) delta_alpha - 1/alpha."""
-    if backend.law != ADDITIVE:
-        raise ValueError("the sigma preset requires the additive backend")
+    check_family_law("sigma", backend.law)
 
     def a(alpha: Weight) -> QElem:
         return QElem(-one(backend), [_x_factor(alpha)])
@@ -447,6 +444,13 @@ FAMILY_LAWS: dict[str, tuple[str, ...]] = {
 }
 
 
+def check_family_law(family: str, law: str) -> None:
+    """Raise ``ValueError`` unless ``FAMILY_LAWS`` defines the built-in
+    ``family`` on ``law``."""
+    if law not in FAMILY_LAWS[family]:
+        raise ValueError(f"family {family!r} requires the {FAMILY_LAWS[family][0]} backend")
+
+
 # ---------------------------------------------------------------------------
 # The algebra of a family with a fixed reduced-word choice
 # ---------------------------------------------------------------------------
@@ -473,7 +477,7 @@ class Algebra:
         if words:
             for w, word in words.items():
                 word = tuple(word)
-                if self.datum.element_by_word(word) is not w or len(word) != w.length:
+                if not self.datum.is_reduced_word(word, w):
                     raise ValueError(
                         f"word {word} is not a reduced word for {''.join(map(str, w.word)) or 'e'}"
                     )

@@ -232,7 +232,7 @@ def test_stab_coh_check_reports_the_hat_scale_factor():
     t_a2 = BUILTIN_FAMILIES["t"](Backend(get_datum("A2"), ADDITIVE))
     coh = CohStableBasis(DualBasis(Algebra(t_a2)))
     backend = coh.backend
-    hat = QElem.from_s(coh.alpha_hat_w0)
+    hat = QElem.from_s(coh.scale)
     for entry in report["discrepancies"]:
         formula = QElem.from_s(parse_selem(backend, entry["formula"]))
         oracle = QElem.from_s(parse_selem(backend, entry["oracle"]))
@@ -387,6 +387,16 @@ CLI_CONTRACT = [
      "69f414419080be4a0f44bab004924b44a7c21d23cb47b5fcbf092488f6164107"),
     ("verify --suite paper-examples --type A2 --out json", 0,
      "883fcc5fae12a62f27c734b6d0ad19f7d2a6ef684da8f2fa04cbb9e391f235f7"),
+    ("stab coh --type B2 --u 2 --v 12 --out json", 0,
+     "0935fa48cb77fa6962320d9785967ab43345cf78bf69e501a3d99833fc721f37"),
+    ("stab k --type A2 --u 12 --v 21 --check", 0,
+     "e08bc54205e7b8fe70c5dd8ded0de26f42463856d278aafeae66c197bf656cd8"),
+    ("mult --type A2 --family t --words jcompat:1 --out json --check", 0,
+     "1e103b29ba1e91c77745efece6ede870605e52e46c1728c855daff71d0fc13da"),
+    ("mult --type A2 --family sigma --u 12 --v 21 --check", 0,
+     "09aaae9e266af8f8848134ad9df171c3ad16f0fd88fc1aca7f2c25213c7a3c5e"),
+    ("verify --suite relations --type B2 --out json", 0,
+     "4db7a52d254d752d62a3c0c9e3aa1cd69091694cffd36bfff4a9cbd6baeb4d4b"),
 ]
 
 

@@ -125,10 +125,13 @@ def test_g2_longest(g2):
 @pytest.mark.parametrize("label", ["A2", "B2"])
 def test_is_reduced(label):
     datum = get_datum(label)
-    assert datum.is_reduced(())
-    assert datum.is_reduced((1, 2, 1))
-    assert not datum.is_reduced((1, 1))
-    assert not datum.is_reduced((2, 1, 1, 2))
+    s121 = datum.element_by_word((1, 2, 1))
+    assert datum.is_reduced_word((), datum.identity)
+    assert datum.is_reduced_word((1, 2, 1), s121)
+    assert not datum.is_reduced_word((1, 2), s121)
+    assert not datum.is_reduced_word((1, 1), datum.identity)
+    assert not datum.is_reduced_word((2, 1, 1, 2), datum.element_by_word((2, 1, 1, 2)))
+    assert not datum.is_reduced_word((2, 1, 2), datum.element_by_word((1, 2)))
 
 
 # ---------------------------------------------------------------------------
@@ -319,7 +322,7 @@ def test_demazure_product_of_reduced_word_is_the_element(a3):
 def test_min_coset_reps_and_factorization(label, J):
     datum = get_datum(label)
     reps = datum.min_coset_reps(J)
-    subgroup = datum.parabolic_elements(J)
+    subgroup = [w for w in datum.elements if set(w.word) <= set(J)]
     assert len(reps) * len(subgroup) == datum.order
     seen = set()
     for w in datum.elements:
