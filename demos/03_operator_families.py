@@ -4,7 +4,8 @@ Elements of the twisted group algebra Q_W are finite sums  sum_w q_w d_w
 with localized coefficients q_w; multiplication twists the coefficients
 by the Weyl action.  An operator family assigns to every simple root an
 element  Z_i = a(alpha_i) d_{s_i} + b(alpha_i),  and words in the Z_i
-generate everything else.  Built-in families:
+generate everything else.  Built-in families (the entries of
+twisted.BUILTIN_FAMILIES, each with the laws it is defined on):
 
     x     Demazure-type      X_i = (1/x_i) (d_i - 1)         both laws
     y     opposite variant   Y_i = (1/x_{-i}) (d_i - 1) ...  both laws
@@ -15,10 +16,10 @@ generate everything else.  Built-in families:
 Run:  python3 demos/03_operator_families.py
 """
 
-from demazure.formal import ADDITIVE, MULTIPLICATIVE, Backend, QElem
+from demazure.formal import ADDITIVE, Backend, QElem
 from demazure.rootdata import build_root_datum
 from demazure.serialize import qelem_to_str, word_to_str
-from demazure.twisted import Algebra, BUILTIN_FAMILIES, custom_family, family_sigma
+from demazure.twisted import Algebra, BUILTIN_FAMILIES, custom_family
 
 a2 = build_root_datum("A2")
 
@@ -48,11 +49,9 @@ print("\nX_1 X_2 X_1 == X_2 X_1 X_2 :",
 # Relations hold per family; verify_relations reports each one
 # ---------------------------------------------------------------------------
 
-for name in ("x", "y", "t", "tau", "sigma"):
-    law = MULTIPLICATIVE if name == "tau" else ADDITIVE
-    if name in ("x", "y"):
-        law = ADDITIVE
-    family = BUILTIN_FAMILIES[name](Backend(a2, law))
+for name, entry in BUILTIN_FAMILIES.items():
+    law = entry.laws[0]  # each family's default law
+    family = entry(Backend(a2, law))
     checks = Algebra(family).verify_relations()
     status = "all pass" if all(c["passed"] for c in checks) else "FAILED"
     print(f"relations for {name:<5} ({law}): {len(checks)} checks, {status}")
@@ -71,7 +70,7 @@ print("\nX_1 . x_alpha1 =", qelem_to_str(X1.act(p)), "   (x_alpha1 is (2,-1))")
 # Custom families: supply a, b, and the exact reciprocal of b
 # ---------------------------------------------------------------------------
 
-sigma = family_sigma(Backend(a2, ADDITIVE))
+sigma = BUILTIN_FAMILIES["sigma"](Backend(a2, ADDITIVE))
 show(Algebra(sigma).simple_element(1), "\nsigma_1, the localized preset family:")
 
 # custom_family validates b * b_inv == 1 and the defining relations;

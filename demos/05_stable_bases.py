@@ -22,7 +22,7 @@ from demazure.dual import CohStableBasis, DualBasis, KStableBasis
 from demazure.formal import ADDITIVE, MULTIPLICATIVE, Backend, QElem, h_var, q_equal, x_class
 from demazure.rootdata import build_root_datum
 from demazure.serialize import qelem_to_str, word_to_str
-from demazure.twisted import Algebra, family_t, family_tau
+from demazure.twisted import Algebra, BUILTIN_FAMILIES
 
 a2 = build_root_datum("A2")
 
@@ -30,7 +30,7 @@ a2 = build_root_datum("A2")
 # Cohomological stable basis
 # ---------------------------------------------------------------------------
 
-coh = CohStableBasis(DualBasis(Algebra(family_t(Backend(a2, ADDITIVE)))))
+coh = CohStableBasis(DualBasis(Algebra(BUILTIN_FAMILIES["t"](Backend(a2, ADDITIVE)))))
 backend = coh.backend
 s1 = a2.element_by_word((1,))
 w0 = a2.longest_element
@@ -62,7 +62,7 @@ print("\ncompare_constants reports", len(report.entries), "locations; each "
 # K-theoretic stable basis
 # ---------------------------------------------------------------------------
 
-kst = KStableBasis(DualBasis(Algebra(family_tau(Backend(a2, MULTIPLICATIVE)))))
+kst = KStableBasis(DualBasis(Algebra(BUILTIN_FAMILIES["tau"](Backend(a2, MULTIPLICATIVE)))))
 print("\nK-theory: operator route == closed form for every stab-_w:",
       all(kst.stab_minus(w) == kst.stab_minus_bullet(w) for w in a2.elements))
 print("K-theory: formula route == oracle route on the full grid:",

@@ -27,13 +27,19 @@ Subcommands
     Run a named property suite (relations, leibniz, duality,
     paper-examples, all) and exit 2 if anything fails.
 
+``mult`` takes ``--words``, ``--check`` and ``--jobs``; ``restrict`` and
+``stab`` take ``--words`` and ``--check``; ``verify`` takes none of them.
+
 Exit codes: 0 success, 2 discrepancy found, 3 configuration error.
 
 Words are digit strings ("121"), "" or "e" for the identity; ranks with
 ten or more nodes use the comma form ("1,10,2").  Output is deterministic:
 the same configuration produces identical bytes for every worker count.
 
-Custom families (``--family custom:FILE``) are described by a JSON file:
+The built-in families are the entries of ``twisted.BUILTIN_FAMILIES``,
+written in the format of a family file and read by the same reader
+(``twisted.read_coefficients``).  Custom families (``--family
+custom:FILE``) are described by a JSON file in that format:
 
     {"name": "sigma", "law": "additive",
      "a":     {"num": [[-1, 0, 0, 0]], "den": [["x_root", 1]]},
@@ -46,8 +52,9 @@ Each numerator term is ``[coeff, alpha_exp, extra_exp, e_mult]`` and means
 multiplicatively).  ``alpha_exp`` and the additive ``extra_exp`` must be
 non-negative, and every exponent must lie in [-2**14, 2**14) (the range of
 ``formal.SElem`` exponents).  Each denominator entry is ``[factor_kind,
-sign]`` applied at ``sign * alpha``.  The family is validated (b inverse,
-equivariance) before use.  ``--fgl`` defaults to the file's ``"law"``.
+sign]`` applied at ``sign * alpha``.  A file's family is validated (b inverse,
+equivariance) before use; a built-in one is not.  ``--fgl`` defaults to
+the file's ``"law"``.
 
 Explicit word files (``--words file:PATH``) map every element's canonical
 word to the chosen reduced word, e.g. ``{"": "", "1": "1", "121": "212",
@@ -59,27 +66,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import operator
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .dual import CohStableBasis, DiscrepancyReport, DualBasis, KStableBasis
 from .formal import (
     ADDITIVE,
-    EXPONENT_LIMIT,
     LAWS,
-    MULTIPLICATIVE,
     Backend,
-    FactorSymbol,
-    QElem,
-    SElem,
-    e_mono,
-    h_var,
     q_equal,  # not called here; perfbench/tests/test_tracer.py checks its rebinding
-    v_var,
-    x_class,
 )
 from .rootdata import RootDatum, build_root_datum
 from .serialize import (
@@ -93,10 +90,9 @@ from .serialize import (
 from .twisted import (
     Algebra,
     BUILTIN_FAMILIES,
-    FAMILY_LAWS,
     OperatorFamily,
-    check_family_law,
     custom_family,
+    read_coefficients,
 )
 from .verify import SUITE_NAMES, run_suite
 
@@ -158,14 +154,20 @@ def _resolve_config(
             f"this command uses the {forced_family!r} family, not {family!r}"
         )
     law = args.fgl
-    if not law and family.startswith("custom:"):
-        # A custom family file names its own law; a malformed file fails later.
-        with open(family[len("custom:") :], "r", encoding="utf-8") as fh:
-            spec = json.load(fh)
-        law = spec.get("law") if isinstance(spec, dict) else None
-    if law not in LAWS:
-        law = FAMILY_LAWS.get(family, LAWS)[0]
-    _check_family_law(family, law)
+    if family.startswith("custom:"):
+        if not law:
+            # A custom family file names its own law; a malformed file fails later.
+            with open(family[len("custom:") :], "r", encoding="utf-8") as fh:
+                spec = json.load(fh)
+            law = spec.get("law") if isinstance(spec, dict) else None
+        if law not in LAWS:
+            law = LAWS[0]
+    elif family in BUILTIN_FAMILIES:
+        entry = BUILTIN_FAMILIES[family]
+        law = law or entry.laws[0]
+        entry.check_law(law)
+    else:
+        raise CliError(f"unknown family {family!r}")
     if args.jobs < 1:
         raise CliError("--jobs must be at least 1")
     return SessionConfig(
@@ -179,14 +181,6 @@ def _resolve_config(
         check=args.check,
         jobs=args.jobs,
     )
-
-
-def _check_family_law(family: str, law: str) -> None:
-    if family.startswith("custom:"):
-        return  # the file's own law is checked when loading
-    if family not in FAMILY_LAWS:
-        raise CliError(f"unknown family {family!r}")
-    check_family_law(family, law)
 
 
 # ---------------------------------------------------------------------------
@@ -229,57 +223,6 @@ def _word_overrides(datum: RootDatum, policy: str):
     raise CliError(f"unknown word policy {policy!r}")
 
 
-def _term_value(backend: Backend, weight, term: Sequence[int]) -> SElem:
-    coeff, alpha_exp, extra_exp, e_mult = term
-    value = SElem.constant(backend, coeff) * x_class(backend, weight) ** alpha_exp
-    if backend.law == ADDITIVE:
-        value = value * h_var(backend) ** extra_exp
-    else:
-        value = value * v_var(backend, extra_exp)
-    if e_mult:
-        if backend.law != MULTIPLICATIVE:
-            raise CliError("group-like numerator terms need the multiplicative backend")
-        value = value * e_mono(backend, tuple(e_mult * c for c in weight))
-    return value
-
-
-def _coeff_fn(backend: Backend, spec, where: str) -> Callable:
-    """The coefficient described by ``spec``; shape errors name ``where``."""
-    if not isinstance(spec, dict):
-        raise CliError(f"{where} must be a JSON object with 'num' and 'den' lists")
-    try:
-        num_terms = [tuple(operator.index(c) for c in term) for term in spec.get("num", [])]
-        den_spec = [(str(kind), operator.index(sign)) for kind, sign in spec.get("den", [])]
-    except (TypeError, ValueError) as exc:
-        raise CliError(f"{where} is malformed: {exc}") from exc
-    if any(len(term) != 4 for term in num_terms):
-        raise CliError(f"{where}: each numerator term needs 4 integers")
-    for term in num_terms:
-        _, alpha_exp, extra_exp, _ = term
-        if alpha_exp < 0 or (backend.law == ADDITIVE and extra_exp < 0):
-            raise CliError(
-                f"{where}: numerator term {list(term)} has a negative exponent of "
-                + ("x_alpha" if alpha_exp < 0 else "h")
-            )
-        if not all(-EXPONENT_LIMIT <= e < EXPONENT_LIMIT for e in term[1:]):
-            raise CliError(
-                f"{where}: numerator term {list(term)} has an exponent outside "
-                f"[-{EXPONENT_LIMIT}, {EXPONENT_LIMIT})"
-            )
-
-    def fn(weight) -> QElem:
-        total = SElem.constant(backend, 0)
-        for term in num_terms:
-            total = total + _term_value(backend, weight, term)
-        den = [
-            FactorSymbol(kind, tuple(sign * c for c in weight))
-            for kind, sign in den_spec
-        ]
-        return QElem(total, den)
-
-    return fn
-
-
 def _load_custom_family(backend: Backend, path: str) -> OperatorFamily:
     with open(path, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
@@ -291,16 +234,10 @@ def _load_custom_family(backend: Backend, path: str) -> OperatorFamily:
             f"custom family {path!r} declares law {law!r}; "
             f"configured backend is {backend.law!r}"
         )
+    coefficients = read_coefficients(backend, spec, f"custom family {path!r}")
     try:
-        return custom_family(
-            backend,
-            str(spec.get("name", "file")),
-            *(
-                _coeff_fn(backend, spec[key], f"custom family {path!r}, coefficient {key!r}")
-                for key in ("a", "b", "b_inv")
-            ),
-        )
-    except (KeyError, ValueError) as exc:
+        return custom_family(backend, str(spec.get("name", "file")), *coefficients)
+    except ValueError as exc:
         raise CliError(f"invalid custom family {path!r}: {exc}") from exc
 
 
@@ -588,20 +525,24 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
         "--family",
         help="operator family: x, y, t, tau, sigma, or custom:FILE",
     )
-    parser.add_argument(
-        "--words",
-        default="lexmin",
-        help="reduced word policy: lexmin, jcompat:J, or file:PATH",
-    )
     parser.add_argument("--out", choices=("text", "json"), default="text")
-    parser.add_argument("--check", action="store_true", help="run the oracle cross-check")
-    parser.add_argument(
-        "--jobs",
+    # The session flags below are offered only by the subcommands that read
+    # them; the others get these defaults, so argparse rejects the flags.
+    parser.set_defaults(words="lexmin", check=False, jobs=1)
+
+
+_SESSION_FLAGS = {
+    "--words": dict(
+        default="lexmin", help="reduced word policy: lexmin, jcompat:J, or file:PATH"
+    ),
+    "--check": dict(action="store_true", help="run the oracle cross-check"),
+    "--jobs": dict(
         type=int,
         default=1,
         help="worker processes for a mult table, one table row at a time "
         "(at most the number of rows and the CPU count)",
-    )
+    ),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -610,12 +551,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     mult = sub.add_parser("mult", help="structure constants of dual classes")
     _add_common_flags(mult)
+    for flag in ("--words", "--check", "--jobs"):
+        mult.add_argument(flag, **_SESSION_FLAGS[flag])
     mult.add_argument("--u", help='left factor, a word like "12" ("" = identity)')
     mult.add_argument("--v", help="right factor")
     mult.set_defaults(func=cmd_mult)
 
     restrict = sub.add_parser("restrict", help="restriction coefficient b_{v, I_w}")
     _add_common_flags(restrict)
+    for flag in ("--words", "--check"):
+        restrict.add_argument(flag, **_SESSION_FLAGS[flag])
     restrict.add_argument("--v", help="point (Weyl element word)")
     restrict.add_argument("--w", help="class index (Weyl element word)")
     restrict.set_defaults(func=cmd_restrict)
@@ -623,6 +568,8 @@ def build_parser() -> argparse.ArgumentParser:
     stab = sub.add_parser("stab", help="stable-basis structure constants")
     stab.add_argument("variant", choices=("coh", "k"))
     _add_common_flags(stab)
+    for flag in ("--words", "--check"):
+        stab.add_argument(flag, **_SESSION_FLAGS[flag])
     stab.add_argument("--u", help="left factor")
     stab.add_argument("--v", help="right factor")
     stab.set_defaults(func=cmd_stab)

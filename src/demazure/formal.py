@@ -40,7 +40,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
-from fractions import Fraction
 from math import prod
 from operator import itemgetter, mul
 from types import MappingProxyType
@@ -281,14 +280,15 @@ class SElem:
     def __pow__(self, n: int) -> "SElem":
         if n < 0:
             raise ValueError("negative powers are not defined in S")
-        result = SElem.constant(self.backend, 1)
+        result = None
         base = self
         while n:
             if n & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             n >>= 1
-        return result
+            if n:
+                base = base * base
+        return SElem.constant(self.backend, 1) if result is None else result
 
     def __eq__(self, other) -> bool:
         return (
@@ -304,22 +304,6 @@ class SElem:
         from .serialize import selem_to_str
 
         return f"S<{selem_to_str(self)}>"
-
-    # -- exact evaluation (used by randomized identity tests) -----------------
-
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        """Evaluate exactly at rational values of (t_1..t_n, h), respectively
-        at nonzero rational values (z_1..z_n, v) with ``E(m) = prod z_i^m_i``."""
-        if len(point) != self.backend.rank + 1:
-            raise ValueError("evaluation point has wrong length")
-        total = Fraction(0)
-        for key, coeff in self._terms.items():
-            val = Fraction(coeff)
-            for base, exp in zip(point, self.backend.unpack(key)):
-                if exp:
-                    val *= Fraction(base) ** exp
-            total += val
-        return total
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +339,6 @@ def v_var(backend: Backend, power: int = 1) -> SElem:
     if backend.law != MULTIPLICATIVE:
         raise ValueError("v lives in the multiplicative backend")
     return monomial(backend, (0,) * backend.rank + (power,))
-
-
-def q_of(backend: Backend) -> SElem:
-    """q = v^2."""
-    return v_var(backend, 2)
 
 
 def linear_form(backend: Backend, weight: Sequence[int]) -> SElem:
@@ -894,15 +873,6 @@ class QElem:
         from .serialize import qelem_to_str
 
         return f"Q<{qelem_to_str(self)}>"
-
-    def evaluate(self, point: Sequence[Fraction]) -> Fraction:
-        den = Fraction(1)
-        for factor in self.den:
-            val = expand_factor(self.backend, factor).evaluate(point)
-            if val == 0:
-                raise ZeroDivisionError("denominator factor vanishes at the point")
-            den *= val
-        return self.num.evaluate(point) / den
 
 
 def _normalize(

@@ -14,13 +14,10 @@ reduced words {I_w} form a Q-basis.  Because each family also supplies a
 symbolic inverse of b_alpha, every triangular basis change here is carried
 out by multiplication alone (no division ever happens blindly).
 
-Built-in families::
-
-    X:    a = 1/x_a,          b = -1/x_a            (either backend)
-    Y:    a = 1/x_{-a},       b = 1/x_a             (either backend)
-    T:    a = -h/a,           b = (h-a)/a           (additive, h)
-    tau:  a = (q-1)/(1-e^a),  b = (1-q e^{-a})/(1-e^a)   (multiplicative, q = v^2)
-    sigma (custom preset): a = -1/a, b = (1+a)/a    (additive)
+The built-in families x, y, t, tau and sigma are the entries of
+:data:`BUILTIN_FAMILIES`, the one table of families and their laws: each
+entry writes its a, b and b_inv in the family-file format of
+``--family custom:FILE``, and :func:`read_coefficients` reads both.
 
 Each :class:`Algebra` solves the constants (c1, c0) of the quadratic relation
 ``Z_i^2 = c1 Z_i + c0`` from the family's own relations (:attr:`Algebra.quadratic`)::
@@ -52,29 +49,22 @@ one word, once per word.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Mapping, Sequence, TypeVar
 
 from .formal import (
     ADDITIVE,
-    HAT_ADDITIVE,
-    HAT_MULTIPLICATIVE,
+    EXPONENT_LIMIT,
     MULTIPLICATIVE,
-    ONE_MINUS_E,
-    ONE_PLUS_ROOT,
-    X_ROOT,
     Backend,
     FactorSymbol,
     QElem,
     SElem,
-    e_mono,
-    expand_factor,
-    h_var,
-    linear_form,
+    monomial,
     one,
     q_equal,
-    q_of,
     v_var,
     weyl_act,
     weyl_act_q,
@@ -330,88 +320,6 @@ class OperatorFamily:
         return failures
 
 
-def _x_factor(weight: Weight) -> FactorSymbol:
-    return FactorSymbol(X_ROOT, tuple(weight))
-
-
-def family_x(backend: Backend) -> OperatorFamily:
-    def a(alpha: Weight) -> QElem:
-        return QElem(one(backend), [_x_factor(alpha)])
-
-    def b(alpha: Weight) -> QElem:
-        return QElem(-one(backend), [_x_factor(alpha)])
-
-    def b_inv(alpha: Weight) -> QElem:
-        return QElem.from_s(-x_class(backend, alpha))
-
-    return OperatorFamily("x", backend, a, b, b_inv)
-
-
-def family_y(backend: Backend) -> OperatorFamily:
-    def a(alpha: Weight) -> QElem:
-        return QElem(one(backend), [_x_factor(tuple(-c for c in alpha))])
-
-    def b(alpha: Weight) -> QElem:
-        return QElem(one(backend), [_x_factor(alpha)])
-
-    def b_inv(alpha: Weight) -> QElem:
-        return QElem.from_s(x_class(backend, alpha))
-
-    return OperatorFamily("y", backend, a, b, b_inv)
-
-
-def family_t(backend: Backend) -> OperatorFamily:
-    check_family_law("t", backend.law)
-
-    def a(alpha: Weight) -> QElem:
-        return QElem(-h_var(backend), [_x_factor(alpha)])
-
-    def b(alpha: Weight) -> QElem:
-        return QElem(
-            h_var(backend) - linear_form(backend, alpha), [_x_factor(alpha)]
-        )
-
-    def b_inv(alpha: Weight) -> QElem:
-        return QElem(linear_form(backend, alpha), [FactorSymbol(HAT_ADDITIVE, tuple(alpha))])
-
-    return OperatorFamily("t", backend, a, b, b_inv)
-
-
-def family_tau(backend: Backend) -> OperatorFamily:
-    check_family_law("tau", backend.law)
-
-    def a(alpha: Weight) -> QElem:
-        return QElem(q_of(backend) - one(backend), [FactorSymbol(ONE_MINUS_E, tuple(alpha))])
-
-    def b(alpha: Weight) -> QElem:
-        hat = expand_factor(backend, FactorSymbol(HAT_MULTIPLICATIVE, tuple(alpha)))
-        return QElem(hat, [FactorSymbol(ONE_MINUS_E, tuple(alpha))])
-
-    def b_inv(alpha: Weight) -> QElem:
-        num = one(backend) - e_mono(backend, tuple(alpha))
-        return QElem(num, [FactorSymbol(HAT_MULTIPLICATIVE, tuple(alpha))])
-
-    return OperatorFamily("tau", backend, a, b, b_inv)
-
-
-def family_sigma(backend: Backend) -> OperatorFamily:
-    """Custom preset: sigma_alpha = ((1+alpha)/alpha) delta_alpha - 1/alpha."""
-    check_family_law("sigma", backend.law)
-
-    def a(alpha: Weight) -> QElem:
-        return QElem(-one(backend), [_x_factor(alpha)])
-
-    def b(alpha: Weight) -> QElem:
-        return QElem(one(backend) + linear_form(backend, alpha), [_x_factor(alpha)])
-
-    def b_inv(alpha: Weight) -> QElem:
-        return QElem(
-            linear_form(backend, alpha), [FactorSymbol(ONE_PLUS_ROOT, tuple(alpha))]
-        )
-
-    return OperatorFamily("custom:sigma", backend, a, b, b_inv)
-
-
 def custom_family(
     backend: Backend,
     name: str,
@@ -426,29 +334,123 @@ def custom_family(
     return fam
 
 
-BUILTIN_FAMILIES: dict[str, Callable[[Backend], OperatorFamily]] = {
-    "x": family_x,
-    "y": family_y,
-    "t": family_t,
-    "tau": family_tau,
-    "sigma": family_sigma,
+def read_coefficients(
+    backend: Backend, spec: Mapping, where: str
+) -> tuple[Callable[[Weight], QElem], ...]:
+    """The a, b and b_inv of a family written in the family-file format
+    (documented in :mod:`demazure.cli`).
+
+    The spec is read once, here, and shape errors raise ``ValueError``
+    naming ``where``; each coefficient rebuilds its value from the terms on
+    every call.  Nothing here validates the family (see :func:`custom_family`).
+    """
+    return tuple(
+        _read_coefficient(backend, spec.get(key), f"{where}, coefficient {key!r}")
+        for key in ("a", "b", "b_inv")
+    )
+
+
+def _read_coefficient(backend: Backend, spec, where: str) -> Callable[[Weight], QElem]:
+    if not isinstance(spec, dict):
+        raise ValueError(f"{where} must be a JSON object with 'num' and 'den' lists")
+    try:
+        num_terms = [tuple(operator.index(c) for c in term) for term in spec.get("num", [])]
+        den_spec = [(str(kind), operator.index(sign)) for kind, sign in spec.get("den", [])]
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where} is malformed: {exc}") from exc
+    if any(len(term) != 4 for term in num_terms):
+        raise ValueError(f"{where}: each numerator term needs 4 integers")
+    for term in num_terms:
+        _, alpha_exp, extra_exp, e_mult = term
+        if alpha_exp < 0 or (backend.law == ADDITIVE and extra_exp < 0):
+            raise ValueError(
+                f"{where}: numerator term {list(term)} has a negative exponent of "
+                + ("x_alpha" if alpha_exp < 0 else "h")
+            )
+        if not all(-EXPONENT_LIMIT <= e < EXPONENT_LIMIT for e in term[1:]):
+            raise ValueError(
+                f"{where}: numerator term {list(term)} has an exponent outside "
+                f"[-{EXPONENT_LIMIT}, {EXPONENT_LIMIT})"
+            )
+        if e_mult and backend.law != MULTIPLICATIVE:
+            raise ValueError(
+                f"{where}: group-like numerator terms need the multiplicative backend"
+            )
+
+    def coefficient(weight: Weight) -> QElem:
+        total = SElem.constant(backend, 0)
+        for coeff, alpha_exp, extra_exp, e_mult in num_terms:
+            # h^extra_exp, or v^extra_exp E(e_mult * alpha): one monomial.
+            value = monomial(backend, tuple(e_mult * c for c in weight) + (extra_exp,), coeff)
+            if alpha_exp:
+                value = value * x_class(backend, weight) ** alpha_exp
+            total = total + value
+        den = [FactorSymbol(kind, tuple(sign * c for c in weight)) for kind, sign in den_spec]
+        return QElem(total, den)
+
+    return coefficient
+
+
+@dataclass(frozen=True)
+class FamilyEntry:
+    """A built-in operator family: its name, the backend laws it is defined on
+    (the first is its default) and its a, b and b_inv in the family-file
+    format of :func:`read_coefficients`.
+
+    ``entry(backend)`` checks the law and builds the family; a built-in
+    family is not validated."""
+
+    name: str
+    laws: tuple[str, ...]
+    spec: Mapping[str, Mapping]
+
+    def check_law(self, law: str) -> None:
+        if law not in self.laws:
+            raise ValueError(f"family {self.name!r} requires the {self.laws[0]} backend")
+
+    def __call__(self, backend: Backend) -> OperatorFamily:
+        self.check_law(backend.law)
+        return OperatorFamily(
+            self.name, backend, *read_coefficients(backend, self.spec, f"family {self.name!r}")
+        )
+
+
+# The one table of built-in families and their laws.
+BUILTIN_FAMILIES: dict[str, FamilyEntry] = {
+    entry.name: entry
+    for entry in (
+        # X: a = 1/x_a, b = -1/x_a, b^-1 = -x_a
+        FamilyEntry("x", (ADDITIVE, MULTIPLICATIVE), {
+            "a": {"num": [[1, 0, 0, 0]], "den": [["x_root", 1]]},
+            "b": {"num": [[-1, 0, 0, 0]], "den": [["x_root", 1]]},
+            "b_inv": {"num": [[-1, 1, 0, 0]], "den": []},
+        }),
+        # Y: a = 1/x_{-a}, b = 1/x_a, b^-1 = x_a
+        FamilyEntry("y", (ADDITIVE, MULTIPLICATIVE), {
+            "a": {"num": [[1, 0, 0, 0]], "den": [["x_root", -1]]},
+            "b": {"num": [[1, 0, 0, 0]], "den": [["x_root", 1]]},
+            "b_inv": {"num": [[1, 1, 0, 0]], "den": []},
+        }),
+        # T: a = -h/a, b = (h-a)/a, b^-1 = a/(h-a)
+        FamilyEntry("t", (ADDITIVE,), {
+            "a": {"num": [[-1, 0, 1, 0]], "den": [["x_root", 1]]},
+            "b": {"num": [[1, 0, 1, 0], [-1, 1, 0, 0]], "den": [["x_root", 1]]},
+            "b_inv": {"num": [[1, 1, 0, 0]], "den": [["hat_additive", 1]]},
+        }),
+        # tau: a = (q-1)/(1-e^a), b = (1-q e^{-a})/(1-e^a), b^-1 = (1-e^a)/(1-q e^{-a}), q = v^2
+        FamilyEntry("tau", (MULTIPLICATIVE,), {
+            "a": {"num": [[1, 0, 2, 0], [-1, 0, 0, 0]], "den": [["one_minus_e", 1]]},
+            "b": {"num": [[1, 0, 0, 0], [-1, 0, 2, -1]], "den": [["one_minus_e", 1]]},
+            "b_inv": {"num": [[1, 0, 0, 0], [-1, 0, 0, 1]], "den": [["hat_multiplicative", 1]]},
+        }),
+        # sigma: a = -1/a, b = (1+a)/a, b^-1 = a/(1+a)
+        FamilyEntry("sigma", (ADDITIVE,), {
+            "a": {"num": [[-1, 0, 0, 0]], "den": [["x_root", 1]]},
+            "b": {"num": [[1, 0, 0, 0], [1, 1, 0, 0]], "den": [["x_root", 1]]},
+            "b_inv": {"num": [[1, 1, 0, 0]], "den": [["one_plus_root", 1]]},
+        }),
+    )
 }
-
-# The backend laws each built-in family is defined on; the first is its default.
-FAMILY_LAWS: dict[str, tuple[str, ...]] = {
-    "x": (ADDITIVE, MULTIPLICATIVE),
-    "y": (ADDITIVE, MULTIPLICATIVE),
-    "t": (ADDITIVE,),
-    "tau": (MULTIPLICATIVE,),
-    "sigma": (ADDITIVE,),
-}
-
-
-def check_family_law(family: str, law: str) -> None:
-    """Raise ``ValueError`` unless ``FAMILY_LAWS`` defines the built-in
-    ``family`` on ``law``."""
-    if law not in FAMILY_LAWS[family]:
-        raise ValueError(f"family {family!r} requires the {FAMILY_LAWS[family][0]} backend")
 
 
 # ---------------------------------------------------------------------------

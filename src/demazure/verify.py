@@ -46,9 +46,9 @@ from .formal import (
     SElem,
     kappa_pair,
 )
-from .rootdata import RootDatum, WeylElement, Word, build_root_datum
+from .rootdata import RootDatum, WeylElement, Word, build_root_datum, named_cartan_matrix
 from .serialize import parse_qelem, parse_word, word_to_str
-from .twisted import BUILTIN_FAMILIES, FAMILY_LAWS, Algebra
+from .twisted import BUILTIN_FAMILIES, Algebra
 
 SUITE_NAMES = ("relations", "leibniz", "duality", "paper-examples", "all")
 
@@ -63,13 +63,13 @@ def _combos(
     families: Sequence[str] | None, laws: Sequence[str] | None
 ) -> list[tuple[str, str]]:
     """All (family, law) pairs compatible with the optional filters."""
-    chosen_families = tuple(families) if families else tuple(FAMILY_LAWS)
+    chosen_families = tuple(families) if families else tuple(BUILTIN_FAMILIES)
     chosen_laws = tuple(laws) if laws else LAWS
     out = []
     for name in chosen_families:
-        if name not in FAMILY_LAWS:
+        if name not in BUILTIN_FAMILIES:
             raise ValueError(f"unknown family {name!r}")
-        for law in FAMILY_LAWS[name]:
+        for law in BUILTIN_FAMILIES[name].laws:
             if law in chosen_laws:
                 out.append((name, law))
     return out
@@ -365,14 +365,17 @@ def run_corpus_entry(entry: Mapping, context: _CorpusContext | None = None) -> D
     return report
 
 
-def suite_paper_examples(datum_label: str | None = None) -> DiscrepancyReport:
-    """Recompute the whole corpus, optionally filtered by datum label."""
-    corpus = load_corpus()
+def suite_paper_examples(datum: RootDatum | None = None) -> DiscrepancyReport:
+    """Recompute the whole corpus, or only the entries on ``datum``: those
+    whose root datum has its Cartan matrix and lattice, whatever its label."""
     context = _CorpusContext()
     report = DiscrepancyReport()
-    wanted = datum_label.strip().upper() if datum_label else None
-    for entry in corpus["entries"]:
-        if wanted and entry["datum"].upper() != wanted:
+    for entry in load_corpus()["entries"]:
+        lattice = entry.get("lattice", "simply-connected")
+        if datum is not None and (
+            datum.lattice != lattice
+            or datum.cartan != tuple(map(tuple, named_cartan_matrix(entry["datum"])))
+        ):
             continue
         report.extend(run_corpus_entry(entry, context))
     return report
@@ -397,7 +400,7 @@ def run_suite(
     if name == "duality":
         return suite_duality(datum, families=families or ("x", "y"), laws=laws)
     if name == "paper-examples":
-        return suite_paper_examples(datum.label)
+        return suite_paper_examples(datum)
     if name == "all":
         report = DiscrepancyReport()
         for part in ("relations", "leibniz", "duality", "paper-examples"):

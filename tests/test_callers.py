@@ -7,6 +7,7 @@ benchmark), move into the tests, or go.  The scan is by name: any ``ast``
 Name, Attribute or import of the name in ``src/``, ``demos/`` or
 ``perfbench/*.py`` counts as a use, and so does every part of a dotted string
 in ``perfbench/tracer.py``, whose ``ENTRY_POINTS`` name what the tracer wraps.
+A use inside a definition of the same name does not count.
 """
 
 from __future__ import annotations
@@ -45,17 +46,29 @@ def _public_definitions(path: Path) -> set[str]:
 
 
 def _uses(path: Path) -> set[str]:
+    """The names used in ``path``, except where a name is used inside a
+    definition of that same name: a recursive call, or one same-named
+    method calling another, is no caller."""
     names = set()
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if isinstance(node, ast.Name):
-            names.add(node.id)
+
+    def visit(node: ast.AST, enclosing: frozenset) -> None:
+        found: list[str] = []
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        elif isinstance(node, ast.Name):
+            found.append(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            found.append(node.attr)
         elif isinstance(node, ast.alias):
-            names.add(node.name.rsplit(".", 1)[-1])
+            found.append(node.name.rsplit(".", 1)[-1])
         elif path.name == "tracer.py" and isinstance(node, ast.Constant):
             if isinstance(node.value, str):
-                names.update(node.value.split("."))
+                found.extend(node.value.split("."))
+        names.update(name for name in found if name not in enclosing)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
     return names
 
 

@@ -27,7 +27,7 @@ from demazure.formal import (
     x_class,
 )
 from demazure.serialize import dumps_canonical, parse_qelem, parse_selem
-from demazure.twisted import Algebra, BUILTIN_FAMILIES, FAMILY_LAWS
+from demazure.twisted import Algebra, BUILTIN_FAMILIES
 
 
 def run_cli(*argv):
@@ -322,6 +322,14 @@ def test_verify_duality_json_payload_shape():
         ("verify", "--suite", "nosuch"),
         ("verify", "--suite", "relations", "--family", "custom:/tmp/x.json"),
         ("nosuchcommand",),
+        # Each subcommand offers only the flags it reads.
+        ("verify", "--suite", "duality", "--type", "A2", "--words", "file:/nonexistent"),
+        ("verify", "--suite", "duality", "--type", "A2", "--check"),
+        ("verify", "--suite", "duality", "--type", "A2", "--jobs", "2"),
+        ("restrict", "--type", "A2", "--family", "x", "--w", "1", "--v", "121",
+         "--jobs", "2"),
+        ("stab", "coh", "--type", "A2", "--u", "1", "--v", "1", "--jobs", "2"),
+        ("stab", "k", "--type", "A2", "--u", "1", "--v", "12", "--jobs", "2"),
     ],
 )
 def test_config_errors_exit_three(argv):
@@ -334,19 +342,20 @@ def test_config_errors_exit_three(argv):
 @pytest.mark.parametrize("law", LAWS)
 def test_family_law_table_governs_constructors_and_cli(family, law):
     backend = Backend(get_datum("A2"), law)
-    if law in FAMILY_LAWS[family]:
+    laws = BUILTIN_FAMILIES[family].laws
+    if law in laws:
         assert BUILTIN_FAMILIES[family](backend).backend is backend
         return
     with pytest.raises(ValueError):
         BUILTIN_FAMILIES[family](backend)
     code, out, err = run_cli("mult", "--type", "A2", "--family", family, "--fgl", law)
     assert (code, out) == (EXIT_CONFIG, "")
-    assert err == f"error: family {family!r} requires the {FAMILY_LAWS[family][0]} backend\n"
+    assert err == f"error: family {family!r} requires the {laws[0]} backend\n"
 
 
 def test_family_law_table_covers_the_builtin_families():
-    assert set(FAMILY_LAWS) == set(BUILTIN_FAMILIES)
-    assert all(laws and set(laws) <= set(LAWS) for laws in FAMILY_LAWS.values())
+    assert all(name == entry.name for name, entry in BUILTIN_FAMILIES.items())
+    assert all(entry.laws and set(entry.laws) <= set(LAWS) for entry in BUILTIN_FAMILIES.values())
 
 
 @pytest.mark.parametrize("family", sorted(BUILTIN_FAMILIES))
@@ -355,7 +364,7 @@ def test_family_without_fgl_uses_its_default_law(family):
         "mult", "--type", "A2", "--family", family, "--u", "1", "--v", "1", "--out", "json"
     )
     assert code == EXIT_OK
-    assert json.loads(out)["law"] == FAMILY_LAWS[family][0]
+    assert json.loads(out)["law"] == BUILTIN_FAMILIES[family].laws[0]
 
 
 # ---------------------------------------------------------------------------
@@ -594,17 +603,24 @@ SIGMA_SPEC = {
 }
 
 
-def test_custom_family_file_reproduces_builtin_sigma(tmp_path):
-    path = tmp_path / "sigma.json"
-    path.write_text(json.dumps(SIGMA_SPEC), encoding="utf-8")
-    base = ("mult", "--type", "A2", "--u", "1", "--v", "2", "--check")
-    code_f, out_file, _ = run_cli(*base, "--family", f"custom:{path}")
-    code_b, out_builtin, _ = run_cli(*base, "--family", "sigma")
-    assert code_f == code_b == EXIT_OK
-    assert [l for l in out_file.splitlines() if l.startswith("u=")] == [
-        l for l in out_builtin.splitlines() if l.startswith("u=")
-    ]
-    assert "check: ok" in out_file
+@pytest.mark.parametrize(
+    "family, law",
+    [(name, law) for name, entry in BUILTIN_FAMILIES.items() for law in entry.laws],
+)
+def test_custom_family_file_reproduces_each_builtin_family(tmp_path, family, law):
+    """A built-in entry written to a family file under one of its laws gives
+    the built-in token's records, and its checked table is clean."""
+    spec = {"name": family, "law": law, **BUILTIN_FAMILIES[family].spec}
+    path = tmp_path / f"{family}.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    base = ("mult", "--type", "A2", "--out", "json", "--check")
+    code_f, out_file, err = run_cli(*base, "--family", f"custom:{path}")
+    code_b, out_builtin, _ = run_cli(*base, "--family", family, "--fgl", law)
+    assert code_f == code_b == EXIT_OK, err
+    from_file, builtin = json.loads(out_file), json.loads(out_builtin)
+    assert from_file["law"] == law
+    assert from_file["records"] == builtin["records"]
+    assert from_file["report"] == builtin["report"] == {"count": 0, "discrepancies": []}
 
 
 def test_custom_family_rejects_wrong_law(tmp_path):

@@ -37,10 +37,8 @@ from demazure.formal import (
 from demazure.twisted import (
     Algebra,
     BUILTIN_FAMILIES,
-    FAMILY_LAWS,
     QWElem,
     expand_in_triangular_basis,
-    family_t,
 )
 
 BASIS_CACHE = {}
@@ -338,7 +336,7 @@ def test_compare_routes_runs_the_oracle_once_per_unordered_pair(monkeypatch):
 
 def test_oracle_in_s_raises_instead_of_returning_a_wrong_value():
     def fresh_basis():
-        return DualBasis(Algebra(family_t(Backend(get_datum("A2"), ADDITIVE))))
+        return DualBasis(Algebra(BUILTIN_FAMILIES["t"](Backend(get_datum("A2"), ADDITIVE))))
 
     pairs = list(itertools.product(fresh_basis().order, repeat=2))
     # A scale short of one factor leaves a denominator in some class.
@@ -378,7 +376,7 @@ def test_scaled_classes_satisfy_the_gkm_conditions(label, family):
     """N_w is the product scale * Z*_{I_w} taken in Q, and N_w(v) - N_w(s_gamma v)
     is divisible by x_gamma for every gamma > 0 (Goresky-Kottwitz-MacPherson),
     under every law of the family."""
-    for law in FAMILY_LAWS[family]:
+    for law in BUILTIN_FAMILIES[family].laws:
         basis = get_basis(label, family, law)
         backend, datum = basis.backend, basis.datum
         scale = one(backend)

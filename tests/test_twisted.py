@@ -18,7 +18,7 @@ from demazure.formal import (
     kappa,
     one,
     q_equal,
-    q_of,
+    v_var,
     weyl_act,
     x_class,
     zero,
@@ -27,16 +27,10 @@ from demazure.rootdata import WeylElement
 from demazure.serialize import qelem_to_str
 from demazure.twisted import (
     BUILTIN_FAMILIES,
-    FAMILY_LAWS,
     Algebra,
     QWElem,
     custom_family,
     expand_in_triangular_basis,
-    family_sigma,
-    family_t,
-    family_tau,
-    family_x,
-    family_y,
 )
 from demazure.verify import check_generalized_leibniz
 
@@ -56,15 +50,7 @@ ALGEBRA_CACHE = {}
 def get_algebra(label, family_name, law):
     key = (label, family_name, law)
     if key not in ALGEBRA_CACHE:
-        backend = get_backend(label, law)
-        maker = {
-            "x": family_x,
-            "y": family_y,
-            "t": family_t,
-            "tau": family_tau,
-            "sigma": family_sigma,
-        }[family_name]
-        ALGEBRA_CACHE[key] = Algebra(maker(backend))
+        ALGEBRA_CACHE[key] = Algebra(BUILTIN_FAMILIES[family_name](get_backend(label, law)))
     return ALGEBRA_CACHE[key]
 
 
@@ -177,11 +163,11 @@ def test_sigma_quadratic_is_involution():
 
 def test_family_backend_mismatch():
     with pytest.raises(ValueError):
-        family_t(get_backend("A2", MULTIPLICATIVE))
+        BUILTIN_FAMILIES["t"](get_backend("A2", MULTIPLICATIVE))
     with pytest.raises(ValueError):
-        family_tau(get_backend("A2", ADDITIVE))
+        BUILTIN_FAMILIES["tau"](get_backend("A2", ADDITIVE))
     with pytest.raises(ValueError):
-        family_sigma(get_backend("A2", MULTIPLICATIVE))
+        BUILTIN_FAMILIES["sigma"](get_backend("A2", MULTIPLICATIVE))
 
 
 def test_builtin_families_are_equivariant_with_exact_b_inverse():
@@ -409,7 +395,7 @@ def test_c_supports_match_pointwise_rule(family, law):
 def _expected_quadratic(name, backend):
     """The constants (c1, c0) of each built-in family."""
     if name == "tau":
-        return q_of(backend) - one(backend), q_of(backend)
+        return v_var(backend, 2) - one(backend), v_var(backend, 2)
     if name in ("t", "sigma"):
         return zero(backend), one(backend)
     kappa_s = zero(backend) if backend.law == ADDITIVE else one(backend)
@@ -418,7 +404,7 @@ def _expected_quadratic(name, backend):
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
 @pytest.mark.parametrize(
-    "name,law", [(name, law) for name, laws in FAMILY_LAWS.items() for law in laws]
+    "name,law", [(name, law) for name, entry in BUILTIN_FAMILIES.items() for law in entry.laws]
 )
 def test_simple_reflections_fix_the_quadratic_constants(label, name, law):
     """Algebra.quadratic, solved from the relations, is the family's known
@@ -605,8 +591,8 @@ def _assert_same_entries(walk, summed, where):
 _WALK_GRIDS = [
     (label, name, law)
     for label in ("A2", "B2", "G2")
-    for name, laws in FAMILY_LAWS.items()
-    for law in laws
+    for name, entry in BUILTIN_FAMILIES.items()
+    for law in entry.laws
 ]
 # The G2 tau sums over pairs of subwords of the longest words take minutes;
 # length 5 would already add several seconds.
@@ -670,7 +656,7 @@ def test_a_walk_grows_by_one_letter_from_a_cached_walk(monkeypatch, label):
     """With the column of w0's word minus its first letter and the row of the
     word minus its last letter cached, w0's walks take one step each, and the
     column keeps only its half u.index <= v.index."""
-    alg = Algebra(family_t(get_backend(label, ADDITIVE)))
+    alg = Algebra(BUILTIN_FAMILIES["t"](get_backend(label, ADDITIVE)))
     w0 = alg.datum.longest_element
     word = alg.word(w0)
     alg.formula_column(word[1:])
@@ -696,7 +682,9 @@ def test_per_pair_sums_are_symmetric(label, family, law):
 
 
 _NON_LEXMIN = [
-    ("A2", name, law, (2, 1, 2)) for name, laws in FAMILY_LAWS.items() for law in laws
+    ("A2", name, law, (2, 1, 2))
+    for name, entry in BUILTIN_FAMILIES.items()
+    for law in entry.laws
 ] + [("A3", "t", ADDITIVE, (1, 2, 3, 1, 2))]
 
 
@@ -837,8 +825,8 @@ def test_tau_quadratic_specialization():
     alg = get_algebra("A1", "tau", MULTIPLICATIVE)
     backend = alg.backend
     z = alg.simple_element(1)
-    qq = QElem.from_s(q_of(backend))
-    qm1 = QElem.from_s(q_of(backend) - one(backend))
+    qq = QElem.from_s(v_var(backend, 2))
+    qm1 = QElem.from_s(v_var(backend, 2) - one(backend))
     assert z * z == qm1 * z + qq * QWElem.one(backend)
 
 

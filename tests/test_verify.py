@@ -5,8 +5,11 @@ import json
 import pytest
 
 from conftest import get_datum
-from demazure.dual import DualBasis
+from demazure import verify
+from demazure.cli import main
+from demazure.dual import DiscrepancyReport, DualBasis
 from demazure.formal import ADDITIVE, QElem
+from demazure.rootdata import build_root_datum
 from demazure.serialize import dumps_canonical
 from demazure.verify import (
     SUITE_NAMES,
@@ -58,16 +61,37 @@ def test_duality_failure_is_reported_at_printable_words(monkeypatch):
 
 def test_paper_examples_pass_on_a1_a2():
     for label in ("A1", "A2"):
-        report = suite_paper_examples(label)
+        report = suite_paper_examples(get_datum(label))
         assert report.is_empty, (label, report.to_json())
 
 
 def test_paper_examples_on_a3_fail_exactly_at_the_published_discrepancies():
     """Two stored stable-basis rows keep their published values; both routes
     here compute something else, so the corpus run must flag exactly those."""
-    report = suite_paper_examples("A3")
+    report = suite_paper_examples(get_datum("A3"))
     ids = sorted({entry.location[0] for entry in report.entries})
     assert ids == ["a3-stab-232-1", "a3-stab-232-2"]
+
+
+def test_paper_examples_select_entries_by_cartan_matrix_not_label(tmp_path, capsys, monkeypatch):
+    """An unlabeled A2 Cartan file runs the A2 entries, not every entry (the
+    A3 rows among them fail by design); no entry is on the adjoint lattice."""
+    path = tmp_path / "a2.json"
+    path.write_text(json.dumps({"cartan": [[2, -1], [-1, 2]]}), encoding="utf-8")
+    assert main(["verify", "--suite", "paper-examples", "--cartan", str(path)]) == 0
+    assert capsys.readouterr().out == "suite paper-examples on custom: PASS\n"
+    selected = []
+
+    def record(entry, context):
+        selected.append(entry["id"])
+        return DiscrepancyReport()
+
+    monkeypatch.setattr(verify, "run_corpus_entry", record)
+    suite_paper_examples(build_root_datum({"cartan": [[2, -1], [-1, 2]]}))
+    assert selected == [e["id"] for e in load_corpus()["entries"] if e["datum"] == "A2"]
+    selected.clear()
+    suite_paper_examples(get_datum("A2", "adjoint"))
+    assert selected == []
 
 
 def test_run_suite_all_is_the_concatenation():
