@@ -25,7 +25,9 @@ Subcommands
     discrepancy report instead of hiding it.
 ``verify``
     Run a named property suite (relations, leibniz, duality,
-    paper-examples, all) and exit 2 if anything fails.
+    paper-examples, all) and exit 2 if anything fails.  ``paper-examples``
+    selects the corpus entries by datum, ``--family`` and ``--fgl``, and
+    exits 3 when it selects none.
 
 ``mult`` takes ``--words``, ``--check`` and ``--jobs``; ``restrict`` and
 ``stab`` take ``--words`` and ``--check``; ``verify`` takes none of them.

@@ -236,7 +236,11 @@ def expand_in_triangular_basis(
     and hands the pivot a copy of the residue at u.  It never changes
     ``coeffs`` or a column value, which may be cached.  In Q each update is
     ``accumulate`` of the product, as the printed form of a Q value depends on
-    how its sum was formed.
+    how its sum was formed.  :meth:`Algebra.b_row`, which sums many terms
+    into each entry, groups them instead: only terms with equal denominator
+    multisets are summed in S, and each group is normalized once, so no
+    numerator is raised to a union denominator and each entry keeps its
+    printed form.
     """
     in_s = isinstance(next(iter(coeffs.values()), None), SElem)
     residue: dict[WeylElement, Coeff] = {
@@ -553,7 +557,17 @@ class Algebra:
 
         Each row is built from the rows of the elements below it, which makes
         the full B3 b-matrix about three times faster to build than solving
-        every row afresh with :func:`expand_in_triangular_basis`."""
+        every row afresh with :func:`expand_in_triangular_basis`.  Row w sets
+        b_{w,I_t} = -sum_{v < w} scale_v b_{v,I_t} for t < w, where scale_v is
+        a_{w,v} / (delta_w coefficient of Z_{I_w}).  The terms of each entry
+        are summed in S, one numerator per denominator multiset of
+        scale_v b_{v,I_t}: only equal denominators are summed in S, so no
+        numerator is raised to a union denominator, and each group is
+        normalized once before the groups are added in Q.  A Q value can
+        have more than one printed form (the simply-connected B2 lattice
+        writes 1/2 as t2/x_(0,2) and as (t1 - t2)/x_(2,-2)); every entry
+        prints as when each term was normalized and added on its own, which
+        the tests pin by digest."""
         cached = self._b_rows.get(u)
         if cached is not None:
             return cached
@@ -563,8 +577,10 @@ class Algebra:
             if w in self._b_rows:
                 continue
             arow = self.z_basis_element(w).coeffs
-            row: dict[WeylElement, QElem] = {w: self.diag_inverse(w)}
             b_invs = [self.family.b_inv(beta) for beta in self._inversion_weights(self.words[w])]
+            # -sum_v scale_v b_{v,t} for each target t, as one S numerator per
+            # denominator multiset of scale_v b_{v,t}.
+            groups: dict[WeylElement, dict[tuple[FactorSymbol, ...], SElem]] = {}
             for v, a_wv in arow.items():
                 if v is w:
                     continue
@@ -574,7 +590,16 @@ class Algebra:
                 for b_inv in b_invs:
                     scale = scale * b_inv
                 for t, bvt in self._b_rows[v].items():
-                    accumulate(row, t, -(scale * bvt))
+                    by_den = groups.setdefault(t, {})
+                    den = tuple(sorted(scale.den + bvt.den))
+                    num = by_den.get(den)
+                    if num is None:
+                        num = by_den[den] = SElem.constant(self.backend, 0)
+                    num.subtract_product(scale.num, bvt.num)
+            row: dict[WeylElement, QElem] = {w: self.diag_inverse(w)}
+            for t, by_den in groups.items():
+                for den, num in by_den.items():
+                    accumulate(row, t, QElem(num, den))
             self._b_rows[w] = row
         return self._b_rows[u]
 

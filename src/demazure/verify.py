@@ -21,7 +21,10 @@ Suites
     matrix.
 ``paper-examples``
     The worked-example corpus shipped as ``data/golden.json``: every entry
-    is recomputed from scratch and compared exactly.  The corpus keeps the
+    on the root datum, and of the chosen families and laws if any are given,
+    is recomputed from scratch and compared exactly.  :func:`run_suite`
+    refuses a selection of no entry, so an empty run never passes; ``all``
+    skips it instead.  The corpus keeps the
     published values verbatim, including two A3 stable-basis entries whose
     published values both computation routes contradict; those entries are
     expected to appear in the report (see the test suite for the corrected
@@ -365,11 +368,15 @@ def run_corpus_entry(entry: Mapping, context: _CorpusContext | None = None) -> D
     return report
 
 
-def suite_paper_examples(datum: RootDatum | None = None) -> DiscrepancyReport:
-    """Recompute the whole corpus, or only the entries on ``datum``: those
-    whose root datum has its Cartan matrix and lattice, whatever its label."""
-    context = _CorpusContext()
-    report = DiscrepancyReport()
+def corpus_entries(
+    datum: RootDatum | None = None,
+    families: Sequence[str] | None = None,
+    laws: Sequence[str] | None = None,
+) -> list[dict]:
+    """The corpus entries on ``datum`` (those whose root datum has its Cartan
+    matrix and lattice, whatever its label), with a family in ``families``
+    and a law in ``laws``; a filter that is None or empty selects every value."""
+    selected = []
     for entry in load_corpus()["entries"]:
         lattice = entry.get("lattice", "simply-connected")
         if datum is not None and (
@@ -377,6 +384,24 @@ def suite_paper_examples(datum: RootDatum | None = None) -> DiscrepancyReport:
             or datum.cartan != tuple(map(tuple, named_cartan_matrix(entry["datum"])))
         ):
             continue
+        if (families and entry["family"] not in families) or (laws and entry["law"] not in laws):
+            continue
+        selected.append(entry)
+    return selected
+
+
+def suite_paper_examples(
+    datum: RootDatum | None = None,
+    families: Sequence[str] | None = None,
+    laws: Sequence[str] | None = None,
+) -> DiscrepancyReport:
+    """Recompute the :func:`corpus_entries` selected by the same arguments.
+
+    A selection of no entry gives an empty report; :func:`run_suite` is the
+    place that refuses it."""
+    context = _CorpusContext()
+    report = DiscrepancyReport()
+    for entry in corpus_entries(datum, families, laws):
         report.extend(run_corpus_entry(entry, context))
     return report
 
@@ -392,7 +417,10 @@ def run_suite(
     families: Sequence[str] | None = None,
     laws: Sequence[str] | None = None,
 ) -> DiscrepancyReport:
-    """Run one named suite on a root datum and return its report."""
+    """Run one named suite on a root datum and return its report.
+
+    Raises ValueError for an unknown suite, and for ``paper-examples`` when
+    the datum and filters select no corpus entry."""
     if name == "relations":
         return suite_relations(datum, families=families, laws=laws)
     if name == "leibniz":
@@ -400,10 +428,17 @@ def run_suite(
     if name == "duality":
         return suite_duality(datum, families=families or ("x", "y"), laws=laws)
     if name == "paper-examples":
-        return suite_paper_examples(datum)
+        if not corpus_entries(datum, families, laws):
+            raise ValueError(
+                "no corpus entries for this datum"
+                + (", family and law" if families or laws else "")
+            )
+        return suite_paper_examples(datum, families=families, laws=laws)
     if name == "all":
         report = DiscrepancyReport()
-        for part in ("relations", "leibniz", "duality", "paper-examples"):
+        for part in ("relations", "leibniz", "duality"):
             report.extend(run_suite(part, datum, families=families, laws=laws))
+        # A corpus selection of no entry adds nothing here, not an error.
+        report.extend(suite_paper_examples(datum, families=families, laws=laws))
         return report
     raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")

@@ -13,9 +13,9 @@ from concurrent.futures import ProcessPoolExecutor
 import pytest
 
 from conftest import get_datum
-from demazure import cli
+from demazure import cli, verify
 from demazure.cli import EXIT_CONFIG, EXIT_DISCREPANCY, EXIT_OK, main, worker_count
-from demazure.dual import CohStableBasis, DualBasis
+from demazure.dual import CohStableBasis, DiscrepancyReport, DualBasis
 from demazure.formal import (
     ADDITIVE,
     LAWS,
@@ -279,6 +279,45 @@ def test_verify_paper_examples_fail_on_a3_known_entries():
     assert payload["passed"] is False
     ids = sorted({entry["location"][0] for entry in payload["report"]["discrepancies"]})
     assert ids == ["a3-stab-232-1", "a3-stab-232-2"]
+
+
+def test_verify_paper_examples_honour_family_and_law(monkeypatch):
+    """--family and --fgl select corpus entries by their own keys, so the
+    A3 t stable-basis rows that fail by design are not run for x."""
+    code, out, _ = run_cli(
+        "verify", "--suite", "paper-examples", "--type", "A3", "--family", "x",
+        "--fgl", "additive",
+    )
+    assert (code, out) == (EXIT_OK, "suite paper-examples on A3: PASS\n")
+    selected = []
+
+    def record(entry, context):
+        selected.append(entry["id"])
+        return DiscrepancyReport()
+
+    monkeypatch.setattr(verify, "run_corpus_entry", record)
+    code, _, _ = run_cli("verify", "--suite", "paper-examples", "--type", "A3", "--family", "t")
+    assert code == EXIT_OK
+    assert selected == ["a3-stab-232-121", "a3-stab-232-1", "a3-stab-232-2"]
+    selected.clear()
+    run_cli("verify", "--suite", "paper-examples", "--type", "A2", "--fgl", "multiplicative")
+    assert selected and all(entry_id.endswith("-mult") for entry_id in selected)
+
+
+def test_verify_paper_examples_refuse_an_empty_selection():
+    """No corpus entry is on the adjoint lattice: the suite exits 3 instead
+    of certifying a pass, and --suite all skips the empty part."""
+    code, out, err = run_cli(
+        "verify", "--suite", "paper-examples", "--type", "A2", "--lattice", "adjoint",
+    )
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == "error: no corpus entries for this datum\n"
+    code, _, err = run_cli(
+        "verify", "--suite", "paper-examples", "--type", "A2", "--family", "tau",
+    )
+    assert (code, err) == (EXIT_CONFIG, "error: no corpus entries for this datum, family and law\n")
+    code, out, _ = run_cli("verify", "--suite", "all", "--type", "A2", "--lattice", "adjoint")
+    assert (code, out) == (EXIT_OK, "suite all on A2: PASS\n")
 
 
 def test_verify_relations_for_t_family():

@@ -1,5 +1,6 @@
 """Twisted group algebra, operator families, basis changes, Leibniz data."""
 
+import hashlib
 import itertools
 import random
 from collections import Counter
@@ -24,7 +25,7 @@ from demazure.formal import (
     zero,
 )
 from demazure.rootdata import WeylElement
-from demazure.serialize import qelem_to_str
+from demazure.serialize import qelem_to_str, word_to_str
 from demazure.twisted import (
     BUILTIN_FAMILIES,
     Algebra,
@@ -334,6 +335,46 @@ def test_b_and_c_coefficients_lie_in_s(label, law, family):
     for word in all_words(alg.datum.rank, 3):
         for coeff in alg.expand_in_z_basis(word).values():
             coeff.as_selem()
+
+
+@pytest.mark.parametrize(
+    "label,lattice,family,law,entries,digest",
+    [
+        ("A3", "simply-connected", "x", ADDITIVE, 213,
+         "dac4e68a554437d26422fba991c304af81f9ec48d815f45fb85f72dc117e0a49"),
+        ("A3", "simply-connected", "x", MULTIPLICATIVE, 213,
+         "d16df7b5a830e73df24fda0e00087cf01298bdb97a4d55ec60835c93bd15a1eb"),
+        ("A3", "simply-connected", "y", ADDITIVE, 213,
+         "46d84e1e5d0b6a5660b3c90d3accaae44d75e7436a48094e30cee28917216613"),
+        ("A3", "simply-connected", "t", ADDITIVE, 213,
+         "03565dd9ff9f0e6d0a21e7189593ad8a1ba742e66173bcadbea3863b4b71dcbf"),
+        ("A3", "simply-connected", "tau", MULTIPLICATIVE, 213,
+         "f6c1db30a9bad9f27ba9d1136543f55000f0be7f20752a2ef58fe205e25fbf03"),
+        # The content-2 root x_(2,-2) of the simply-connected B2 lattice.
+        ("B2", "simply-connected", "x", ADDITIVE, 33,
+         "9f5627b95713edf87a30e8723651b464e1f0630463befef1d6b729ea66fd9c38"),
+        ("B2", "adjoint", "t", ADDITIVE, 33,
+         "7f0b461a06062a04ff2b33617810d146004e38ac075bc3c7514c53699c3472fc"),
+        ("G2", "simply-connected", "t", ADDITIVE, 73,
+         "c00ee7dfaf2b4fefd8db9afd1412446e1760c4bb39101257af538abb2592ba4e"),
+        ("G2", "simply-connected", "x", MULTIPLICATIVE, 73,
+         "8d8eced7e3eaaa6f59e8bc5a86b538e6b0682e3cf05829f212b80a91cb22c8b6"),
+        ("B2", "simply-connected", "sigma", ADDITIVE, 33,
+         "28d95f42a10b0cb97affa5ab4187af5ae6390e32a44b6e69908396affb6fde0e"),
+    ],
+)
+def test_b_row_printed_forms_are_pinned(label, lattice, family, law, entries, digest):
+    """The printed form of a Q value depends on how its sum was formed, so
+    the b-matrix is pinned entry by entry: one line "u t b_{u,I_t}" per
+    entry, rows in sort_key order and each row's targets too."""
+    alg = Algebra(BUILTIN_FAMILIES[family](Backend(get_datum(label, lattice), law)))
+    lines = []
+    for u in alg.datum.elements:
+        row = alg.b_row(u)
+        for t in sorted(row, key=WeylElement.sort_key):
+            lines.append(f"{word_to_str(u.word)} {word_to_str(t.word)} {qelem_to_str(row[t])}\n")
+    assert len(lines) == entries
+    assert hashlib.sha256("".join(lines).encode("utf-8")).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------
