@@ -7,12 +7,15 @@ Subcommands
     Structure constants of the dual classes (formula route).  With ``--u``
     and ``--v`` it prints the rows of one product; with neither it prints
     the full table, optionally split row by row (one u, every v) over a
-    worker pool (``--jobs``, capped at the number of table rows and the CPU
-    count).
-    ``--check`` recomputes every row through the independent oracle route
-    and reports any mismatch.  It computes one oracle product per unordered
-    pair {u, v}, since the constants are symmetric in u and v, and reports a
-    mismatch at both (u, v, w) and (v, u, w).
+    worker pool (``--jobs``, capped at the number of table rows and the
+    CPUs the process may run on).
+    ``--check`` recomputes the printed products through the independent
+    oracle route and reports any mismatch.  ``cmd_mult`` plans the ordered
+    pairs each row checks: a single product checks (u, v) alone; in a whole
+    table row u checks (u, v) and (v, u) for each v at or after u, and
+    ``dual.compare_products``, the one pair comparator, computes one oracle
+    product for both orders, since the constants are symmetric in u and v,
+    and reports a mismatch at both (u, v, w) and (v, u, w).
 ``restrict``
     One restriction coefficient b_{v, I_w}.  ``--check`` cross-checks the
     basis-expansion route against the closed-form route.
@@ -29,8 +32,11 @@ Subcommands
     selects the corpus entries by datum, ``--family`` and ``--fgl``, and
     exits 3 when it selects none.
 
-``mult`` takes ``--words``, ``--check`` and ``--jobs``; ``restrict`` and
-``stab`` take ``--words`` and ``--check``; ``verify`` takes none of them.
+Every subcommand takes ``--type`` or ``--cartan``, ``--lattice``, ``--fgl``,
+``--family`` and ``--out``.  ``mult`` also takes ``--words``, ``--check``
+and ``--jobs``; ``restrict`` and ``stab`` take ``--words`` and ``--check``;
+``verify`` takes none of them.  ``--out``, ``--check`` and ``--jobs`` do not
+change the session's basis, so they are not part of ``SessionConfig``.
 
 Exit codes: 0 success, 2 discrepancy found, 3 configuration error.
 
@@ -67,15 +73,21 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Mapping, Sequence
 
-from .dual import CohStableBasis, DiscrepancyReport, DualBasis, KStableBasis
+from .dual import (
+    CohStableBasis,
+    DiscrepancyReport,
+    DualBasis,
+    KStableBasis,
+    compare_products,
+)
 from .formal import (
-    ADDITIVE,
     LAWS,
     Backend,
     q_equal,  # not called here; perfbench/tests/test_tracer.py checks its rebinding
@@ -119,28 +131,15 @@ class _Parser(argparse.ArgumentParser):
 
 @dataclasses.dataclass(frozen=True)
 class SessionConfig:
-    """Everything needed to rebuild the working objects, in JSON-able form."""
+    """The inputs that fix a session's ``DualBasis``; the config is its cache
+    key, and a pool worker rebuilds the basis from it alone."""
 
-    type_label: str | None = "A2"
-    cartan_file: str | None = None
-    lattice: str | None = None  # None: the --cartan file's key, else simply-connected
-    law: str = ADDITIVE
-    family: str = "x"
-    words: str = "lexmin"
-    out: str = "text"
-    check: bool = False
-    jobs: int = 1
-
-    def cache_key(self) -> str:
-        payload = dataclasses.asdict(self)
-        payload.pop("out")
-        payload.pop("check")
-        payload.pop("jobs")
-        return json.dumps(payload, sort_keys=True)
-
-    @staticmethod
-    def from_key(key: str) -> "SessionConfig":
-        return SessionConfig(**json.loads(key))
+    type_label: str | None  # None: the datum comes from cartan_file
+    cartan_file: str | None
+    lattice: str | None  # None: the --cartan file's key, else simply-connected
+    law: str | None  # None: a custom family file's own law
+    family: str
+    words: str
 
 
 def _resolve_config(
@@ -156,22 +155,12 @@ def _resolve_config(
             f"this command uses the {forced_family!r} family, not {family!r}"
         )
     law = args.fgl
-    if family.startswith("custom:"):
-        if not law:
-            # A custom family file names its own law; a malformed file fails later.
-            with open(family[len("custom:") :], "r", encoding="utf-8") as fh:
-                spec = json.load(fh)
-            law = spec.get("law") if isinstance(spec, dict) else None
-        if law not in LAWS:
-            law = LAWS[0]
-    elif family in BUILTIN_FAMILIES:
+    if family in BUILTIN_FAMILIES:
         entry = BUILTIN_FAMILIES[family]
         law = law or entry.laws[0]
         entry.check_law(law)
-    else:
+    elif not family.startswith("custom:"):
         raise CliError(f"unknown family {family!r}")
-    if args.jobs < 1:
-        raise CliError("--jobs must be at least 1")
     return SessionConfig(
         type_label=None if args.cartan else (args.type or "A2"),
         cartan_file=args.cartan,
@@ -179,9 +168,6 @@ def _resolve_config(
         law=law,
         family=family,
         words=args.words,
-        out=args.out,
-        check=args.check,
-        jobs=args.jobs,
     )
 
 
@@ -225,17 +211,19 @@ def _word_overrides(datum: RootDatum, policy: str):
     raise CliError(f"unknown word policy {policy!r}")
 
 
-def _load_custom_family(backend: Backend, path: str) -> OperatorFamily:
+def _load_custom_family(datum: RootDatum, path: str, law: str | None) -> OperatorFamily:
+    """The family of a family file, on the law the file declares; ``law``, an
+    explicit ``--fgl``, must name that law too."""
     with open(path, "r", encoding="utf-8") as fh:
         spec = json.load(fh)
     if not isinstance(spec, dict):
         raise CliError(f"custom family {path!r} must hold a JSON object")
-    law = spec.get("law")
-    if law != backend.law:
-        raise CliError(
-            f"custom family {path!r} declares law {law!r}; "
-            f"configured backend is {backend.law!r}"
-        )
+    declared = spec.get("law")
+    if declared not in LAWS:
+        raise CliError(f"custom family {path!r} declares law {declared!r}, not one of {LAWS}")
+    if law not in (None, declared):
+        raise CliError(f"custom family {path!r} declares law {declared!r}; --fgl is {law!r}")
+    backend = Backend(datum, declared)
     coefficients = read_coefficients(backend, spec, f"custom family {path!r}")
     try:
         return custom_family(backend, str(spec.get("name", "file")), *coefficients)
@@ -243,24 +231,14 @@ def _load_custom_family(backend: Backend, path: str) -> OperatorFamily:
         raise CliError(f"invalid custom family {path!r}: {exc}") from exc
 
 
-def _build_family(backend: Backend, token: str) -> OperatorFamily:
-    if token.startswith("custom:"):
-        return _load_custom_family(backend, token[len("custom:") :])
-    return BUILTIN_FAMILIES[token](backend)
-
-
-_SESSION_CACHE: dict[str, DualBasis] = {}
-
-
-def _session_basis(key: str) -> DualBasis:
-    basis = _SESSION_CACHE.get(key)
-    if basis is None:
-        config = SessionConfig.from_key(key)
-        datum = _build_datum(config)
-        family = _build_family(Backend(datum, config.law), config.family)
-        basis = DualBasis(Algebra(family, _word_overrides(datum, config.words)))
-        _SESSION_CACHE[key] = basis
-    return basis
+@functools.cache
+def _session_basis(config: SessionConfig) -> DualBasis:
+    datum = _build_datum(config)
+    if config.family.startswith("custom:"):
+        family = _load_custom_family(datum, config.family[len("custom:") :], config.law)
+    else:
+        family = BUILTIN_FAMILIES[config.family](Backend(datum, config.law))
+    return DualBasis(Algebra(family, _word_overrides(datum, config.words)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,45 +247,58 @@ def _session_basis(key: str) -> DualBasis:
 
 
 def _mult_row_task(
-    key: str, u_str: str, v_strs: Sequence[str], check: bool, whole_table: bool, text: bool
+    config: SessionConfig,
+    u_str: str,
+    v_strs: Sequence[str],
+    checked: Sequence[tuple[str, str]],
+    text: bool,
 ) -> tuple[list, list]:
     """Formula-route records of one table row, the products of u with each v,
-    plus oracle discrepancies if asked; each record carries its printed
-    ``"text"`` only when ``text`` is set.
+    plus the oracle discrepancies of the ordered pairs in ``checked``; each
+    record carries its printed ``"text"`` only when ``text`` is set.
 
-    In a whole table the oracle runs once per unordered pair: only for
-    v.index >= u.index, and a mismatch there is reported at (v, u) too, since
-    both orders read the same half-column entry and the product of the
-    classes commutes.  A single product is always checked, at (u, v) alone.
+    Every checked pair is (u, v) or (v, u) for a v of the row.
+    ``compare_products`` reads the formula side off the products computed
+    here, and runs one oracle product per pair, or per unordered pair when
+    both orders are listed.
 
     The pool's unit of work, and the serial path's too; it is a module-level
-    function and everything in and out is JSON-able, so any start method can
-    run it in a worker.
+    function and its arguments and results are picklable, so any start method
+    can run it in a worker.
     """
-    basis = _session_basis(key)
+    basis = _session_basis(config)
     datum = basis.datum
     u = datum.element_by_word(parse_word(u_str))
     u_word = word_to_str(u.word)
+    by_word = {u_word: u}
+    formulas = {}
     rows: list = []
-    report = DiscrepancyReport()
     for v_str in v_strs:
         v = datum.element_by_word(parse_word(v_str))
         v_word = word_to_str(v.word)
-        formula = basis.product_formula(u, v)
-        for w, value in formula.items():
+        by_word[v_word] = v
+        formulas[u, v] = basis.product_formula(u, v)
+        for w, value in formulas[u, v].items():
             row = {
                 "u": u_word, "v": v_word, "w": word_to_str(w.word), "value": qelem_to_json(value)
             }
             if text:
                 row["text"] = qelem_to_str(value)
             rows.append(row)
-        if not check:
-            continue
-        if not whole_table:
-            report.compare_rows((u_word, v_word), formula, basis.product_oracle(u, v))
-        elif v.index >= u.index:
-            report.compare_product(u_word, v_word, formula, basis.product_oracle(u, v))
+    report = compare_products(
+        [(by_word[a], by_word[b]) for a, b in checked],
+        lambda a, b: formulas[a, b],
+        basis.product_oracle,
+    )
     return rows, [entry.as_json_entry() for entry in report.entries]
+
+
+def usable_cpus() -> int | None:
+    """The CPUs this process may run on: its affinity set where the platform
+    reports one (taskset, container cpusets), else the host's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count()
 
 
 def worker_count(jobs: int, tasks: int, cpus: int | None) -> int:
@@ -323,25 +314,30 @@ def cmd_mult(args: argparse.Namespace) -> int:
     config = _resolve_config(args, default_family="x")
     if (args.u is None) != (args.v is None):
         raise CliError("provide both --u and --v, or neither for the full table")
-    key = config.cache_key()
-    basis = _session_basis(key)
+    if args.jobs < 1:
+        raise CliError("--jobs must be at least 1")
+    basis = _session_basis(config)
     datum = basis.datum
+    # One entry per row task: (u, the v of the row, the ordered pairs it checks).
     if args.u is not None:
-        table_rows = [(word_to_str(datum.element_by_word(parse_word(args.u)).word),
-                       [word_to_str(datum.element_by_word(parse_word(args.v)).word)])]
+        u, v = (word_to_str(datum.element_by_word(parse_word(w)).word) for w in (args.u, args.v))
+        plan = [(u, [v], [(u, v)])]
     else:
         # Shortest u first: those rows have the most w above them, so the
         # heaviest rows start first and the pool's workers finish together.
         # Rows come back in this order, each sorted by v and then w, so the
-        # records need no sort.
+        # records need no sort.  Row u checks each unordered pair {u, v} with
+        # v at or after u, at both orders.
         names = [word_to_str(w.word) for w in basis.order]
-        table_rows = [(u, names) for u in names]
-    whole_table = args.u is None
+        plan = [
+            (u, names, [(u, v) for v in names[i:]] + [(v, u) for v in names[i + 1 :]])
+            for i, u in enumerate(names)
+        ]
     tasks = [
-        (key, u, v_strs, config.check, whole_table, config.out == "text")
-        for u, v_strs in table_rows
+        (config, u, v_strs, checked if args.check else [], args.out == "text")
+        for u, v_strs, checked in plan
     ]
-    workers = worker_count(config.jobs, len(tasks), os.cpu_count())
+    workers = worker_count(args.jobs, len(tasks), usable_cpus())
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_mult_row_task, *task) for task in tasks]
@@ -359,7 +355,7 @@ def cmd_mult(args: argparse.Namespace) -> int:
         "command": "mult",
         "datum": datum.label or "custom",
         "lattice": datum.lattice,
-        "law": config.law,
+        "law": basis.backend.law,
         "family": config.family,
         "records": rows,
     }
@@ -367,11 +363,11 @@ def cmd_mult(args: argparse.Namespace) -> int:
         f"u={row['u'] or 'e'} v={row['v'] or 'e'} w={row['w'] or 'e'}  {row['text']}"
         for row in rows
     )
-    return _finish(config, payload, lines, discrepancies)
+    return _finish(args, payload, lines, discrepancies)
 
 
 def _finish(
-    config: SessionConfig, payload: dict, lines: Iterable[str], discrepancies: list
+    args: argparse.Namespace, payload: dict, lines: Iterable[str], discrepancies: list
 ) -> int:
     """Write a command's output and return its exit code.
 
@@ -379,14 +375,14 @@ def _finish(
     output is ``lines``, then under ``--check`` the report's summary line and
     one line per discrepancy.
     """
-    if config.out == "json":
-        if config.check:
+    if args.out == "json":
+        if args.check:
             payload["report"] = discrepancy_to_json(discrepancies)
         sys.stdout.write(dumps_canonical(payload))
     else:
         for line in lines:
             print(line)
-        if config.check:
+        if args.check:
             print(f"check: {len(discrepancies)} discrepancies" if discrepancies else "check: ok")
             _print_discrepancies(discrepancies)
     return EXIT_DISCREPANCY if discrepancies else EXIT_OK
@@ -408,13 +404,13 @@ def cmd_restrict(args: argparse.Namespace) -> int:
     config = _resolve_config(args, default_family="x")
     if args.v is None or args.w is None:
         raise CliError("restrict needs --v and --w")
-    basis = _session_basis(config.cache_key())
+    basis = _session_basis(config)
     datum = basis.datum
     v = datum.element_by_word(parse_word(args.v))
     w = datum.element_by_word(parse_word(args.w))
     value = basis.restriction(v, w)
     report = DiscrepancyReport()
-    if config.check:
+    if args.check:
         report.compare(
             (word_to_str(v.word), word_to_str(w.word)), basis.restriction_via_billey(v, w), value
         )
@@ -423,13 +419,13 @@ def cmd_restrict(args: argparse.Namespace) -> int:
         "command": "restrict",
         "datum": datum.label or "custom",
         "lattice": datum.lattice,
-        "law": config.law,
+        "law": basis.backend.law,
         "family": config.family,
         "v": word_to_str(v.word),
         "w": word_to_str(w.word),
         "value": qelem_to_json(value),
     }
-    return _finish(config, payload, [qelem_to_str(value)], discrepancies)
+    return _finish(args, payload, [qelem_to_str(value)], discrepancies)
 
 
 # ---------------------------------------------------------------------------
@@ -443,13 +439,13 @@ def cmd_stab(args: argparse.Namespace) -> int:
     config = _resolve_config(args, default_family=family, forced_family=family)
     if args.u is None or args.v is None:
         raise CliError("stab needs --u and --v")
-    stable = stable_basis(_session_basis(config.cache_key()))
+    stable = stable_basis(_session_basis(config))
     datum = stable.datum
     u = datum.element_by_word(parse_word(args.u))
     v = datum.element_by_word(parse_word(args.v))
     constants = stable.constants_oracle(u, v)
     report = DiscrepancyReport()
-    if config.check:
+    if args.check:
         formula = stable.constants_formula(u, v)
         report.compare_rows((word_to_str(u.word), word_to_str(v.word)), formula, constants)
     discrepancies = [entry.as_json_entry() for entry in report.entries]
@@ -458,7 +454,7 @@ def cmd_stab(args: argparse.Namespace) -> int:
         "variant": args.variant,
         "datum": datum.label or "custom",
         "lattice": datum.lattice,
-        "law": config.law,
+        "law": stable.backend.law,
         "u": word_to_str(u.word),
         "v": word_to_str(v.word),
         "rows": [
@@ -470,7 +466,7 @@ def cmd_stab(args: argparse.Namespace) -> int:
         f"w={word_to_str(w.word) or 'e'}  {qelem_to_str(value)}"
         for w, value in constants.items()
     )
-    return _finish(config, payload, lines, discrepancies)
+    return _finish(args, payload, lines, discrepancies)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +485,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     laws = (args.fgl,) if args.fgl else None
     report = run_suite(args.suite, datum, families=families, laws=laws)
     passed = report.is_empty
-    if config.out == "json":
+    if args.out == "json":
         payload = {
             "command": "verify",
             "suite": args.suite,
@@ -542,7 +538,7 @@ _SESSION_FLAGS = {
         type=int,
         default=1,
         help="worker processes for a mult table, one table row at a time "
-        "(at most the number of rows and the CPU count)",
+        "(at most the number of rows and the usable CPUs)",
     ),
 }
 
@@ -589,10 +585,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

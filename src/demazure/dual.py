@@ -37,10 +37,11 @@ Two independent routes compute the constants:
   :func:`~demazure.twisted.expand_in_triangular_basis`, that
   ``Algebra.expand_in_z_basis`` uses too, and neither reads a walk.
 
-Checking a table (``compare_routes``, ``mult --check``) computes one oracle
-product per unordered pair {u, v}: the product of two classes commutes and
-the formula route reads both orders from one half-column entry, so a
-mismatch is reported at both (u, v, w) and (v, u, w).
+One pair comparator, :func:`compare_products`, checks both routes for
+``compare_routes``, ``compare_constants`` and ``mult --check``.  Given both
+orders of a pair it computes one oracle product: the product of two classes
+commutes and the formula route reads both orders from one half-column entry,
+so a mismatch is reported at both (u, v, w) and (v, u, w).
 
 The module also provides restriction coefficients b_{w, I_v} with their
 matrix identity and their Billey-type closed form (read off the row of the
@@ -216,37 +217,20 @@ class DiscrepancyReport:
             if not q_equal(f_val, o_val):
                 self.add(prefix + (word_to_str(w.word),), f_val, o_val)
 
-    def compare_product(
-        self,
-        u: str,
-        v: str,
-        formula: Mapping[WeylElement, QElem],
-        oracle: Mapping[WeylElement, QElem],
-    ) -> None:
-        """``compare_rows`` of the product of u and v at ``(u, v)``, and each
-        mismatch again at ``(v, u)`` when u != v: the formula route reads both
-        orders from one half-column entry and the product commutes, so one
-        comparison serves both."""
-        start = len(self.entries)
-        self.compare_rows((u, v), formula, oracle)
-        if u != v:
-            self.entries.extend(
-                Discrepancy((v, u) + entry.location[2:], entry.formula, entry.oracle)
-                for entry in self.entries[start:]
-            )
-
     def to_json(self) -> dict:
         from .serialize import discrepancy_to_json
 
         return discrepancy_to_json(entry.as_json_entry() for entry in self.entries)
 
 
-def _compare_products(
+def compare_products(
     pairs: Iterable[tuple[WeylElement, WeylElement]],
     formula: Callable[[WeylElement, WeylElement], Mapping[WeylElement, QElem]],
     oracle: Callable[[WeylElement, WeylElement], Mapping[WeylElement, QElem]],
 ) -> DiscrepancyReport:
-    """Formula row vs oracle row of the product for each pair (u, v).
+    """Formula row vs oracle row of the product for each pair (u, v): the one
+    pair comparator of ``compare_routes``, ``compare_constants`` and
+    ``mult --check``.
 
     Both rows are symmetric in u and v, so a pair whose mirror (v, u) is
     listed too is compared once, at the order with v.index > u.index, and its
@@ -258,11 +242,17 @@ def _compare_products(
     listed = set(pairs)
     report = DiscrepancyReport()
     for u, v in pairs:
+        mirrored = u is not v and (v, u) in listed
+        if mirrored and v.index < u.index:
+            continue
         words = word_to_str(u.word), word_to_str(v.word)
-        if u is v or (v, u) not in listed:
-            report.compare_rows(words, formula(u, v), oracle(u, v))
-        elif v.index > u.index:
-            report.compare_product(*words, formula(u, v), oracle(u, v))
+        start = len(report.entries)
+        report.compare_rows(words, formula(u, v), oracle(u, v))
+        if mirrored:
+            report.entries.extend(
+                Discrepancy(words[::-1] + entry.location[2:], entry.formula, entry.oracle)
+                for entry in report.entries[start:]
+            )
     return report
 
 
@@ -447,7 +437,7 @@ class DualBasis:
         self, pairs: Iterable[tuple[WeylElement, WeylElement]] | None = None
     ) -> DiscrepancyReport:
         """Formula route vs oracle route, entry by entry (zeros included)."""
-        return _compare_products(
+        return compare_products(
             self._pairs(pairs), self.product_formula, self.product_oracle
         )
 
@@ -575,7 +565,7 @@ class StableBasis:
     def compare_constants(
         self, pairs: Iterable[tuple[WeylElement, WeylElement]] | None = None
     ) -> DiscrepancyReport:
-        return _compare_products(
+        return compare_products(
             self.basis._pairs(pairs), self.constants_formula, self.constants_oracle
         )
 

@@ -533,6 +533,15 @@ def test_pool_output_does_not_depend_on_the_start_method(monkeypatch):
         "--out", "json", "--check",
     ]
     serial = run_cli(*argv, "--jobs", "1")
+    pools = _use_spawn_pools(monkeypatch)
+    assert run_cli(*argv, "--jobs", "2") == serial
+    assert serial[0] == EXIT_OK
+    assert pools == [2]
+
+
+def _use_spawn_pools(monkeypatch) -> list:
+    """Make ``mult`` pools spawn their workers, with two usable CPUs even on a
+    one-CPU machine; returns the list of the pools' sizes."""
     pools = []
 
     def spawn_pool(*args, **kwargs):
@@ -542,10 +551,44 @@ def test_pool_output_does_not_depend_on_the_start_method(monkeypatch):
         )
 
     monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool even on one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    return pools
+
+
+def test_custom_family_file_runs_in_spawned_workers(tmp_path, monkeypatch):
+    """A spawned worker rebuilds the session from its config alone, so it
+    reads the family file itself; the unit family has no quadratic
+    constants, so its oracle eliminates in Q."""
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(UNIT_SPEC), encoding="utf-8")
+    argv = ["mult", "--type", "A2", "--family", f"custom:{path}", "--out", "json", "--check"]
+    serial = run_cli(*argv, "--jobs", "1")
+    pools = _use_spawn_pools(monkeypatch)
     assert run_cli(*argv, "--jobs", "2") == serial
     assert serial[0] == EXIT_OK
+    assert json.loads(serial[1])["report"]["count"] == 0
     assert pools == [2]
+
+
+def test_out_check_and_jobs_share_one_session(monkeypatch):
+    """The session's basis depends on the datum, family, law and words only,
+    so output flags, the check and the worker count reuse it."""
+    built = []
+
+    class CountedBasis(DualBasis):
+        def __init__(self, algebra):
+            built.append(algebra)
+            super().__init__(algebra)
+
+    monkeypatch.setattr(cli, "DualBasis", CountedBasis)
+    cli._session_basis.cache_clear()
+    try:
+        base = ("mult", "--type", "A2", "--family", "y", "--u", "1", "--v", "2")
+        assert run_cli(*base)[0] == EXIT_OK
+        assert run_cli(*base, "--out", "json", "--check", "--jobs", "2")[0] == EXIT_OK
+        assert len(built) == 1
+    finally:
+        cli._session_basis.cache_clear()
 
 
 @pytest.mark.parametrize(
@@ -561,6 +604,20 @@ def test_pool_output_does_not_depend_on_the_start_method(monkeypatch):
 )
 def test_worker_count_caps_jobs(jobs, tasks, cpus, expected):
     assert worker_count(jobs, tasks, cpus) == expected
+
+
+def test_worker_cap_counts_the_usable_cpus(monkeypatch):
+    """A process pinned to one CPU of a large host runs a table in-process."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+    assert cli.usable_cpus() == 1
+    pools = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kwargs: pools.append(kwargs))
+    argv = ("mult", "--type", "A2", "--family", "x", "--out", "json", "--check")
+    assert run_cli(*argv, "--jobs", "4") == run_cli(*argv, "--jobs", "1")
+    assert pools == []
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert cli.usable_cpus() == 64
 
 
 def test_json_output_round_trips_byte_identically():
@@ -632,6 +689,14 @@ def test_jcompat_policy_keeps_restrictions_for_x_family():
 # custom families and explicit Cartan matrices
 # ---------------------------------------------------------------------------
 
+
+UNIT_SPEC = {
+    "name": "unit",
+    "law": "additive",
+    "a": {"num": [[1, 0, 0, 0]], "den": []},
+    "b": {"num": [[1, 0, 0, 0]], "den": []},
+    "b_inv": {"num": [[1, 0, 0, 0]], "den": []},
+}
 
 SIGMA_SPEC = {
     "name": "sigma-file",
