@@ -8,7 +8,9 @@ Subcommands
     and ``--v`` it prints the rows of one product; with neither it prints
     the full table, optionally split row by row (one u, every v) over a
     worker pool (``--jobs``, capped at the number of table rows and the
-    CPUs the process may run on).
+    CPUs the process may run on).  The pool modules (``concurrent.futures``,
+    ``multiprocessing``) load only when ``mult`` starts a pool, so no other
+    run pays for importing them.
     ``--check`` recomputes the printed products through the independent
     oracle route and reports any mismatch.  ``cmd_mult`` plans the ordered
     pairs each row checks: a single product checks (u, v) alone; in a whole
@@ -72,13 +74,11 @@ word to the chosen reduced word, e.g. ``{"": "", "1": "1", "121": "212",
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .dual import (
     CohStableBasis,
@@ -129,8 +129,7 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-@dataclasses.dataclass(frozen=True)
-class SessionConfig:
+class SessionConfig(NamedTuple):
     """The inputs that fix a session's ``DualBasis``; the config is its cache
     key, and a pool worker rebuilds the basis from it alone."""
 
@@ -339,6 +338,9 @@ def cmd_mult(args: argparse.Namespace) -> int:
     ]
     workers = worker_count(args.jobs, len(tasks), usable_cpus())
     if workers > 1:
+        # The pool modules (multiprocessing and its dependencies) load only here.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_mult_row_task, *task) for task in tasks]
             results = [future.result() for future in futures]

@@ -59,9 +59,8 @@ one vocabulary: ``stab_minus`` (the dual-basis class), ``stab_minus_bullet``
 
 from __future__ import annotations
 
-import dataclasses
 from collections import Counter
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .formal import (
     X_ROOT,
@@ -151,8 +150,7 @@ def point_class(backend: Backend, w: WeylElement) -> DualElem:
     return DualElem.f(backend, w, weyl_act(backend, w, scalar))
 
 
-@dataclasses.dataclass(frozen=True)
-class Discrepancy:
+class Discrepancy(NamedTuple):
     location: tuple
     formula: QElem | str
     oracle: QElem | str
@@ -170,7 +168,6 @@ class Discrepancy:
         }
 
 
-@dataclasses.dataclass
 class DiscrepancyReport:
     """Pointwise mismatches between the formula route and the oracle route.
 
@@ -178,7 +175,8 @@ class DiscrepancyReport:
     was compared; the report never reconciles or hides a difference.
     """
 
-    entries: list[Discrepancy] = dataclasses.field(default_factory=list)
+    def __init__(self) -> None:
+        self.entries: list[Discrepancy] = []
 
     @property
     def is_empty(self) -> bool:

@@ -33,8 +33,6 @@ first offending principal submatrix otherwise.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
@@ -115,36 +113,41 @@ def named_cartan_matrix(label: str) -> list[list[int]]:
     raise ValueError(f"unrecognized type label {label!r}")
 
 
-def _principal_minor(mat: Sequence[Sequence[int]], rows: Sequence[int]) -> Fraction:
-    """Determinant of the principal submatrix on the given row/column set."""
-    sub = [[Fraction(mat[r][c]) for c in rows] for r in rows]
+def _principal_minor(mat: Sequence[Sequence[int]], rows: Sequence[int]) -> int:
+    """Determinant of the principal submatrix on the given row/column set, by
+    fraction-free (Bareiss) elimination: every division is exact."""
+    sub = [[mat[r][c] for c in rows] for r in rows]
     n = len(sub)
-    det = Fraction(1)
-    for col in range(n):
+    sign, previous = 1, 1
+    for col in range(n - 1):
         pivot = next((r for r in range(col, n) if sub[r][col] != 0), None)
         if pivot is None:
-            return Fraction(0)
+            return 0
         if pivot != col:
             sub[col], sub[pivot] = sub[pivot], sub[col]
-            det = -det
-        det *= sub[col][col]
+            sign = -sign
+        top = sub[col]
         for r in range(col + 1, n):
-            factor = sub[r][col] / sub[col][col]
-            if factor:
-                for c in range(col, n):
-                    sub[r][c] -= factor * sub[col][c]
-    return det
+            row = sub[r]
+            for c in range(col + 1, n):
+                row[c] = (row[c] * top[col] - row[col] * top[c]) // previous
+        previous = top[col]
+    return sign * sub[n - 1][n - 1]
 
 
-def validate_cartan_matrix(mat: Sequence[Sequence[int]]) -> None:
-    """Check shape, integrality, sign pattern, and finite type.
+def validate_cartan_matrix(mat: Sequence[Sequence[int]], max_rank: int | None = None) -> None:
+    """Check shape, the rank cap, integrality, sign pattern, and finite type.
 
     Raises ``ValueError`` describing the first violated condition; for a
     non-finite matrix the message names an offending principal submatrix.
+    The cap is checked before the finite-type scan, which visits all 2^n
+    principal submatrices.
     """
     n = len(mat)
     if n == 0 or any(len(row) != n for row in mat):
         raise ValueError("Cartan matrix must be square and non-empty")
+    if max_rank is not None and n > max_rank:
+        raise ValueError(f"rank {n} exceeds the cap {max_rank}")
     for i in range(n):
         for j in range(n):
             entry = mat[i][j]
@@ -176,19 +179,47 @@ def validate_cartan_matrix(mat: Sequence[Sequence[int]]) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WeylElement:
     """A Weyl group element, identified by its action on root coordinates.
 
     ``word`` is the canonical reduced word: minimal length, then
     lexicographically smallest.  ``index`` is the element's position in
     :attr:`RootDatum.elements` and the row of its datum's product table; it
-    takes no part in equality or hashing.
+    takes no part in equality or hashing.  Elements are immutable; the hash
+    of ``(word, root_matrix)`` is computed once, at construction.
     """
+
+    __slots__ = ("word", "root_matrix", "index", "_hash")
 
     word: Word
     root_matrix: Matrix
-    index: int = field(compare=False, repr=False)
+    index: int
+
+    def __init__(self, word: Word, root_matrix: Matrix, index: int) -> None:
+        set_slot = object.__setattr__
+        set_slot(self, "word", word)
+        set_slot(self, "root_matrix", root_matrix)
+        set_slot(self, "index", index)
+        set_slot(self, "_hash", hash((word, root_matrix)))
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"WeylElement is immutable; cannot assign {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"WeylElement is immutable; cannot delete {name!r}")
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not WeylElement:
+            return NotImplemented
+        return self is other or (
+            self.word == other.word and self.root_matrix == other.root_matrix
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return WeylElement, (self.word, self.root_matrix, self.index)
 
     @property
     def length(self) -> int:
@@ -231,12 +262,10 @@ class RootDatum:
         max_rank: int = DEFAULT_MAX_RANK,
         max_order: int = DEFAULT_MAX_ORDER,
     ) -> None:
-        validate_cartan_matrix(cartan)
+        validate_cartan_matrix(cartan, max_rank)
         if lattice not in LATTICES:
             raise ValueError(f"lattice must be one of {LATTICES}, got {lattice!r}")
         n = len(cartan)
-        if n > max_rank:
-            raise ValueError(f"rank {n} exceeds the cap {max_rank}")
         self.cartan: Matrix = tuple(tuple(int(x) for x in row) for row in cartan)
         self.rank = n
         self.lattice = lattice

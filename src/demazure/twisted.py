@@ -50,9 +50,8 @@ one word, once per word.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence, TypeVar
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .formal import (
     ADDITIVE,
@@ -273,7 +272,6 @@ def expand_in_triangular_basis(
 # Operator families
 # ---------------------------------------------------------------------------
 
-@dataclass
 class OperatorFamily:
     """A W-equivariant operator family Z_alpha = a_alpha + b_alpha delta_alpha.
 
@@ -281,11 +279,19 @@ class OperatorFamily:
     and return QElems; ``b_inv`` must be the exact reciprocal of ``b``.
     """
 
-    name: str
-    backend: Backend
-    a: Callable[[Weight], QElem]
-    b: Callable[[Weight], QElem]
-    b_inv: Callable[[Weight], QElem]
+    def __init__(
+        self,
+        name: str,
+        backend: Backend,
+        a: Callable[[Weight], QElem],
+        b: Callable[[Weight], QElem],
+        b_inv: Callable[[Weight], QElem],
+    ) -> None:
+        self.name = name
+        self.backend = backend
+        self.a = a
+        self.b = b
+        self.b_inv = b_inv
 
     def check_equivariance(self) -> list[str]:
         """Exact check of w(a_alpha) = a_{w(alpha)} (and b, b_inv) for every
@@ -395,8 +401,7 @@ def _read_coefficient(backend: Backend, spec, where: str) -> Callable[[Weight], 
     return coefficient
 
 
-@dataclass(frozen=True)
-class FamilyEntry:
+class FamilyEntry(NamedTuple):
     """A built-in operator family: its name, the backend laws it is defined on
     (the first is its default) and its a, b and b_inv in the family-file
     format of :func:`read_coefficients`.

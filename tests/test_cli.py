@@ -1,5 +1,6 @@
 """End-to-end checks of the command-line interface."""
 
+import concurrent.futures
 import contextlib
 import hashlib
 import io
@@ -8,6 +9,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ProcessPoolExecutor
 
 import pytest
@@ -26,6 +28,7 @@ from demazure.formal import (
     q_equal,
     x_class,
 )
+from demazure.rootdata import named_cartan_matrix
 from demazure.serialize import dumps_canonical, parse_qelem, parse_selem
 from demazure.twisted import Algebra, BUILTIN_FAMILIES
 
@@ -460,6 +463,32 @@ def test_cli_bytes_match_the_recorded_contract(command, exit_code, stdout_sha256
 # ---------------------------------------------------------------------------
 
 
+_POOL_MODULES = ("concurrent.futures", "multiprocessing")  # loaded only by a mult pool
+_SLOW_STDLIB_MODULES = ("dataclasses", "inspect", "fractions", "decimal")  # loaded by no command
+
+
+@pytest.mark.parametrize(
+    "modules, absent",
+    [
+        ("demazure.cli", _POOL_MODULES + _SLOW_STDLIB_MODULES),
+        ("demazure.dual, demazure.twisted", _SLOW_STDLIB_MODULES),
+    ],
+    ids=["cli", "dual-twisted"],
+)
+def test_import_loads_no_pool_or_slow_stdlib_module(modules, absent):
+    """Every ``demazure`` process pays for its imports; in a fresh ``python
+    -S`` these imports must leave the listed modules unloaded."""
+    code = f"import sys, {modules}; print(*(m for m in {absent!r} if m in sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
+
+
 def _run_subprocess(*argv):
     proc = subprocess.run(
         [sys.executable, "-m", "demazure.cli", *argv],
@@ -550,7 +579,7 @@ def _use_spawn_pools(monkeypatch) -> list:
             *args, mp_context=multiprocessing.get_context("spawn"), **kwargs
         )
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", spawn_pool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawn_pool)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     return pools
 
@@ -612,7 +641,9 @@ def test_worker_cap_counts_the_usable_cpus(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
     assert cli.usable_cpus() == 1
     pools = []
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", lambda **kwargs: pools.append(kwargs))
+    monkeypatch.setattr(
+        concurrent.futures, "ProcessPoolExecutor", lambda **kwargs: pools.append(kwargs)
+    )
     argv = ("mult", "--type", "A2", "--family", "x", "--out", "json", "--check")
     assert run_cli(*argv, "--jobs", "4") == run_cli(*argv, "--jobs", "1")
     assert pools == []
@@ -878,6 +909,28 @@ def test_cartan_file_of_the_wrong_shape_exits_3(tmp_path, spec, key):
     assert code == EXIT_CONFIG
     assert out == ""
     assert key in err
+
+
+@pytest.mark.parametrize("source", ["type", "cartan"])
+def test_rank_above_the_cap_exits_3_at_once(tmp_path, source):
+    """The rank cap is checked before the finite-type scan, which visits all
+    2^n principal submatrices, so a rank-40 datum is refused at once."""
+    if source == "type":
+        argv = ["mult", "--type", "A40"]
+    else:
+        path = tmp_path / "a40.json"
+        path.write_text(json.dumps({"cartan": named_cartan_matrix("A40")}), encoding="utf-8")
+        argv = ["mult", "--cartan", str(path)]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "demazure.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=20,
+    )
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == EXIT_CONFIG
+    assert "rank 40 exceeds the cap" in proc.stderr
 
 
 def test_cartan_file_builds_custom_datum(tmp_path):

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from demazure.rootdata import (
     ADJOINT,
     WeylElement,
+    _principal_minor,
     build_root_datum,
     named_cartan_matrix,
     validate_cartan_matrix,
@@ -89,6 +92,53 @@ def test_rank_cap_and_order_cap():
     with pytest.raises(ValueError, match="cap"):
         build_root_datum("B5")  # |W| = 3840 > default cap
     assert build_root_datum("B5", max_order=4000).order == 3840
+
+
+def _leibniz_determinant(mat) -> int:
+    n = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * math.prod(mat[i][perm[i]] for i in range(n))
+    return total
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(
+        lambda n: st.lists(
+            st.lists(st.integers(-4, 4), min_size=n, max_size=n), min_size=n, max_size=n
+        )
+    )
+)
+def test_principal_minors_are_exact_integer_determinants(mat):
+    """Fraction-free elimination gives each principal minor exactly, as an int."""
+    n = len(mat)
+    for size in range(1, n + 1):
+        for rows in itertools.combinations(range(n), size):
+            minor = _principal_minor(mat, rows)
+            assert type(minor) is int
+            assert minor == _leibniz_determinant([[mat[r][c] for c in rows] for r in rows])
+
+
+def test_weyl_elements_are_immutable_values():
+    """Equality and hash follow (word, root_matrix) across separate builds;
+    ``index`` takes no part; elements refuse assignment and survive pickling."""
+    first, second = build_root_datum("B3"), build_root_datum("B3")
+    for u, v in zip(first.elements, second.elements, strict=True):
+        assert u is not v
+        assert u == v and hash(u) == hash(v)
+    w = first.elements[5]
+    moved = WeylElement(w.word, w.root_matrix, index=w.index + 1)
+    assert moved == w and hash(moved) == hash(w)
+    assert w != first.elements[6] and w != w.word
+    for name in ("word", "root_matrix", "index", "other"):
+        with pytest.raises(AttributeError):
+            setattr(w, name, None)
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(w, protocol))
+        assert copy == w and hash(copy) == hash(w)
+        assert (copy.word, copy.root_matrix, copy.index) == (w.word, w.root_matrix, w.index)
 
 
 def test_explicit_cartan_equals_named(b2):
