@@ -32,19 +32,20 @@ multiplication by Z_i moves c from w to w s_i when w s_i > w, and otherwise
 sends c c1 to w and c c0 to w s_i; left multiplication does the same with
 s_i w.  This one rule (:meth:`Algebra._c_moves`) gives the reduced-subword
 rule (0, 0), the Demazure-product rule (1, 0), the group-product rule (0, 1)
-and the Hecke recursion (q-1, q), and it serves only the transfer walks:
-because the weights are W-invariant they commute with the Leibniz operators,
-so the sums over subwords behind the structure constants and the
-restrictions fold into walks along the words (:meth:`Algebra.formula_column`,
-:meth:`Algebra.billey_row`).  A walk's state after part of a word is the
+and the Hecke recursion (q-1, q).
+
+The sums over subwords behind the structure constants and the restrictions
+fold into walks along the words (:meth:`Algebra.formula_column`,
+:meth:`Algebra.billey_row`): a walk adds one letter i at a time and moves
+each state x along Z_i Z_{I_x} (or Z_{I_x} Z_i) expanded in the Z-basis.
+That needs only Z_i(f) = a f + b s_i(f), so it holds for every family:
+with quadratic constants the moves are the c-rule, and otherwise one
+generic triangular elimination (:meth:`Algebra.expand_in_z_basis`) per
+side, letter and element.  A walk's state after part of a word is the
 column (or row) of that part, so each walk grows letter by letter from the
 longest cached suffix (or prefix); every suffix and prefix of a lexmin word is
 lexmin, so all columns together walk |W| - 1 letters, and so do all rows.  A
 column is symmetric in (u, v) and is kept as its half u.index <= v.index.
-Every other c comes from the generic triangular elimination
-(:meth:`Algebra.expand_in_z_basis`, :meth:`Algebra.c_supports`); for families
-without constants the same two methods sum those values over the subwords of
-one word, once per word.
 """
 
 from __future__ import annotations
@@ -471,13 +472,13 @@ class Algebra:
     """An operator family together with a fixed reduced word I_w per element.
 
     Cached here: composed words, diagonal inverses, b-rows, Leibniz
-    coefficients, the inversion weights of each word, and the half formula
-    column and the Billey row of each word.  Only this class builds those
-    columns and rows: by a walk when the family has quadratic constants,
-    whose c-rule (:meth:`_c_moves`) drives nothing else, and by sums over
-    the subwords of one :meth:`c_supports` otherwise.  Every c-coefficient
-    the algebra returns comes from the generic elimination
-    (:meth:`expand_in_z_basis`).
+    coefficients, the inversion weights of each word, the moves of the walks
+    of a family without quadratic constants, and the half formula column and
+    the Billey row of each word.  Only this class builds those columns and
+    rows, by one walk each for every family; :meth:`_moves` alone chooses
+    the walks' moves, the c-rule (:meth:`_c_moves`) or the generic
+    elimination.  Every c-coefficient the algebra returns comes from the
+    generic elimination (:meth:`expand_in_z_basis`).
     """
 
     def __init__(self, family: OperatorFamily, words: Mapping[WeylElement, Word] | None = None):
@@ -502,6 +503,7 @@ class Algebra:
         self._inversion_weight_cache: dict[Word, tuple[Weight, ...]] = {}
         self._columns: dict[Word, dict[tuple[WeylElement, WeylElement], QElem]] = {}
         self._billey_rows: dict[Word, dict[WeylElement, QElem]] = {}
+        self._expanded_moves: dict[tuple[bool, int, WeylElement], list] = {}
 
     # -- elements -------------------------------------------------------------
 
@@ -654,26 +656,41 @@ class Algebra:
             moves.append((neighbour, c0))
         return moves
 
+    def _moves(self, left: bool) -> Callable[[int, WeylElement], Sequence[tuple]]:
+        """The moves of Z_{I_x} times Z_i as a function of (i, x): (target,
+        weight) pairs that sum to Z_i Z_{I_x} when ``left``, else to
+        Z_{I_x} Z_i.
+
+        A family with quadratic constants takes the c-rule of
+        :meth:`_c_moves`.  Any other family expands the word (i,) + I_x (or
+        I_x + (i,)) by :meth:`expand_in_z_basis`, once per (side, i, x); the
+        walks need no braid relation for that, only Z_i(f) = a f + b s_i(f)
+        with Q commutative.
+        """
+        datum, expanded = self.datum, self._expanded_moves
+        if self.quadratic is not None:
+            if left:
+                return lambda i, x: self._c_moves(x, datum.left_multiply_simple(i, x))
+            return lambda i, x: self._c_moves(x, datum.multiply_simple(x, i))
+
+        def moves(i: int, x: WeylElement) -> list[tuple[WeylElement, QElem]]:
+            key = (left, i, x)
+            if key not in expanded:
+                word = (i,) + self.words[x] if left else self.words[x] + (i,)
+                expanded[key] = list(self.expand_in_z_basis(word).items())
+            return expanded[key]
+
+        return moves
+
     # -- Leibniz coefficients ----------------------------------------------------
 
-    # Case codes for position j relative to (E, F):
+    # Case codes for position j relative to (E, F): how many of E and F
+    # leave j out.
     _BOTH, _ONE, _NEITHER = 0, 1, 2
 
     def _leibniz_cases(self, k: int, E: Iterable[int], F: Iterable[int]) -> tuple[int, ...]:
-        es, fs = set(E), set(F)
-        for j in es | fs:
-            if not 1 <= j <= k:
-                raise ValueError(f"subset index {j} out of range 1..{k}")
-        out = []
-        for j in range(1, k + 1):
-            in_e, in_f = j in es, j in fs
-            if in_e and in_f:
-                out.append(self._BOTH)
-            elif in_e or in_f:
-                out.append(self._ONE)
-            else:
-                out.append(self._NEITHER)
-        return tuple(out)
+        es, fs = _positions(k, E), _positions(k, F)
+        return tuple((j not in es) + (j not in fs) for j in range(1, k + 1))
 
     def _leibniz_eval(self, word: Word, cases: tuple[int, ...]) -> QElem:
         """(B_1 ... B_k) . 1 with B_j chosen by cases[j]; memoized on suffixes."""
@@ -712,10 +729,7 @@ class Algebra:
         m_j = a(beta_j), n_j = b(beta_j) along the inversion roots beta_j."""
         word = tuple(word)
         k = len(word)
-        es = set(E)
-        for j in es:
-            if not 1 <= j <= k:
-                raise ValueError(f"subset index {j} out of range 1..{k}")
+        es = _positions(k, E)
         betas = self._inversion_weights(word)
         value = QElem.from_int(self.backend, (-1) ** (k - len(es)))
         for j in range(1, k + 1):
@@ -748,37 +762,21 @@ class Algebra:
         keyed by (u, v), zeros left out.  The column is symmetric,
         z_{u,v} = z_{v,u}, so the other half is read at (v, u).
 
-        With quadratic constants a right-to-left walk along I folds the sum
-        over pairs of subwords: the state (x, y) collects the pairs (E, F) of
-        the suffix whose products expand onto Z_{I_x} and Z_{I_y}, and its
-        value is their Leibniz coefficients times c-weights
-        (:meth:`_formula_step`).  The state after a suffix is that suffix's
-        own half column, so the walk starts from the longest suffix already
-        walked (``()`` holds the start state (e, e) with value 1), walks only
-        the letters before it and keeps the state of every suffix it passes.
-        With the lexmin words every suffix is a chosen word, so all columns
-        together walk |W| - 1 letters.  A family without quadratic constants
-        sums Leibniz coefficient times c_E c_F over the pairs of one
-        :meth:`c_supports` of I instead, and keeps that column.
+        A right-to-left walk along I folds the sum over pairs of subwords:
+        the state (x, y) collects the pairs (E, F) of the suffix whose
+        products expand onto Z_{I_x} and Z_{I_y}, and its value is their
+        Leibniz coefficients times c-weights (:meth:`_formula_step`).  The
+        state after a suffix is that suffix's own half column, so the walk
+        starts from the longest suffix already walked (``()`` holds the start
+        state (e, e) with value 1), walks only the letters before it and keeps
+        the state of every suffix it passes.  With the lexmin words every
+        suffix is a chosen word, so all columns together walk |W| - 1 letters.
         """
         word = tuple(word)
         columns = self._columns
         cached = columns.get(word)
         if cached is not None:
             return cached
-        if self.quadratic is None:
-            supports = self.c_supports(word)
-            column: dict[tuple[WeylElement, WeylElement], QElem] = {}
-            for u, pairs_u in supports.items():
-                for v, pairs_v in supports.items():
-                    if u.index > v.index:
-                        continue
-                    for e_set, c_e in pairs_u:
-                        for f_set, c_f in pairs_v:
-                            value = self.leibniz_coefficient(word, e_set, f_set) * c_e * c_f
-                            accumulate(column, (u, v), value)
-            columns[word] = column
-            return column
         start = next((j for j in range(1, len(word) + 1) if word[j:] in columns), None)
         if start is None:
             start, identity = len(word), self.datum.identity
@@ -794,9 +792,10 @@ class Algebra:
         """The half column of i J from the half column of J (x.index <= y.index).
 
         With a = a(alpha_i), b^-1 = b^-1(alpha_i) and r = s_i(value), a
-        position in both subwords sends b^-1 r to the left steps of x and y,
-        one in E or F only sends -a b^-1 r to the left step of that
-        coordinate, and one in neither leaves a value + a^2 b^-1 r at (x, y).
+        position in both subwords sends b^-1 r along the left moves
+        (:meth:`_moves`) of x and y, one in E or F only sends -a b^-1 r along
+        the left moves of that coordinate, and one in neither leaves
+        a value + a^2 b^-1 r at (x, y).
         The rule is symmetric in x and y, so the mirror (y, x) of an
         off-diagonal state sends the same values to the mirrored targets:
         each target (p, q) of (x, y) adds its value at (min, max), twice when
@@ -808,13 +807,12 @@ class Algebra:
         a, b_inv = fam.a(alpha), fam.b_inv(alpha)
         one_side = -(a * b_inv)
         neither = a * a * b_inv
+        moves = self._moves(left=True)
         out: dict[tuple[WeylElement, WeylElement], QElem] = {}
         for (x, y), value in state.items():
             mirrored = x is not y
-            x_moves = self._c_moves(x, datum.left_multiply_simple(i, x))
-            y_moves = (
-                self._c_moves(y, datum.left_multiply_simple(i, y)) if mirrored else x_moves
-            )
+            x_moves = moves(i, x)
+            y_moves = moves(i, y) if mirrored else x_moves
             reflected = weyl_act_q(backend, s_i, value)
             both = b_inv * reflected
             for tx, wx in x_moves:
@@ -832,30 +830,20 @@ class Algebra:
         """Every b_{v,I_w} = sum_E z^{I_v}_{[k],E} c_{I_v|E,I_w}, keyed by w,
         zeros left out.
 
-        With quadratic constants a left-to-right walk along I_v folds the sum
-        over subwords E: the state x collects the subsets of the prefix whose
-        products expand onto Z_{I_x} (:meth:`_billey_step`).  The inversion
-        roots of a prefix are the leading ones of the word, so the state after
-        a prefix is that prefix's own row: rows are kept by word, and the walk
-        starts from the longest prefix already walked (``()`` holds e with
-        value 1) and keeps the row of every prefix it passes.  With the lexmin
-        words every prefix is a chosen word, so all rows together walk |W| - 1
-        letters.  A family without quadratic constants sums Billey's closed
-        form times c_E over one :meth:`c_supports` of I_v instead, and keeps
-        that row.
+        A left-to-right walk along I_v folds the sum over subwords E: the
+        state x collects the subsets of the prefix whose products expand onto
+        Z_{I_x} (:meth:`_billey_step`).  The inversion roots of a prefix are
+        the leading ones of the word, so the state after a prefix is that
+        prefix's own row: rows are kept by word, and the walk starts from the
+        longest prefix already walked (``()`` holds e with value 1) and keeps
+        the row of every prefix it passes.  With the lexmin words every prefix
+        is a chosen word, so all rows together walk |W| - 1 letters.
         """
         word = self.words[v]
         rows = self._billey_rows
         cached = rows.get(word)
         if cached is not None:
             return cached
-        if self.quadratic is None:
-            row: dict[WeylElement, QElem] = {}
-            for w, pairs in self.c_supports(word).items():
-                for e_set, c_e in pairs:
-                    accumulate(row, w, self.billey_closed_form(word, e_set) * c_e)
-            rows[word] = row
-            return row
         end = next((m for m in range(len(word) - 1, -1, -1) if word[:m] in rows), None)
         if end is None:
             end = 0
@@ -873,18 +861,18 @@ class Algebra:
         of the new position.
 
         The factor prod_j b^-1(beta_j) enters one inversion root at a time: a
-        position in E takes the right step with weight b^-1(beta), and one
-        left out stays with weight -a(beta) b^-1(beta).  For X and Y the first
-        is a polynomial and the second a unit, so no walk state is ever
-        divided.
+        position in E takes the right moves (:meth:`_moves`) of x with weight
+        b^-1(beta), and one left out stays with weight -a(beta) b^-1(beta).
+        For X and Y the first is a polynomial and the second a unit, so no
+        walk state is ever divided.
         """
-        datum = self.datum
+        moves = self._moves(left=False)
         take = self.family.b_inv(beta)
         skip = -(self.family.a(beta) * take)
         out: dict[WeylElement, QElem] = {}
         for x, value in state.items():
             taken = value * take
-            for target, weight in self._c_moves(x, datum.multiply_simple(x, i)):
+            for target, weight in moves(i, x):
                 accumulate(out, target, _weighted(taken, weight))
             accumulate(out, x, value * skip)
         return out
@@ -947,6 +935,15 @@ class Algebra:
         return [_relation_entry(*entry) for entry in self._relations()[1]]
 
 
+def _positions(k: int, subset: Iterable[int]) -> set[int]:
+    """The 1-based positions of ``subset`` in a word of length k, as a set."""
+    positions = set(subset)
+    for j in positions:
+        if not 1 <= j <= k:
+            raise ValueError(f"subset index {j} out of range 1..{k}")
+    return positions
+
+
 def _fold(out: dict, p: WeylElement, q: WeylElement, value: QElem, mirrored: bool) -> None:
     """Add a contribution to the target (p, q) of a half formula column.
 
@@ -964,8 +961,8 @@ def _fold(out: dict, p: WeylElement, q: WeylElement, value: QElem, mirrored: boo
     accumulate(out, (p, q), value)
 
 
-def _weighted(value, weight: SElem | int):
-    """``value`` times a c-rule weight from :meth:`Algebra._c_moves`."""
+def _weighted(value, weight: QElem | SElem | int):
+    """``value`` times the weight of a move from :meth:`Algebra._moves`."""
     return value if weight == 1 else value * weight
 
 

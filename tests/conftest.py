@@ -51,7 +51,8 @@ def unit_family(backend: Backend) -> OperatorFamily:
     """The custom family a = b = b^-1 = 1, i.e. Z_i = 1 + delta_i.
 
     Z_i^2 = 2 Z_i gives W-fixed constants (2, 0) for every i, but the braid
-    relations fail, so the family has no c-rule and takes the generic route.
+    relations fail, so the family has no c-rule: the moves of its transfer
+    walks come from the generic elimination.
     """
 
     def unit(alpha):

@@ -587,7 +587,8 @@ def _use_spawn_pools(monkeypatch) -> list:
 def test_custom_family_file_runs_in_spawned_workers(tmp_path, monkeypatch):
     """A spawned worker rebuilds the session from its config alone, so it
     reads the family file itself; the unit family has no quadratic
-    constants, so its oracle eliminates in Q."""
+    constants, so its oracle eliminates in Q and its walks expand their
+    moves by elimination."""
     path = tmp_path / "unit.json"
     path.write_text(json.dumps(UNIT_SPEC), encoding="utf-8")
     argv = ["mult", "--type", "A2", "--family", f"custom:{path}", "--out", "json", "--check"]
@@ -736,6 +737,30 @@ SIGMA_SPEC = {
     "b": {"num": [[1, 0, 0, 0], [1, 1, 0, 0]], "den": [["x_root", 1]]},
     "b_inv": {"num": [[1, 1, 0, 0]], "den": [["one_plus_root", 1]]},
 }
+
+
+# stdout of ``mult --type A3 --family custom:unit.json --out json --check``,
+# recorded when the unit family's formula columns and Billey rows were still
+# summed over the subwords of each word.
+_UNIT_A3_CHECK_SHA256 = "c0c5dcd6637f3f666d3a26102a8e842965bd55fee6c0a824ea653ce0c34977e1"
+
+
+def test_unit_family_table_bytes_are_pinned(tmp_path, monkeypatch):
+    """The unit family has no quadratic constants, so its walks expand each
+    move by elimination; the checked A3 table must keep the bytes of the
+    per-subword sums.  stdout echoes the --family token, so the file is
+    named relative to the working directory."""
+    (tmp_path / "unit.json").write_text(json.dumps(UNIT_SPEC), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    cli._session_basis.cache_clear()  # the relative token must not reuse a session
+    try:
+        code, out, err = run_cli(
+            "mult", "--type", "A3", "--family", "custom:unit.json", "--out", "json", "--check"
+        )
+    finally:
+        cli._session_basis.cache_clear()
+    assert (code, err) == (EXIT_OK, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _UNIT_A3_CHECK_SHA256
 
 
 @pytest.mark.parametrize(

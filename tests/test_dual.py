@@ -237,9 +237,9 @@ def test_routes_agree_on_a2(family, law):
 
 def test_routes_agree_on_a2_for_a_family_without_quadratic_constants():
     """Z_i = 1 + delta_i breaks the braid relations, so it has no c-rule: its
-    formula columns are the per-pair (E, F) sums and its Billey rows the
-    per-subset sums, one of each per word; both still match the oracle, which
-    eliminates in Q."""
+    formula columns and Billey rows are walks whose moves come from the
+    generic elimination, one of each per word; both still match the oracle,
+    which eliminates in Q."""
     basis = DualBasis(Algebra(unit_family(Backend(get_datum("A2"), ADDITIVE))))
     assert basis.algebra.quadratic is None
     assert basis.compare_routes().is_empty

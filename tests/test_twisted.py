@@ -8,7 +8,7 @@ from collections import Counter
 import pytest
 
 from conftest import get_datum, random_selem, unit_family
-from demazure.dual import DiscrepancyReport
+from demazure.dual import DiscrepancyReport, DualBasis
 from demazure.formal import (
     ADDITIVE,
     MULTIPLICATIVE,
@@ -566,16 +566,17 @@ def test_billey_full_set_degenerates_to_b_inverses():
 
 
 def _sum_of_terms(backend, terms):
-    """sum of value * weight over (QElem, SElem) terms.
+    """sum of value * weight over pairs of Q elements.
 
-    Numerators over the same denominator are added in S first, so only one
-    Q addition is made per distinct denominator.
+    Each product is left unnormalized, and numerators over the same
+    denominator multiset are added in S first, so only one Q addition is
+    made per distinct denominator.
     """
-    unit = one(backend)
     by_den = {}
     for value, weight in terms:
-        num = value.num if weight == unit else value.num * weight
-        by_den[value.den] = by_den[value.den] + num if value.den in by_den else num
+        num = value.num * weight.num
+        den = tuple(sorted(value.den + weight.den))
+        by_den[den] = by_den[den] + num if den in by_den else num
     total = q_int(backend, 0)
     for den, num in by_den.items():
         total = total + QElem(num, den)
@@ -591,7 +592,7 @@ def _per_pair_column(alg, word, half=True):
         (u, v): _sum_of_terms(
             alg.backend,
             (
-                (alg.leibniz_coefficient(word, e_set, f_set), c_e.as_selem() * c_f.as_selem())
+                (alg.leibniz_coefficient(word, e_set, f_set), c_e * c_f)
                 for e_set, c_e in pairs_u
                 for f_set, c_f in pairs_v
             ),
@@ -609,7 +610,7 @@ def _per_subset_row(alg, v):
     return {
         w: _sum_of_terms(
             alg.backend,
-            ((alg.billey_closed_form(word, e_set), c_e.as_selem()) for e_set, c_e in pairs),
+            ((alg.billey_closed_form(word, e_set), c_e) for e_set, c_e in pairs),
         )
         for w, pairs in alg.c_supports(word).items()
     }
@@ -665,9 +666,10 @@ def test_transfer_walks_match_the_per_subword_sums_on_the_a3_longest_word(family
 
 
 def _count_walk_steps(monkeypatch):
-    """Count the calls of each walk's per-letter step from now on."""
+    """Count the calls of each walk's per-letter step, and of the generic
+    expansion, from now on."""
     counts = Counter()
-    for name in ("_formula_step", "_billey_step"):
+    for name in ("_formula_step", "_billey_step", "expand_in_z_basis"):
 
         def counted(self, *args, _name=name, _step=getattr(Algebra, name)):
             counts[_name] += 1
@@ -677,18 +679,26 @@ def _count_walk_steps(monkeypatch):
     return counts
 
 
-@pytest.mark.parametrize("label,family,law", _WALK_GRIDS)
+@pytest.mark.parametrize(
+    "label,family,law", _WALK_GRIDS + [("A2", "unit", ADDITIVE), ("A3", "unit", ADDITIVE)]
+)
 def test_all_walks_share_their_suffixes_and_prefixes(monkeypatch, label, family, law):
     """Every suffix and every prefix of a lexmin word is a lexmin word, so
     all columns and all Billey rows keep |W| entries each and walk |W| - 1
-    letters each."""
-    alg = Algebra(BUILTIN_FAMILIES[family](get_backend(label, law)))
+    letters each.  The unit family has no quadratic constants, so its walks
+    expand each move by elimination once per side, letter and element: at
+    most 2 rank |W| expansions; the c-rule of the other families needs none."""
+    backend = get_backend(label, law)
+    alg = Algebra(unit_family(backend) if family == "unit" else BUILTIN_FAMILIES[family](backend))
     counts = _count_walk_steps(monkeypatch)
     elements = alg.datum.elements
     for w in elements:
         alg.formula_column(alg.word(w))
         alg.billey_row(w)
     assert len(alg._columns) == len(alg._billey_rows) == len(elements)
+    expansions = counts.pop("expand_in_z_basis", 0)
+    assert (expansions > 0) == (alg.quadratic is None)
+    assert expansions <= 2 * alg.datum.rank * len(elements)
     assert counts == {"_formula_step": len(elements) - 1, "_billey_step": len(elements) - 1}
 
 
@@ -774,14 +784,53 @@ def test_c_rule_matches_the_generic_expansion_of_one_more_letter(label, family, 
 
 
 def test_columns_and_rows_without_quadratic_constants_are_the_per_subword_sums():
-    """The unit family has no c-rule, so its columns and rows are summed over
-    the subwords of each word; they must match the test's own sums."""
+    """The unit family has no c-rule, so its walks expand each move by
+    elimination; its columns and rows must match the test's own sums over
+    the subwords of each word."""
     alg = Algebra(unit_family(get_backend("A2", ADDITIVE)))
     assert alg.quadratic is None
     for w in alg.datum.elements:
         word = alg.word(w)
         _assert_same_entries(alg.formula_column(word), _per_pair_column(alg, word), word)
         _assert_same_entries(alg.billey_row(w), _per_subset_row(alg, w), word)
+
+
+def _reciprocal_family(backend):
+    """a = 2/x_alpha, b = -1/x_alpha, b^-1 = -x_alpha.  Z_i^2 = 3/x_{alpha_i}^2
+    lies outside S, so the family has no quadratic constants, and some moves
+    of its walks have denominators."""
+
+    def a(alpha):
+        return QElem(2 * one(backend), [FactorSymbol(X_ROOT, alpha)])
+
+    def b(alpha):
+        return QElem(-one(backend), [FactorSymbol(X_ROOT, alpha)])
+
+    def b_inv(alpha):
+        return QElem.from_s(-x_class(backend, alpha))
+
+    return custom_family(backend, "reciprocal", a, b, b_inv)
+
+
+@pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
+@pytest.mark.parametrize("label", ["A2", "B2"])
+def test_walks_with_moves_in_q_match_the_per_subword_sums_and_the_oracle(label, law):
+    """The walks apply the moves of a new letter after any reflection of
+    their state, so moves with values in Q need not be W-invariant: the
+    columns and rows equal the sums over subwords, the formula route the
+    oracle, and the Billey rows the restrictions by expansion."""
+    alg = Algebra(_reciprocal_family(get_backend(label, law)))
+    assert alg.quadratic is None
+    for w in alg.datum.elements:
+        word = alg.word(w)
+        _assert_same_entries(alg.formula_column(word), _per_pair_column(alg, word), word)
+        _assert_same_entries(alg.billey_row(w), _per_subset_row(alg, w), word)
+    assert any(c.den for moves in alg._expanded_moves.values() for _, c in moves)
+    basis = DualBasis(alg)
+    assert basis.compare_routes().is_empty
+    for v in alg.datum.elements:
+        for w in alg.datum.elements:
+            assert q_equal(basis.restriction(v, w), basis.restriction_via_billey(v, w)), (v, w)
 
 
 @pytest.mark.parametrize(
