@@ -40,8 +40,9 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from functools import reduce
 from math import prod
-from operator import itemgetter, mul
+from operator import itemgetter, mul, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
@@ -498,14 +499,19 @@ def _divide_selem(p: SElem, d: SElem | Divisor) -> SElem | None:
 
 def _shift_to_nonnegative(backend: Backend, terms: dict[int, int]) -> tuple[dict[int, int], int]:
     """``terms`` times the monomial unit that makes every minimum exponent 0,
-    and the packed offset subtracted from each key."""
-    offset = 0
-    for s in backend._shifts:
-        offset += (min((key >> s) & _FIELD_MASK for key in terms) - _BIAS) << s
+    and the packed offset subtracted from each key.
+
+    The first field orders the packed keys, so its minimum is the smallest
+    key's; each other field's minimum is read from one list of its values.
+    """
+    shifts = backend._shifts
+    top = shifts[0]
+    offset = ((min(terms) >> top) - _BIAS) << top
+    for s in shifts[1:]:
+        offset += (min([(key >> s) & _FIELD_MASK for key in terms]) - _BIAS) << s
     shifted = {key - offset: c for key, c in terms.items()}
     # Exponents are now >= 0; bit 14 of a field is set when one is >= 2**14.
-    bits = backend._range_bits
-    if any(key & bits for key in shifted):
+    if reduce(or_, shifted) & backend._range_bits:
         raise ExponentOverflow(f"exponent span of a divisor operand is {EXPONENT_LIMIT} or more")
     return shifted, offset
 

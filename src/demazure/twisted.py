@@ -352,8 +352,12 @@ def read_coefficients(
     (documented in :mod:`demazure.cli`).
 
     The spec is read once, here, and shape errors raise ``ValueError``
-    naming ``where``; each coefficient rebuilds its value from the terms on
-    every call.  Nothing here validates the family (see :func:`custom_family`).
+    naming ``where``.  Each coefficient builds its value at a root from the
+    terms on the first call and returns that same QElem after, so a family
+    holds at most 2|Phi+| values per coefficient, filled as the roots are
+    used.  The values are shared: no caller may change one in place (e.g. by
+    :meth:`SElem.subtract_product` on its numerator).  Nothing here validates
+    the family (see :func:`custom_family`).
     """
     return tuple(
         _read_coefficient(backend, spec.get(key), f"{where}, coefficient {key!r}")
@@ -388,7 +392,13 @@ def _read_coefficient(backend: Backend, spec, where: str) -> Callable[[Weight], 
                 f"{where}: group-like numerator terms need the multiplicative backend"
             )
 
+    values: dict[Weight, QElem] = {}
+
     def coefficient(weight: Weight) -> QElem:
+        weight = tuple(weight)
+        cached = values.get(weight)
+        if cached is not None:
+            return cached
         total = SElem.constant(backend, 0)
         for coeff, alpha_exp, extra_exp, e_mult in num_terms:
             # h^extra_exp, or v^extra_exp E(e_mult * alpha): one monomial.
@@ -397,7 +407,8 @@ def _read_coefficient(backend: Backend, spec, where: str) -> Callable[[Weight], 
                 value = value * x_class(backend, weight) ** alpha_exp
             total = total + value
         den = [FactorSymbol(kind, tuple(sign * c for c in weight)) for kind, sign in den_spec]
-        return QElem(total, den)
+        values[weight] = cached = QElem(total, den)
+        return cached
 
     return coefficient
 
@@ -471,10 +482,12 @@ BUILTIN_FAMILIES: dict[str, FamilyEntry] = {
 class Algebra:
     """An operator family together with a fixed reduced word I_w per element.
 
-    Cached here: composed words, diagonal inverses, b-rows, Leibniz
-    coefficients, the inversion weights of each word, the moves of the walks
-    of a family without quadratic constants, and the half formula column and
-    the Billey row of each word.  Only this class builds those columns and
+    Cached here: composed words, diagonal inverses, the monic row of every
+    prefix of a chosen word, b-rows, Leibniz coefficients, the inversion
+    weights of each word, the moves of the walks of a family without
+    quadratic constants, and the half formula column and the Billey row of
+    each word.  The b-rows come from the monic rows (:meth:`_monic_row`),
+    never from a composed word.  Only this class builds those columns and
     rows, by one walk each for every family; :meth:`_moves` alone chooses
     the walks' moves, the c-rule (:meth:`_c_moves`) or the generic
     elimination.  Every c-coefficient the algebra returns comes from the
@@ -498,6 +511,9 @@ class Algebra:
         self._simple_cache: dict[int, QWElem] = {}
         self._compose_cache: dict[Word, QWElem] = {}
         self._diag_inverse_cache: dict[WeylElement, QElem] = {}
+        self._monic_rows: dict[Word, dict[WeylElement, QElem]] = {
+            (): {self.datum.identity: QElem.from_int(self.backend, 1)}
+        }
         self._b_rows: dict[WeylElement, dict[WeylElement, QElem]] = {}
         self._leibniz_cache: dict[tuple[Word, tuple[int, ...]], QElem] = {}
         self._inversion_weight_cache: dict[Word, tuple[Weight, ...]] = {}
@@ -559,16 +575,61 @@ class Algebra:
             self._diag_inverse_cache[w] = cached
         return cached
 
+    def _monic_row(self, word: Word) -> dict[WeylElement, QElem]:
+        """The monic row M_J(v) = a_{J,v} / a_{J,w} of a reduced word J for w,
+        where Z_J = sum_v a_{J,v} delta_v; M_J(w) = 1.
+
+        The row grows one letter at a time from the longest cached prefix.
+        For J = J'i, with w = w' s_i and beta = w'(alpha_i) the last inversion
+        root of J, Z_J = Z_{J'} Z_i and the W-equivariance of a and b give
+
+            M_J(v) = (M_{J'}(v) a(v alpha_i) + M_{J'}(v s_i) b(v s_i alpha_i)) b^-1(beta),
+
+        so each step reads a and b once per element of the row's support, at
+        one root.  Rows are kept by word, every prefix included, so a word
+        whose prefixes are not chosen words (``j_compatible_words``, a words
+        file) still grows from its own prefixes; with lexmin words every
+        prefix is a chosen word and all rows together take |W| - 1 steps.
+        """
+        rows = self._monic_rows
+        cached = rows.get(word)
+        if cached is not None:
+            return cached
+        k = len(word) - 1
+        while word[:k] not in rows:
+            k -= 1
+        datum, family = self.datum, self.family
+        unit = QElem.from_int(self.backend, 1)
+        betas = self._inversion_weights(word)
+        row = rows[word[:k]]
+        lead = datum.identity  # the element of word[:k], then of each longer prefix
+        for i in word[:k]:
+            lead = datum.multiply_simple(lead, i)
+        for j in range(k, len(word)):
+            i = word[j]
+            alpha = datum.simple_root(i)
+            terms: dict[WeylElement, QElem] = {}
+            for v, m in row.items():
+                root = datum.apply(v, alpha)
+                accumulate(terms, v, m * family.a(root))
+                accumulate(terms, datum.multiply_simple(v, i), m * family.b(root))
+            lead = datum.multiply_simple(lead, i)
+            b_inv = family.b_inv(betas[j])
+            row = {v: unit if v is lead else c * b_inv for v, c in terms.items()}
+            rows[word[: j + 1]] = row
+        return row
+
     def b_row(self, u: WeylElement) -> dict[WeylElement, QElem]:
         """Row of b-coefficients: delta_u = sum_{v <= u} b_{u, I_v} Z_{I_v}.
 
         Each row is built from the rows of the elements below it, which makes
         the full B3 b-matrix about three times faster to build than solving
         every row afresh with :func:`expand_in_triangular_basis`.  Row w sets
-        b_{w,I_t} = -sum_{v < w} scale_v b_{v,I_t} for t < w, where scale_v is
-        a_{w,v} / (delta_w coefficient of Z_{I_w}).  The terms of each entry
-        are summed in S, one numerator per denominator multiset of
-        scale_v b_{v,I_t}: only equal denominators are summed in S, so no
+        b_{w,I_t} = -sum_{v < w} M_{I_w}(v) b_{v,I_t} for t < w, where the
+        monic row M_{I_w}(v) = a_{w,v} / a_{w,w} (:meth:`_monic_row`) is grown
+        letter by letter, so no word is composed in Q_W.  The terms of each
+        entry are summed in S, one numerator per denominator multiset of
+        M_{I_w}(v) b_{v,I_t}: only equal denominators are summed in S, so no
         numerator is raised to a union denominator, and each group is
         normalized once before the groups are added in Q.  A Q value can
         have more than one printed form (the simply-connected B2 lattice
@@ -583,19 +644,12 @@ class Algebra:
                 break
             if w in self._b_rows:
                 continue
-            arow = self.z_basis_element(w).coeffs
-            b_invs = [self.family.b_inv(beta) for beta in self._inversion_weights(self.words[w])]
-            # -sum_v scale_v b_{v,t} for each target t, as one S numerator per
-            # denominator multiset of scale_v b_{v,t}.
+            # -sum_v M(v) b_{v,t} for each target t, as one S numerator per
+            # denominator multiset of M(v) b_{v,t}.
             groups: dict[WeylElement, dict[tuple[FactorSymbol, ...], SElem]] = {}
-            for v, a_wv in arow.items():
+            for v, scale in self._monic_row(self.words[w]).items():
                 if v is w:
                     continue
-                # a_wv times diag_inverse(w), one b^-1(beta_j) at a time, so
-                # each division meets a short numerator.
-                scale = a_wv
-                for b_inv in b_invs:
-                    scale = scale * b_inv
                 for t, bvt in self._b_rows[v].items():
                     by_den = groups.setdefault(t, {})
                     den = tuple(sorted(scale.den + bvt.den))

@@ -743,24 +743,42 @@ SIGMA_SPEC = {
 # recorded when the unit family's formula columns and Billey rows were still
 # summed over the subwords of each word.
 _UNIT_A3_CHECK_SHA256 = "c0c5dcd6637f3f666d3a26102a8e842965bd55fee6c0a824ea653ce0c34977e1"
+# The same with ``--words jcompat:2``, recorded when each b-row was still
+# built from the words composed in Q_W.
+_UNIT_A3_JCOMPAT_CHECK_SHA256 = "48c6c2a45975f2a7680b920184ed638f9e316128ac387991acaf892a2a2b35e6"
 
 
-def test_unit_family_table_bytes_are_pinned(tmp_path, monkeypatch):
-    """The unit family has no quadratic constants, so its walks expand each
-    move by elimination; the checked A3 table must keep the bytes of the
-    per-subword sums.  stdout echoes the --family token, so the file is
-    named relative to the working directory."""
+def _unit_a3_table_digest(tmp_path, monkeypatch, *extra):
+    """sha256 of ``mult --type A3 --family custom:unit.json --out json
+    --check`` plus ``extra``.  stdout echoes the --family token, so the file
+    is named relative to the working directory."""
     (tmp_path / "unit.json").write_text(json.dumps(UNIT_SPEC), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
     cli._session_basis.cache_clear()  # the relative token must not reuse a session
     try:
         code, out, err = run_cli(
-            "mult", "--type", "A3", "--family", "custom:unit.json", "--out", "json", "--check"
+            "mult", "--type", "A3", "--family", "custom:unit.json", *extra,
+            "--out", "json", "--check",
         )
     finally:
         cli._session_basis.cache_clear()
     assert (code, err) == (EXIT_OK, "")
-    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == _UNIT_A3_CHECK_SHA256
+    return hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+def test_unit_family_table_bytes_are_pinned(tmp_path, monkeypatch):
+    """The unit family has no quadratic constants, so its walks expand each
+    move by elimination; the checked A3 table must keep the bytes of the
+    per-subword sums."""
+    assert _unit_a3_table_digest(tmp_path, monkeypatch) == _UNIT_A3_CHECK_SHA256
+
+
+def test_unit_family_table_on_j_compatible_words_bytes_are_pinned(tmp_path, monkeypatch):
+    """The unit family breaks the braid relations, and some prefixes of the
+    J-compatible words are chosen by no element: the b-rows grown from the
+    words' own prefixes must keep the bytes of the composed words."""
+    digest = _unit_a3_table_digest(tmp_path, monkeypatch, "--words", "jcompat:2")
+    assert digest == _UNIT_A3_JCOMPAT_CHECK_SHA256
 
 
 @pytest.mark.parametrize(

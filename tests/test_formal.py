@@ -30,6 +30,7 @@ from demazure.formal import (
     _divide_selem,
     _generic_coordinates,
     _normalize,
+    _shift_to_nonnegative,
     _witness_rules_out,
     divide_exact,
     e_mono,
@@ -437,6 +438,34 @@ def test_laurent_division_outside_the_range_raises():
         _divide_selem(e_mono(b, (-EXPONENT_LIMIT,)), e_mono(b, (1,)))
     narrow = e_mono(b, (EXPONENT_LIMIT - 1,)) - e_mono(b, (1,))
     assert _divide_selem(narrow, e_mono(b, (1,))) == e_mono(b, (EXPONENT_LIMIT - 2,)) - one(b)
+
+
+@pytest.mark.parametrize("label", ["A1", "A3", "B3"])
+def test_the_shift_to_nonnegative_exponents_is_the_per_exponent_minimum(label):
+    """On random Laurent polynomials the packed offset is the vector of each
+    exponent's minimum over the terms, read back with ``unpack``, and the
+    shifted terms are the terms with that vector subtracted."""
+    b = get_backend(label, MULTIPLICATIVE)
+    width = b.rank + 1
+    rng = random.Random(2718)
+    for _ in range(200):
+        spread = rng.choice((1, 5, 40, EXPONENT_LIMIT // 2))
+        terms = {
+            tuple(rng.randint(-spread, spread - 1) for _ in range(width)): rng.randint(1, 9)
+            for _ in range(rng.randint(1, 12))
+        }
+        p = SElem(b, terms)
+        shifted, offset = _shift_to_nonnegative(b, p._terms)
+        exponents = [b.unpack(key) for key in p._terms]
+        minimum = tuple(min(e[i] for e in exponents) for i in range(width))
+        assert b.unpack(offset + b.zero_key) == minimum
+        assert {b.unpack(key): c for key, c in shifted.items()} == {
+            tuple(x - m for x, m in zip(e, minimum)): c for e, c in terms.items()
+        }
+    for i in range(width):  # an exponent span of EXPONENT_LIMIT in any field
+        ends = [tuple(e * (j == i) for j in range(width)) for e in (-1, EXPONENT_LIMIT - 1)]
+        with pytest.raises(ExponentOverflow):
+            _shift_to_nonnegative(b, SElem(b, dict.fromkeys(ends, 1))._terms)
 
 
 # ---------------------------------------------------------------------------

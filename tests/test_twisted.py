@@ -32,6 +32,7 @@ from demazure.twisted import (
     QWElem,
     custom_family,
     expand_in_triangular_basis,
+    read_coefficients,
 )
 from demazure.verify import check_generalized_leibniz
 
@@ -361,6 +362,11 @@ def test_b_and_c_coefficients_lie_in_s(label, law, family):
          "8d8eced7e3eaaa6f59e8bc5a86b538e6b0682e3cf05829f212b80a91cb22c8b6"),
         ("B2", "simply-connected", "sigma", ADDITIVE, 33,
          "28d95f42a10b0cb97affa5ab4187af5ae6390e32a44b6e69908396affb6fde0e"),
+        # The datum of the benchmark's classes-B3-x-mult workload.
+        ("B3", "simply-connected", "x", MULTIPLICATIVE, 847,
+         "8818a36946fdf48b1bf284e505a26fe5781211d7c272229516d4bda68bc91c14"),
+        ("B2", "simply-connected", "t", ADDITIVE, 33,
+         "c291566af14dadbc25afa49bd5f49925c04d88f61eb52a16f90c986e44293b95"),
     ],
 )
 def test_b_row_printed_forms_are_pinned(label, lattice, family, law, entries, digest):
@@ -375,6 +381,106 @@ def test_b_row_printed_forms_are_pinned(label, lattice, family, law, entries, di
             lines.append(f"{word_to_str(u.word)} {word_to_str(t.word)} {qelem_to_str(row[t])}\n")
     assert len(lines) == entries
     assert hashlib.sha256("".join(lines).encode("utf-8")).hexdigest() == digest
+
+
+_MONIC_GRIDS = [
+    (label, family, law)
+    for label in ("A2", "B2", "G2", "A3")
+    for family, law in (
+        ("x", ADDITIVE), ("x", MULTIPLICATIVE), ("t", ADDITIVE), ("tau", MULTIPLICATIVE),
+        ("unit", ADDITIVE),
+    )
+]
+
+
+def _algebra(label, family, law, words=None):
+    backend = get_backend(label, law)
+    fam = unit_family(backend) if family == "unit" else BUILTIN_FAMILIES[family](backend)
+    return Algebra(fam, words)
+
+
+@pytest.mark.parametrize("subset", [None, (2,)], ids=["lexmin", "jcompat-2"])
+@pytest.mark.parametrize("label,family,law", _MONIC_GRIDS)
+def test_monic_rows_are_the_composed_words_over_their_leading_coefficient(
+    label, family, law, subset
+):
+    """M_J(v) = a_{J,v} / a_{J,w}: the letter-by-letter recursion gives the
+    coefficients of the composed word times diag_inverse(w), for lexmin
+    words and for J-compatible words, whose prefixes are not all chosen."""
+    datum = get_datum(label)
+    words = None if subset is None else datum.j_compatible_words(subset)
+    alg = _algebra(label, family, law, words)
+    for w in datum.elements:
+        word = alg.word(w)
+        row = alg._monic_row(word)
+        composed = alg.compose_word(word).coeffs
+        assert row.keys() == composed.keys(), word
+        assert q_equal(row[w], q_int(alg.backend, 1)), word
+        for v, value in composed.items():
+            assert q_equal(row[v], value * alg.diag_inverse(w)), (word, v.word)
+
+
+@pytest.mark.parametrize(
+    "label,family,law,subset",
+    [("A3", "x", MULTIPLICATIVE, None), ("B2", "t", ADDITIVE, None),
+     ("A3", "unit", ADDITIVE, None), ("A3", "tau", MULTIPLICATIVE, (2,)),
+     ("A3", "unit", ADDITIVE, (1,))],
+)
+def test_a_b_matrix_build_composes_no_word(monkeypatch, label, family, law, subset):
+    """The b-rows come from the monic rows alone: no word is composed in
+    Q_W, and each monic step stores the row of one more prefix, so lexmin
+    words take |W| - 1 steps and other choices one per distinct prefix."""
+    datum = get_datum(label)
+    words = None if subset is None else datum.j_compatible_words(subset)
+    alg = _algebra(label, family, law, words)
+    composed = []
+    compose_word = Algebra.compose_word
+    monkeypatch.setattr(
+        Algebra, "compose_word", lambda self, word: composed.append(word) or compose_word(self, word)
+    )
+    alg.b_row(datum.longest_element)
+    assert len(alg._b_rows) == len(datum.elements)
+    assert not composed
+    prefixes = {word[:k] for word in alg.words.values() for k in range(len(word) + 1)}
+    assert set(alg._monic_rows) == prefixes
+    if subset is None:
+        assert len(prefixes) == len(datum.elements)
+    else:  # some chosen word passes a prefix that no element has chosen
+        assert len(prefixes) > len(datum.elements)
+
+
+@pytest.mark.parametrize(
+    "family, law",
+    [(name, law) for name, entry in BUILTIN_FAMILIES.items() for law in entry.laws],
+)
+def test_a_family_builds_each_coefficient_once_per_root(family, law):
+    """The family's a, b and b_inv return one shared QElem per root: the
+    second call at a root gives the very value of the first."""
+    backend = get_backend("B2", law)
+    fam = BUILTIN_FAMILIES[family](backend)
+    for beta in backend.datum.positive_roots:
+        wt = backend.datum.root_to_weight(beta)
+        for root in (wt, tuple(-c for c in wt)):
+            for coefficient in (fam.a, fam.b, fam.b_inv):
+                assert coefficient(root) is coefficient(list(root))
+
+
+def test_a_broken_family_file_is_rejected_after_its_values_are_cached():
+    """A b_inv that is not the inverse of b fails validation, also when
+    every value was built before the check."""
+    backend = get_backend("A2", ADDITIVE)
+    spec = {
+        "a": {"num": [[-1, 0, 0, 0]], "den": [["x_root", 1]]},
+        "b": {"num": [[1, 0, 0, 0], [1, 1, 0, 0]], "den": [["x_root", 1]]},
+        "b_inv": {"num": [[1, 0, 0, 0]], "den": []},
+    }
+    coefficients = read_coefficients(backend, spec, "test family")
+    roots = [backend.datum.root_to_weight(beta) for beta in backend.datum.positive_roots]
+    for coefficient in coefficients:
+        for root in roots:
+            coefficient(root)
+    with pytest.raises(ValueError, match="b_inv"):
+        custom_family(backend, "broken", *coefficients)
 
 
 # ---------------------------------------------------------------------------
