@@ -20,11 +20,10 @@ Two independent routes compute the constants:
   Each constant is read off the formula column of I_w
   (``Algebra.formula_column``), which holds every (u, v) of the word with
   u.index <= v.index, since z^{I_w}_{I_u,I_v} = z^{I_w}_{I_v,I_u}.  The
-  algebra builds it by one transfer walk along I_w, grown from the cached
-  column of its longest suffix, for every family: the walk's moves come from
-  the c-rule for families with quadratic constants (``Algebra.quadratic``,
-  solved from the family's relations) and from the generic elimination
-  otherwise;
+  algebra builds it by one transfer walk along I_w for every family: the
+  walk's moves come from the c-rule for families with quadratic constants
+  (``Algebra.quadratic``, solved from the family's relations) and from the
+  generic elimination otherwise;
 * oracle route -- Hadamard-multiply the dual classes in the f-basis and
   re-expand by triangular elimination.  For families with quadratic
   constants it runs in S: the scale, the product of the denominators of
@@ -45,8 +44,7 @@ so a mismatch is reported at both (u, v, w) and (v, u, w).
 
 The module also provides restriction coefficients b_{w, I_v} with their
 matrix identity and their Billey-type closed form (read off the row of the
-word, ``Algebra.billey_row``: a walk grown from the cached row of its longest
-prefix, for every family), the stable bases, and
+word, ``Algebra.billey_row``, a walk for every family), the stable bases, and
 parabolic products over minimal coset representatives.  A stable basis is a
 view of a :class:`DualBasis` of T (:class:`CohStableBasis`, additive) or of
 tau (:class:`KStableBasis`, multiplicative): its classes are the dual

@@ -41,11 +41,12 @@ each state x along Z_i Z_{I_x} (or Z_{I_x} Z_i) expanded in the Z-basis.
 That needs only Z_i(f) = a f + b s_i(f), so it holds for every family:
 with quadratic constants the moves are the c-rule, and otherwise one
 generic triangular elimination (:meth:`Algebra.expand_in_z_basis`) per
-side, letter and element.  A walk's state after part of a word is the
-column (or row) of that part, so each walk grows letter by letter from the
-longest cached suffix (or prefix); every suffix and prefix of a lexmin word is
-lexmin, so all columns together walk |W| - 1 letters, and so do all rows.  A
-column is symmetric in (u, v) and is kept as its half u.index <= v.index.
+side, letter and element.  Every per-word value of an :class:`Algebra` is
+such a fold, one letter at a time, and :func:`_walk` keeps each one by
+prefix (a column and a Leibniz coefficient by reversed suffix); every
+suffix and prefix of a lexmin word is lexmin, so all columns together walk
+|W| - 1 letters, and so do all rows.  A column is symmetric in (u, v) and
+is kept as its half u.index <= v.index.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ from .rootdata import WeylElement, Word
 Weight = tuple[int, ...]
 # The coefficients of one triangular elimination: all in Q or all in S.
 Coeff = TypeVar("Coeff", QElem, SElem)
+V = TypeVar("V")
 
 
 # ---------------------------------------------------------------------------
@@ -236,11 +238,7 @@ def expand_in_triangular_basis(
     and hands the pivot a copy of the residue at u.  It never changes
     ``coeffs`` or a column value, which may be cached.  In Q each update is
     ``accumulate`` of the product, as the printed form of a Q value depends on
-    how its sum was formed.  :meth:`Algebra.b_row`, which sums many terms
-    into each entry, groups them instead: only terms with equal denominator
-    multisets are summed in S, and each group is normalized once, so no
-    numerator is raised to a union denominator and each entry keeps its
-    printed form.
+    how its sum was formed (:meth:`Algebra.b_row` groups its terms instead).
     """
     in_s = isinstance(next(iter(coeffs.values()), None), SElem)
     residue: dict[WeylElement, Coeff] = {
@@ -479,19 +477,43 @@ BUILTIN_FAMILIES: dict[str, FamilyEntry] = {
 # ---------------------------------------------------------------------------
 
 
+def _walk(cache: dict[tuple, V], key: tuple, step: Callable[[V, int], V]) -> V:
+    """``cache[key]`` for a value that is a fold along ``key``.
+
+    ``step(value, j)`` gives the value of ``key[:j+1]`` from the value of
+    ``key[:j]``, and ``cache`` holds the value of ``()``.  On a miss the walk
+    grows the value from the longest prefix of ``key`` already in ``cache``
+    and keeps the value of every prefix it passes, so keys that share a
+    prefix share its steps.
+    """
+    value = cache.get(key)
+    if value is not None:
+        return value
+    start = len(key) - 1
+    while key[:start] not in cache:
+        start -= 1
+    value = cache[key[:start]]
+    for j in range(start, len(key)):
+        value = cache[key[: j + 1]] = step(value, j)
+    return value
+
+
+# The Leibniz case of a position relative to a pair of subsets (E, F): the
+# number of E and F that leave it out (:func:`_leibniz_case`).
+_BOTH, _ONE, _NEITHER = 0, 1, 2
+
+
 class Algebra:
     """An operator family together with a fixed reduced word I_w per element.
 
-    Cached here: composed words, diagonal inverses, the monic row of every
-    prefix of a chosen word, b-rows, Leibniz coefficients, the inversion
-    weights of each word, the moves of the walks of a family without
-    quadratic constants, and the half formula column and the Billey row of
-    each word.  The b-rows come from the monic rows (:meth:`_monic_row`),
-    never from a composed word.  Only this class builds those columns and
-    rows, by one walk each for every family; :meth:`_moves` alone chooses
-    the walks' moves, the c-rule (:meth:`_c_moves`) or the generic
-    elimination.  Every c-coefficient the algebra returns comes from the
-    generic elimination (:meth:`expand_in_z_basis`).
+    Six per-word values are walks (:func:`_walk`), each with its own cache:
+    composed words, diagonal inverses, monic rows, Leibniz coefficients,
+    half formula columns and Billey rows.  The b-rows come from the monic
+    rows (:meth:`_monic_row`), never from a composed word.  :meth:`_moves`
+    alone chooses the moves of the column and row walks, the c-rule
+    (:meth:`_c_moves`) or the generic elimination
+    (:meth:`expand_in_z_basis`), which gives every c-coefficient the
+    algebra returns.
     """
 
     def __init__(self, family: OperatorFamily, words: Mapping[WeylElement, Word] | None = None):
@@ -508,17 +530,19 @@ class Algebra:
                     )
                 table[w] = word
         self.words = table
+        identity, unit = self.datum.identity, QElem.from_int(self.backend, 1)
         self._simple_cache: dict[int, QWElem] = {}
-        self._compose_cache: dict[Word, QWElem] = {}
-        self._diag_inverse_cache: dict[WeylElement, QElem] = {}
-        self._monic_rows: dict[Word, dict[WeylElement, QElem]] = {
-            (): {self.datum.identity: QElem.from_int(self.backend, 1)}
+        # The walk caches, each seeded with the value of the empty word.
+        self._compose_cache: dict[Word, QWElem] = {(): QWElem.one(self.backend)}
+        self._diag_inverses: dict[Word, QElem] = {(): unit}
+        self._monic_rows: dict[Word, dict[WeylElement, QElem]] = {(): {identity: unit}}
+        self._leibniz_values: dict[tuple[tuple[int, int], ...], QElem] = {(): unit}
+        self._columns: dict[Word, dict[tuple[WeylElement, WeylElement], QElem]] = {
+            (): {(identity, identity): unit}
         }
+        self._billey_rows: dict[Word, dict[WeylElement, QElem]] = {(): {identity: unit}}
         self._b_rows: dict[WeylElement, dict[WeylElement, QElem]] = {}
-        self._leibniz_cache: dict[tuple[Word, tuple[int, ...]], QElem] = {}
         self._inversion_weight_cache: dict[Word, tuple[Weight, ...]] = {}
-        self._columns: dict[Word, dict[tuple[WeylElement, WeylElement], QElem]] = {}
-        self._billey_rows: dict[Word, dict[WeylElement, QElem]] = {}
         self._expanded_moves: dict[tuple[bool, int, WeylElement], list] = {}
 
     # -- elements -------------------------------------------------------------
@@ -539,16 +563,9 @@ class Algebra:
         return cached
 
     def compose_word(self, word: Sequence[int]) -> QWElem:
+        """Z_I = Z_{i_1} ... Z_{i_k}, the product in Q_W of any word I."""
         word = tuple(word)
-        cached = self._compose_cache.get(word)
-        if cached is not None:
-            return cached
-        if not word:
-            value = QWElem.one(self.backend)
-        else:
-            value = self.compose_word(word[:-1]) * self.simple_element(word[-1])
-        self._compose_cache[word] = value
-        return value
+        return _walk(self._compose_cache, word, lambda z, j: z * self.simple_element(word[j]))
 
     def z_basis_element(self, w: WeylElement) -> QWElem:
         return self.compose_word(self.words[w])
@@ -567,45 +584,27 @@ class Algebra:
     def diag_inverse(self, w: WeylElement) -> QElem:
         """1 / (leading delta_w coefficient of Z_{I_w}), as a product of
         twisted b-inverses along the word."""
-        cached = self._diag_inverse_cache.get(w)
-        if cached is None:
-            cached = QElem.from_int(self.backend, 1)
-            for beta in self._inversion_weights(self.words[w]):
-                cached = cached * self.family.b_inv(beta)
-            self._diag_inverse_cache[w] = cached
-        return cached
+        word, b_inv = self.words[w], self.family.b_inv
+        return _walk(
+            self._diag_inverses, word, lambda d, j: d * b_inv(self._inversion_weights(word)[j])
+        )
 
     def _monic_row(self, word: Word) -> dict[WeylElement, QElem]:
         """The monic row M_J(v) = a_{J,v} / a_{J,w} of a reduced word J for w,
         where Z_J = sum_v a_{J,v} delta_v; M_J(w) = 1.
 
-        The row grows one letter at a time from the longest cached prefix.
         For J = J'i, with w = w' s_i and beta = w'(alpha_i) the last inversion
         root of J, Z_J = Z_{J'} Z_i and the W-equivariance of a and b give
 
             M_J(v) = (M_{J'}(v) a(v alpha_i) + M_{J'}(v s_i) b(v s_i alpha_i)) b^-1(beta),
 
         so each step reads a and b once per element of the row's support, at
-        one root.  Rows are kept by word, every prefix included, so a word
-        whose prefixes are not chosen words (``j_compatible_words``, a words
-        file) still grows from its own prefixes; with lexmin words every
-        prefix is a chosen word and all rows together take |W| - 1 steps.
+        one root.
         """
-        rows = self._monic_rows
-        cached = rows.get(word)
-        if cached is not None:
-            return cached
-        k = len(word) - 1
-        while word[:k] not in rows:
-            k -= 1
         datum, family = self.datum, self.family
         unit = QElem.from_int(self.backend, 1)
-        betas = self._inversion_weights(word)
-        row = rows[word[:k]]
-        lead = datum.identity  # the element of word[:k], then of each longer prefix
-        for i in word[:k]:
-            lead = datum.multiply_simple(lead, i)
-        for j in range(k, len(word)):
+
+        def step(row: dict[WeylElement, QElem], j: int) -> dict[WeylElement, QElem]:
             i = word[j]
             alpha = datum.simple_root(i)
             terms: dict[WeylElement, QElem] = {}
@@ -613,25 +612,24 @@ class Algebra:
                 root = datum.apply(v, alpha)
                 accumulate(terms, v, m * family.a(root))
                 accumulate(terms, datum.multiply_simple(v, i), m * family.b(root))
-            lead = datum.multiply_simple(lead, i)
-            b_inv = family.b_inv(betas[j])
-            row = {v: unit if v is lead else c * b_inv for v, c in terms.items()}
-            rows[word[: j + 1]] = row
-        return row
+            lead = datum.element_by_word(word[: j + 1])
+            b_inv = family.b_inv(self._inversion_weights(word)[j])
+            return {v: unit if v is lead else c * b_inv for v, c in terms.items()}
+
+        return _walk(self._monic_rows, word, step)
 
     def b_row(self, u: WeylElement) -> dict[WeylElement, QElem]:
         """Row of b-coefficients: delta_u = sum_{v <= u} b_{u, I_v} Z_{I_v}.
 
-        Each row is built from the rows of the elements below it, which makes
-        the full B3 b-matrix about three times faster to build than solving
-        every row afresh with :func:`expand_in_triangular_basis`.  Row w sets
-        b_{w,I_t} = -sum_{v < w} M_{I_w}(v) b_{v,I_t} for t < w, where the
-        monic row M_{I_w}(v) = a_{w,v} / a_{w,w} (:meth:`_monic_row`) is grown
-        letter by letter, so no word is composed in Q_W.  The terms of each
-        entry are summed in S, one numerator per denominator multiset of
-        M_{I_w}(v) b_{v,I_t}: only equal denominators are summed in S, so no
-        numerator is raised to a union denominator, and each group is
-        normalized once before the groups are added in Q.  A Q value can
+        Row w sets b_{w,I_t} = -sum_{v < w} M_{I_w}(v) b_{v,I_t} for t < w
+        from the rows below it and the monic row of I_w (:meth:`_monic_row`),
+        so no word is composed in Q_W; the full B3 b-matrix builds about three
+        times faster than by solving each row with
+        :func:`expand_in_triangular_basis`.  The terms of each entry are
+        summed in S, one numerator per denominator multiset of
+        M_{I_w}(v) b_{v,I_t}, so no numerator is raised to a union
+        denominator, and each group is normalized once before the groups
+        are added in Q.  A Q value can
         have more than one printed form (the simply-connected B2 lattice
         writes 1/2 as t2/x_(0,2) and as (t1 - t2)/x_(2,-2)); every entry
         prints as when each term was normalized and added on its own, which
@@ -738,45 +736,29 @@ class Algebra:
 
     # -- Leibniz coefficients ----------------------------------------------------
 
-    # Case codes for position j relative to (E, F): how many of E and F
-    # leave j out.
-    _BOTH, _ONE, _NEITHER = 0, 1, 2
-
-    def _leibniz_cases(self, k: int, E: Iterable[int], F: Iterable[int]) -> tuple[int, ...]:
-        es, fs = _positions(k, E), _positions(k, F)
-        return tuple((j not in es) + (j not in fs) for j in range(1, k + 1))
-
-    def _leibniz_eval(self, word: Word, cases: tuple[int, ...]) -> QElem:
-        """(B_1 ... B_k) . 1 with B_j chosen by cases[j]; memoized on suffixes."""
-        backend = self.backend
-        if not cases:
-            return QElem.from_int(backend, 1)
-        key = (word, cases)
-        cached = self._leibniz_cache.get(key)
-        if cached is not None:
-            return cached
-        j = len(word) - len(cases)  # 0-based position of the first remaining letter
-        tail = self._leibniz_eval(word, cases[1:])
-        i = word[j]
+    def _letter_weights(self, i: int) -> tuple[QElem, tuple[QElem, QElem, QElem]]:
+        """a = a(alpha_i) and, by case, the weights b^-1, -a b^-1 and a^2 b^-1
+        of the Leibniz cases of a position with letter i (:func:`_leibniz_case`)."""
         alpha = self.datum.simple_root(i)
-        s_i = self.datum.simple_reflection(i)
-        fam = self.family
-        case = cases[0]
-        reflected = weyl_act_q(backend, s_i, tail)
-        if case == self._BOTH:
-            value = fam.b_inv(alpha) * reflected
-        elif case == self._ONE:
-            value = -(fam.a(alpha) * fam.b_inv(alpha)) * reflected
-        else:
-            a = fam.a(alpha)
-            value = a * tail + (a * a * fam.b_inv(alpha)) * reflected
-        self._leibniz_cache[key] = value
-        return value
+        a, b_inv = self.family.a(alpha), self.family.b_inv(alpha)
+        return a, (b_inv, -(a * b_inv), a * a * b_inv)
 
     def leibniz_coefficient(self, word: Sequence[int], E: Iterable[int], F: Iterable[int]) -> QElem:
+        """z^I_{E,F} = (B_1 ... B_k) . 1, where B_j is the Leibniz case of
+        position j relative to (E, F) (:func:`_leibniz_case`), walked from the
+        right: the key is the reversed tuple of (letter, case) pairs."""
         word = tuple(word)
-        cases = self._leibniz_cases(len(word), E, F)
-        return self._leibniz_eval(word, cases)
+        k = len(word)
+        es, fs = _positions(k, E), _positions(k, F)
+        key = tuple((word[j - 1], (j not in es) + (j not in fs)) for j in range(k, 0, -1))
+        backend, datum = self.backend, self.datum
+
+        def step(value: QElem, j: int) -> QElem:
+            i, case = key[j]
+            reflected = weyl_act_q(backend, datum.simple_reflection(i), value)
+            return _leibniz_case(case, self._letter_weights(i), value, reflected)
+
+        return _walk(self._leibniz_values, key, step)
 
     def billey_closed_form(self, word: Sequence[int], E: Iterable[int]) -> QElem:
         """(-1)^(k-|E|) prod_{j not in E} m_j prod_j n_j^{-1} with
@@ -820,47 +802,29 @@ class Algebra:
         the state (x, y) collects the pairs (E, F) of the suffix whose
         products expand onto Z_{I_x} and Z_{I_y}, and its value is their
         Leibniz coefficients times c-weights (:meth:`_formula_step`).  The
-        state after a suffix is that suffix's own half column, so the walk
-        starts from the longest suffix already walked (``()`` holds the start
-        state (e, e) with value 1), walks only the letters before it and keeps
-        the state of every suffix it passes.  With the lexmin words every
-        suffix is a chosen word, so all columns together walk |W| - 1 letters.
+        state after a suffix is that suffix's own half column, kept by the
+        reversed suffix.
         """
-        word = tuple(word)
-        columns = self._columns
-        cached = columns.get(word)
-        if cached is not None:
-            return cached
-        start = next((j for j in range(1, len(word) + 1) if word[j:] in columns), None)
-        if start is None:
-            start, identity = len(word), self.datum.identity
-            columns[()] = {(identity, identity): QElem.from_int(self.backend, 1)}
-        state = columns[word[start:]]
-        for j in range(start - 1, -1, -1):
-            state = columns[word[j:]] = self._formula_step(word[j], state)
-        return state
+        key = tuple(word)[::-1]
+        return _walk(self._columns, key, lambda state, j: self._formula_step(key[j], state))
 
     def _formula_step(
         self, i: int, state: Mapping[tuple[WeylElement, WeylElement], QElem]
     ) -> dict[tuple[WeylElement, WeylElement], QElem]:
         """The half column of i J from the half column of J (x.index <= y.index).
 
-        With a = a(alpha_i), b^-1 = b^-1(alpha_i) and r = s_i(value), a
-        position in both subwords sends b^-1 r along the left moves
-        (:meth:`_moves`) of x and y, one in E or F only sends -a b^-1 r along
-        the left moves of that coordinate, and one in neither leaves
-        a value + a^2 b^-1 r at (x, y).
+        Each Leibniz case of the new position (:func:`_leibniz_case`) moves
+        the value of (x, y): one in both subwords along the left moves
+        (:meth:`_moves`) of x and y, one in E or F only along the left moves
+        of that coordinate, and one in neither stays at (x, y).
         The rule is symmetric in x and y, so the mirror (y, x) of an
         off-diagonal state sends the same values to the mirrored targets:
         each target (p, q) of (x, y) adds its value at (min, max), twice when
         p is q.  A diagonal state keeps only its targets with p.index <= q.index.
         """
-        datum, backend, fam = self.datum, self.backend, self.family
-        alpha = datum.simple_root(i)
-        s_i = datum.simple_reflection(i)
-        a, b_inv = fam.a(alpha), fam.b_inv(alpha)
-        one_side = -(a * b_inv)
-        neither = a * a * b_inv
+        backend = self.backend
+        s_i = self.datum.simple_reflection(i)
+        weights = self._letter_weights(i)
         moves = self._moves(left=True)
         out: dict[tuple[WeylElement, WeylElement], QElem] = {}
         for (x, y), value in state.items():
@@ -868,16 +832,16 @@ class Algebra:
             x_moves = moves(i, x)
             y_moves = moves(i, y) if mirrored else x_moves
             reflected = weyl_act_q(backend, s_i, value)
-            both = b_inv * reflected
+            both = _leibniz_case(_BOTH, weights, value, reflected)
             for tx, wx in x_moves:
                 for ty, wy in y_moves:
                     _fold(out, tx, ty, _weighted(_weighted(both, wx), wy), mirrored)
-            single = one_side * reflected
+            single = _leibniz_case(_ONE, weights, value, reflected)
             for tx, wx in x_moves:
                 _fold(out, tx, y, _weighted(single, wx), mirrored)
             for ty, wy in y_moves:
                 _fold(out, x, ty, _weighted(single, wy), mirrored)
-            accumulate(out, (x, y), a * value + neither * reflected)
+            accumulate(out, (x, y), _leibniz_case(_NEITHER, weights, value, reflected))
         return out
 
     def billey_row(self, v: WeylElement) -> dict[WeylElement, QElem]:
@@ -888,38 +852,23 @@ class Algebra:
         state x collects the subsets of the prefix whose products expand onto
         Z_{I_x} (:meth:`_billey_step`).  The inversion roots of a prefix are
         the leading ones of the word, so the state after a prefix is that
-        prefix's own row: rows are kept by word, and the walk starts from the
-        longest prefix already walked (``()`` holds e with value 1) and keeps
-        the row of every prefix it passes.  With the lexmin words every prefix
-        is a chosen word, so all rows together walk |W| - 1 letters.
+        prefix's own row.
         """
         word = self.words[v]
-        rows = self._billey_rows
-        cached = rows.get(word)
-        if cached is not None:
-            return cached
-        end = next((m for m in range(len(word) - 1, -1, -1) if word[:m] in rows), None)
-        if end is None:
-            end = 0
-            rows[()] = {self.datum.identity: QElem.from_int(self.backend, 1)}
-        state = rows[word[:end]]
-        for m, beta in enumerate(self._inversion_weights(word)[end:], end):
-            state = self._billey_step(word[m], beta, state)
-            rows[word[: m + 1]] = state
-        return state
+        return _walk(self._billey_rows, word, lambda state, j: self._billey_step(word, j, state))
 
     def _billey_step(
-        self, i: int, beta: Weight, state: Mapping[WeylElement, QElem]
+        self, word: Word, j: int, state: Mapping[WeylElement, QElem]
     ) -> dict[WeylElement, QElem]:
-        """The row of J i from the row of J, where beta is the inversion root
-        of the new position.
+        """The row of ``word[:j+1]`` from the row of ``word[:j]``.
 
-        The factor prod_j b^-1(beta_j) enters one inversion root at a time: a
-        position in E takes the right moves (:meth:`_moves`) of x with weight
+        The factor prod_j b^-1(beta_j) enters one inversion root beta = beta_j
+        at a time: a position in E takes the right moves (:meth:`_moves`) of x with weight
         b^-1(beta), and one left out stays with weight -a(beta) b^-1(beta).
         For X and Y the first is a polynomial and the second a unit, so no
         walk state is ever divided.
         """
+        i, beta = word[j], self._inversion_weights(word)[j]
         moves = self._moves(left=False)
         take = self.family.b_inv(beta)
         skip = -(self.family.a(beta) * take)
@@ -996,6 +945,15 @@ def _positions(k: int, subset: Iterable[int]) -> set[int]:
         if not 1 <= j <= k:
             raise ValueError(f"subset index {j} out of range 1..{k}")
     return positions
+
+
+def _leibniz_case(case: int, weights: tuple, value: QElem, reflected: QElem) -> QElem:
+    """B(f) for f = ``value`` and ``reflected`` = s_i(f) in one Leibniz case
+    of a position with letter i: the case's weight (:meth:`Algebra._letter_weights`)
+    times s_i(f), plus a f for a position in neither subset."""
+    a, by_case = weights
+    term = by_case[case] * reflected
+    return a * value + term if case == _NEITHER else term
 
 
 def _fold(out: dict, p: WeylElement, q: WeylElement, value: QElem, mirrored: bool) -> None:

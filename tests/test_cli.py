@@ -380,6 +380,18 @@ def test_config_errors_exit_three(argv):
     assert err.startswith("error:")
 
 
+def test_verify_suite_help_names_every_suite(capsys):
+    """The parser lists the suites itself, since the CLI loads
+    ``demazure.verify`` only to run one; an unknown name is rejected by
+    ``run_suite`` with the list of suites."""
+    with pytest.raises(SystemExit):
+        main(["verify", "--help"])
+    assert "|".join(verify.SUITE_NAMES) in capsys.readouterr().out
+    code, _, err = run_cli("verify", "--suite", "nosuch")
+    assert code == EXIT_CONFIG
+    assert err == f"error: unknown suite 'nosuch'; choose from {verify.SUITE_NAMES}\n"
+
+
 @pytest.mark.parametrize("family", sorted(BUILTIN_FAMILIES))
 @pytest.mark.parametrize("law", LAWS)
 def test_family_law_table_governs_constructors_and_cli(family, law):
@@ -465,12 +477,13 @@ def test_cli_bytes_match_the_recorded_contract(command, exit_code, stdout_sha256
 
 _POOL_MODULES = ("concurrent.futures", "multiprocessing")  # loaded only by a mult pool
 _SLOW_STDLIB_MODULES = ("dataclasses", "inspect", "fractions", "decimal")  # loaded by no command
+_VERIFY_MODULES = ("demazure.verify", "random")  # loaded only by the verify command
 
 
 @pytest.mark.parametrize(
     "modules, absent",
     [
-        ("demazure.cli", _POOL_MODULES + _SLOW_STDLIB_MODULES),
+        ("demazure.cli", _POOL_MODULES + _SLOW_STDLIB_MODULES + _VERIFY_MODULES),
         ("demazure.dual, demazure.twisted", _SLOW_STDLIB_MODULES),
     ],
     ids=["cli", "dual-twisted"],

@@ -21,6 +21,7 @@ from demazure.formal import (
     q_equal,
     v_var,
     weyl_act,
+    weyl_act_q,
     x_class,
     zero,
 )
@@ -383,6 +384,33 @@ def test_b_row_printed_forms_are_pinned(label, lattice, family, law, entries, di
     assert hashlib.sha256("".join(lines).encode("utf-8")).hexdigest() == digest
 
 
+def _product_of_letters(alg, word):
+    """Z_{i_1} ... Z_{i_k}, multiplied left to right with no cache."""
+    value = QWElem.one(alg.backend)
+    for i in word:
+        value = value * alg.simple_element(i)
+    return value
+
+
+@pytest.mark.parametrize("label,family", [("A2", "x"), ("B2", "x"), ("B2", "t")])
+def test_compose_word_is_the_left_to_right_product_of_its_letters(label, family):
+    """Every word up to length 4, reduced or not, composes to the product of
+    its letters, with identical printed coefficients, and the walk keeps
+    exactly the prefixes of the words asked for."""
+    alg = Algebra(BUILTIN_FAMILIES[family](get_backend(label, ADDITIVE)))
+    words = list(all_words(alg.datum.rank, 4))
+    asked = random.Random(label).sample(words, 6)
+    for word in asked:
+        alg.compose_word(word)
+    assert set(alg._compose_cache) == {w[:k] for w in asked for k in range(len(w) + 1)}
+    for word in words:
+        composed, expected = alg.compose_word(word), _product_of_letters(alg, word)
+        assert composed == expected, word
+        assert {w: qelem_to_str(c) for w, c in composed.coeffs.items()} == {
+            w: qelem_to_str(c) for w, c in expected.coeffs.items()
+        }, word
+
+
 _MONIC_GRIDS = [
     (label, family, law)
     for label in ("A2", "B2", "G2", "A3")
@@ -636,6 +664,48 @@ def test_leibniz_rejects_out_of_range_positions():
         alg.billey_closed_form((1, 2), {0})
 
 
+def _leibniz_by_hand(alg, word, E, F):
+    """(B_1 ... B_k) . 1 applied right to left with no cache: B_j is
+    b^-1 s_i when j is in E and F, -a b^-1 s_i when in one of them, and
+    a + a^2 b^-1 s_i when in neither, at the simple root of letter i."""
+    value = q_int(alg.backend, 1)
+    for j in range(len(word), 0, -1):
+        i = word[j - 1]
+        alpha = alg.datum.simple_root(i)
+        a, b_inv = alg.family.a(alpha), alg.family.b_inv(alpha)
+        reflected = weyl_act_q(alg.backend, alg.datum.simple_reflection(i), value)
+        if j in E and j in F:
+            value = b_inv * reflected
+        elif j in E or j in F:
+            value = -(a * b_inv) * reflected
+        else:
+            value = a * value + (a * a * b_inv) * reflected
+    return value
+
+
+@pytest.mark.parametrize(
+    "label,family,law",
+    [(label, family, law) for label in ("A2", "B2")
+     for family, law in (("x", ADDITIVE), ("t", ADDITIVE), ("tau", MULTIPLICATIVE))],
+)
+def test_leibniz_coefficients_match_the_product_of_their_cases(label, family, law):
+    """Every z^I_{E,F} of every word up to length 3 equals (B_1 ... B_k) . 1
+    evaluated by hand, with the same printed form.  Longer words come first,
+    so shorter words that end like them read the walks' shared suffixes."""
+    alg = Algebra(BUILTIN_FAMILIES[family](get_backend(label, law)))
+    for word in reversed(list(all_words(alg.datum.rank, 3))):
+        subsets = [
+            set(E) for r in range(len(word) + 1)
+            for E in itertools.combinations(range(1, len(word) + 1), r)
+        ]
+        for E in subsets:
+            for F in subsets:
+                value = alg.leibniz_coefficient(word, E, F)
+                expected = _leibniz_by_hand(alg, word, E, F)
+                assert q_equal(value, expected), (word, E, F)
+                assert qelem_to_str(value) == qelem_to_str(expected), (word, E, F)
+
+
 @pytest.mark.parametrize(
     "label,family,law,max_len",
     [
@@ -806,6 +876,27 @@ def test_all_walks_share_their_suffixes_and_prefixes(monkeypatch, label, family,
     assert (expansions > 0) == (alg.quadratic is None)
     assert expansions <= 2 * alg.datum.rank * len(elements)
     assert counts == {"_formula_step": len(elements) - 1, "_billey_step": len(elements) - 1}
+
+
+@pytest.mark.parametrize(
+    "label,family,law,subset",
+    [(label, family, law, None) for label, family, law in _WALK_GRIDS]
+    + [("A2", "unit", ADDITIVE, None), ("B2", "unit", ADDITIVE, None),
+       ("A3", "tau", MULTIPLICATIVE, (2,))],
+)
+def test_walks_stay_in_the_bruhat_cone(label, family, law, subset):
+    """The column of I_w has entries only at (u, v) with u, v <= w, and the
+    Billey row of v only at w <= v, so the Bruhat test of
+    ``DualBasis.product_formula`` hides no walk entry; J-compatible words
+    walk prefixes and suffixes that no element chooses."""
+    datum = get_datum(label)
+    words = None if subset is None else datum.j_compatible_words(subset)
+    alg = _algebra(label, family, law, words)
+    for w in datum.elements:
+        for u, v in alg.formula_column(alg.word(w)):
+            assert datum.bruhat_leq(u, w) and datum.bruhat_leq(v, w), (w.word, u.word, v.word)
+        for t in alg.billey_row(w):
+            assert datum.bruhat_leq(t, w), (w.word, t.word)
 
 
 @pytest.mark.parametrize("label", ["A2", "B2", "G2"])
