@@ -43,8 +43,11 @@ change the session's basis, so they are not part of ``SessionConfig``.
 Exit codes: 0 success, 2 discrepancy found, 3 configuration error.
 
 Words are digit strings ("121"), "" or "e" for the identity; ranks with
-ten or more nodes use the comma form ("1,10,2").  Output is deterministic:
-the same configuration produces identical bytes for every worker count.
+ten or more nodes use the comma form ("1,10,2").  An element's word (``--u``,
+``--v``, ``--w``, a word file's keys) must be reduced, else the command exits
+3; the output names the element by its canonical word.  Output is
+deterministic: the same configuration produces identical bytes for every
+worker count.
 
 The built-in families are the entries of ``twisted.BUILTIN_FAMILIES``,
 written in the format of a family file and read by the same reader
@@ -92,7 +95,7 @@ from .formal import (
     Backend,
     q_equal,  # not called here; perfbench/tests/test_tracer.py checks its rebinding
 )
-from .rootdata import RootDatum, build_root_datum
+from .rootdata import RootDatum, WeylElement, build_root_datum
 from .serialize import (
     discrepancy_to_json,
     dumps_canonical,
@@ -196,10 +199,7 @@ def _word_overrides(datum: RootDatum, policy: str):
             table = json.load(fh)
         if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
             raise CliError(f"word file {path!r} must map words to words (JSON strings)")
-        overrides: dict = {}
-        for key, value in table.items():
-            element = datum.element_by_word(parse_word(key))
-            overrides[element] = parse_word(value)
+        overrides = {_element(datum, key): parse_word(value) for key, value in table.items()}
         missing = [w for w in datum.elements if w not in overrides]
         if missing:
             raise CliError(
@@ -207,6 +207,15 @@ def _word_overrides(datum: RootDatum, policy: str):
             )
         return overrides
     raise CliError(f"unknown word policy {policy!r}")
+
+
+def _element(datum: RootDatum, text: str) -> WeylElement:
+    """The element of a word given on the command line, which must be reduced."""
+    word = parse_word(text)
+    element = datum.element_by_word(word)
+    if len(word) != element.length:
+        raise CliError(f"word {text!r} is not reduced")
+    return element
 
 
 def _load_custom_family(datum: RootDatum, path: str, law: str | None) -> OperatorFamily:
@@ -246,14 +255,15 @@ def _session_basis(config: SessionConfig) -> DualBasis:
 
 def _mult_row_task(
     config: SessionConfig,
-    u_str: str,
-    v_strs: Sequence[str],
-    checked: Sequence[tuple[str, str]],
+    u_index: int,
+    v_indices: Sequence[int],
+    checked: Sequence[tuple[int, int]],
     text: bool,
 ) -> tuple[list, list]:
     """Formula-route records of one table row, the products of u with each v,
     plus the oracle discrepancies of the ordered pairs in ``checked``; each
-    record carries its printed ``"text"`` only when ``text`` is set.
+    record carries its printed ``"text"`` only when ``text`` is set.  Each
+    element is its index into ``order``, which every worker rebuilds alike.
 
     Every checked pair is (u, v) or (v, u) for a v of the row.
     ``compare_products`` reads the formula side off the products computed
@@ -265,26 +275,22 @@ def _mult_row_task(
     can run it in a worker.
     """
     basis = _session_basis(config)
-    datum = basis.datum
-    u = datum.element_by_word(parse_word(u_str))
-    u_word = word_to_str(u.word)
-    by_word = {u_word: u}
+    order = basis.order
+    names = [word_to_str(w.word) for w in order]
+    u = order[u_index]
     formulas = {}
     rows: list = []
-    for v_str in v_strs:
-        v = datum.element_by_word(parse_word(v_str))
-        v_word = word_to_str(v.word)
-        by_word[v_word] = v
+    for v_index in v_indices:
+        v = order[v_index]
         formulas[u, v] = basis.product_formula(u, v)
         for w, value in formulas[u, v].items():
-            row = {
-                "u": u_word, "v": v_word, "w": word_to_str(w.word), "value": qelem_to_json(value)
-            }
+            row = {"u": names[u_index], "v": names[v_index], "w": names[w.index]}
+            row["value"] = qelem_to_json(value)
             if text:
                 row["text"] = qelem_to_str(value)
             rows.append(row)
     report = compare_products(
-        [(by_word[a], by_word[b]) for a, b in checked],
+        [(order[a], order[b]) for a, b in checked],
         lambda a, b: formulas[a, b],
         basis.product_oracle,
     )
@@ -316,9 +322,9 @@ def cmd_mult(args: argparse.Namespace) -> int:
         raise CliError("--jobs must be at least 1")
     basis = _session_basis(config)
     datum = basis.datum
-    # One entry per row task: (u, the v of the row, the ordered pairs it checks).
+    # One entry per row task, by index into basis.order: (u, the v of the row, the checked pairs).
     if args.u is not None:
-        u, v = (word_to_str(datum.element_by_word(parse_word(w)).word) for w in (args.u, args.v))
+        u, v = (_element(datum, word).index for word in (args.u, args.v))
         plan = [(u, [v], [(u, v)])]
     else:
         # Shortest u first: those rows have the most w above them, so the
@@ -326,14 +332,14 @@ def cmd_mult(args: argparse.Namespace) -> int:
         # Rows come back in this order, each sorted by v and then w, so the
         # records need no sort.  Row u checks each unordered pair {u, v} with
         # v at or after u, at both orders.
-        names = [word_to_str(w.word) for w in basis.order]
+        n = len(basis.order)
         plan = [
-            (u, names, [(u, v) for v in names[i:]] + [(v, u) for v in names[i + 1 :]])
-            for i, u in enumerate(names)
+            (u, range(n), [(u, v) for v in range(u, n)] + [(v, u) for v in range(u + 1, n)])
+            for u in range(n)
         ]
     tasks = [
-        (config, u, v_strs, checked if args.check else [], args.out == "text")
-        for u, v_strs, checked in plan
+        (config, u, v_indices, checked if args.check else [], args.out == "text")
+        for u, v_indices, checked in plan
     ]
     workers = worker_count(args.jobs, len(tasks), usable_cpus())
     if workers > 1:
@@ -407,8 +413,7 @@ def cmd_restrict(args: argparse.Namespace) -> int:
         raise CliError("restrict needs --v and --w")
     basis = _session_basis(config)
     datum = basis.datum
-    v = datum.element_by_word(parse_word(args.v))
-    w = datum.element_by_word(parse_word(args.w))
+    v, w = _element(datum, args.v), _element(datum, args.w)
     value = basis.restriction(v, w)
     report = DiscrepancyReport()
     if args.check:
@@ -442,8 +447,7 @@ def cmd_stab(args: argparse.Namespace) -> int:
         raise CliError("stab needs --u and --v")
     stable = stable_basis(_session_basis(config))
     datum = stable.datum
-    u = datum.element_by_word(parse_word(args.u))
-    v = datum.element_by_word(parse_word(args.v))
+    u, v = _element(datum, args.u), _element(datum, args.v)
     constants = stable.constants_oracle(u, v)
     report = DiscrepancyReport()
     if args.check:

@@ -293,7 +293,7 @@ class DualBasis:
 
     def diag_reciprocal(self, u: WeylElement) -> QElem:
         """The exact reciprocal of b_{u, I_u}, i.e. the leading coefficient of Z_{I_u}."""
-        return self.algebra.z_basis_element(u).coeffs[u]
+        return self.algebra.leading_coefficient(u)
 
     def duality_pairing(self, u: WeylElement, v: WeylElement) -> QElem:
         return pairing(self.dual_basis_element(u), self.algebra.z_basis_element(v))
@@ -412,13 +412,13 @@ class DualBasis:
         return value if value is not None else QElem.from_int(self.backend, 0)
 
     def product_formula(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, QElem]:
-        """The nonzero z^{I_w}_{I_u, I_v} over w >= u, v (mirrors ``product_oracle``)."""
-        out = {}
-        for w in self.order:
-            if self.datum.bruhat_leq(u, w) and self.datum.bruhat_leq(v, w):
-                val = self.structure_constant(u, v, w)
-                if not val.is_zero():
-                    out[w] = val
+        """The nonzero z^{I_w}_{I_u, I_v} over w >= u, v (mirrors ``product_oracle``),
+        walking only the columns of the common upper interval of u and v."""
+        upper, out = self.datum.upper_intervals, {}
+        for w in self.datum.members(upper[u.index] & upper[v.index]):
+            val = self.structure_constant(u, v, w)
+            if not val.is_zero():
+                out[w] = val
         return out
 
     # -- route comparison --------------------------------------------------

@@ -33,6 +33,7 @@ first offending principal submatrix otherwise.
 from __future__ import annotations
 
 import itertools
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
@@ -251,7 +252,9 @@ def _identity(n: int) -> Matrix:
 class RootDatum:
     """A finite root datum: Cartan matrix, lattice choice, and Weyl group.
 
-    Construct via :func:`build_root_datum`.
+    An element's ``index`` numbers its row in the product tables and in the
+    Bruhat table, and its bit in that table's sets.  Construct via
+    :func:`build_root_datum`.
     """
 
     def __init__(
@@ -294,7 +297,6 @@ class RootDatum:
         if len(self._positive_roots) != self.longest_element.length:
             raise AssertionError("positive root count does not match longest length")
         self._all_words_cache: dict[int, tuple[Word, ...]] = {}
-        self._bruhat_cache: dict[tuple[int, int], bool] = {}
         self._lattice_matrix_cache: dict[int, Matrix] = {}
 
     # -- construction ------------------------------------------------------
@@ -436,25 +438,28 @@ class RootDatum:
                 w, length = up, length + 1
         return elements[w]
 
+    @cached_property
+    def upper_intervals(self) -> tuple[int, ...]:
+        """Entry ``u.index`` is the set of ``w >= u``, with bit ``w.index``,
+        built on first use, longest element first: for a right ascent s of u,
+        ``(u s).index > u.index``, and the lifting property gives
+        ``{w >= u} = {w >= u s}`` together with ``{w s : w >= u s}``."""
+        right = self._right
+        upper = [0] * (len(right) - 1) + [1 << (len(right) - 1)]
+        for u in reversed(range(len(right) - 1)):
+            i, us = next((i, us) for i, us in enumerate(right[u]) if us > u)
+            upper[u] = upper[us]
+            for w in self.members(upper[us]):
+                upper[u] |= 1 << right[w.index][i]
+        return tuple(upper)
+
+    def members(self, mask: int) -> list[WeylElement]:
+        """The elements whose bits are set in ``mask``, in :attr:`elements` order."""
+        return [self._elements[i] for i, bit in enumerate(reversed(bin(mask))) if bit == "1"]
+
     def bruhat_leq(self, u: WeylElement, w: WeylElement) -> bool:
-        """Bruhat order, via the left-descent recursion."""
-        key = (u.index, w.index)
-        cached = self._bruhat_cache.get(key)
-        if cached is not None:
-            return cached
-        if u.length == 0:
-            result = True
-        elif u.length > w.length:
-            result = False
-        else:
-            s = self.simple_reflection(w.word[0])
-            sw, su = self.multiply(s, w), self.multiply(s, u)
-            if su.length < u.length:
-                result = self.bruhat_leq(su, sw)
-            else:
-                result = self.bruhat_leq(u, sw)
-        self._bruhat_cache[key] = result
-        return result
+        """Whether ``u <= w`` in Bruhat order: one bit of the upper interval of ``u``."""
+        return self.upper_intervals[u.index] >> w.index & 1 == 1
 
     def all_reduced_words(self, w: WeylElement) -> tuple[Word, ...]:
         cached = self._all_words_cache.get(w.index)

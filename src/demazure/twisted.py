@@ -506,10 +506,10 @@ _BOTH, _ONE, _NEITHER = 0, 1, 2
 class Algebra:
     """An operator family together with a fixed reduced word I_w per element.
 
-    Six per-word values are walks (:func:`_walk`), each with its own cache:
-    composed words, diagonal inverses, monic rows, Leibniz coefficients,
-    half formula columns and Billey rows.  The b-rows come from the monic
-    rows (:meth:`_monic_row`), never from a composed word.  :meth:`_moves`
+    Seven per-word values are walks (:func:`_walk`), each with its own cache:
+    composed words, leading coefficients and their inverses, monic rows,
+    Leibniz coefficients, half formula columns and Billey rows.  No diagonal
+    entry or b-row (:meth:`_monic_row`) composes a word.  :meth:`_moves`
     alone chooses the moves of the column and row walks, the c-rule
     (:meth:`_c_moves`) or the generic elimination
     (:meth:`expand_in_z_basis`), which gives every c-coefficient the
@@ -535,6 +535,7 @@ class Algebra:
         # The walk caches, each seeded with the value of the empty word.
         self._compose_cache: dict[Word, QWElem] = {(): QWElem.one(self.backend)}
         self._diag_inverses: dict[Word, QElem] = {(): unit}
+        self._leading: dict[Word, QElem] = {(): unit}
         self._monic_rows: dict[Word, dict[WeylElement, QElem]] = {(): {identity: unit}}
         self._leibniz_values: dict[tuple[tuple[int, int], ...], QElem] = {(): unit}
         self._columns: dict[Word, dict[tuple[WeylElement, WeylElement], QElem]] = {
@@ -589,6 +590,11 @@ class Algebra:
             self._diag_inverses, word, lambda d, j: d * b_inv(self._inversion_weights(word)[j])
         )
 
+    def leading_coefficient(self, w: WeylElement) -> QElem:
+        """The leading delta_w coefficient of Z_{I_w}, a product of twisted b's along the word."""
+        word, b = self.words[w], self.family.b
+        return _walk(self._leading, word, lambda d, j: d * b(self._inversion_weights(word)[j]))
+
     def _monic_row(self, word: Word) -> dict[WeylElement, QElem]:
         """The monic row M_J(v) = a_{J,v} / a_{J,w} of a reduced word J for w,
         where Z_J = sum_v a_{J,v} delta_v; M_J(w) = 1.
@@ -637,9 +643,7 @@ class Algebra:
         cached = self._b_rows.get(u)
         if cached is not None:
             return cached
-        for w in self.datum.elements:
-            if w.sort_key() > u.sort_key():
-                break
+        for w in self.datum.elements[: u.index + 1]:
             if w in self._b_rows:
                 continue
             # -sum_v M(v) b_{v,t} for each target t, as one S numerator per

@@ -380,6 +380,28 @@ def test_config_errors_exit_three(argv):
     assert err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "argv, word",
+    [
+        (("mult", "--type", "A2", "--u", "11", "--v", "1"), "11"),
+        (("mult", "--type", "A2", "--u", "1", "--v", "1212"), "1212"),
+        (("restrict", "--type", "A2", "--v", "121", "--w", "1212"), "1212"),
+        (("stab", "coh", "--type", "A2", "--u", "22", "--v", "1"), "22"),
+    ],
+)
+def test_a_word_that_is_not_reduced_exits_3(argv, word):
+    """An element word names its element only when it is reduced; otherwise
+    the command reports it in one line and prints nothing."""
+    assert run_cli(*argv) == (EXIT_CONFIG, "", f"error: word {word!r} is not reduced\n")
+
+
+def test_a_reduced_word_is_printed_canonically():
+    code, out, _ = run_cli("mult", "--type", "A2", "--u", "212", "--v", "1")
+    assert code == EXIT_OK
+    assert out.startswith("u=121 v=1 w=121  ")
+    assert out == run_cli("mult", "--type", "A2", "--u", "121", "--v", "1")[1]
+
+
 def test_verify_suite_help_names_every_suite(capsys):
     """The parser lists the suites itself, since the CLI loads
     ``demazure.verify`` only to run one; an unknown name is rejected by

@@ -259,6 +259,23 @@ def test_product_support_lies_in_upper_cone(family, law):
                 assert datum.bruhat_leq(u, w) and datum.bruhat_leq(v, w)
 
 
+@pytest.mark.parametrize("u_word,v_word", [("1", "2"), ("12", "32"), ("", "213"), ("121", "121")])
+def test_a_single_product_walks_only_the_columns_above_both_factors(u_word, v_word):
+    """The formula route reads the columns of the common upper interval of u
+    and v alone, so a fresh basis keeps only the reversed suffixes of their
+    words."""
+    backend = Backend(get_datum("A3"), ADDITIVE)
+    basis = DualBasis(Algebra(BUILTIN_FAMILIES["x"](backend)))
+    datum = basis.datum
+    u, v = by_word(datum, u_word), by_word(datum, v_word)
+    basis.product_formula(u, v)
+    above = [w for w in datum.elements if datum.bruhat_leq(u, w) and datum.bruhat_leq(v, w)]
+    words = [basis.algebra.word(w) for w in above]
+    suffixes = {word[k:][::-1] for word in words for k in range(len(word) + 1)}
+    assert basis.algebra._columns.keys() <= suffixes
+    assert datum.longest_element.word[::-1] in basis.algebra._columns
+
+
 _QUADRATIC_FAMILIES = [
     ("x", ADDITIVE), ("x", MULTIPLICATIVE), ("y", ADDITIVE), ("y", MULTIPLICATIVE),
     ("t", ADDITIVE), ("tau", MULTIPLICATIVE), ("sigma", ADDITIVE),

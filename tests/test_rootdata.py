@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import pickle
@@ -321,6 +322,39 @@ def test_bruhat_matches_subword_oracle(label):
     for u in datum.elements:
         for w in datum.elements:
             assert datum.bruhat_leq(u, w) == bruhat_leq_by_subwords(datum, u, w)
+
+
+def _bruhat_leq_by_descents(datum):
+    """Bruhat order by the left-descent recursion, memoized: for the first
+    letter s of w, u <= w iff s u <= s w when s u < u, and u <= s w
+    otherwise.  The reference for the interval table."""
+
+    @functools.cache
+    def leq(u, w):
+        if u.length == 0 or u.length > w.length:
+            return u.length == 0
+        s = datum.simple_reflection(w.word[0])
+        sw, su = datum.multiply(s, w), datum.multiply(s, u)
+        return leq(su, sw) if su.length < u.length else leq(u, sw)
+
+    return leq
+
+
+@pytest.mark.parametrize(
+    "label,lattice",
+    [("B2", ADJOINT)]
+    + [
+        (label, "simply-connected")
+        for label in ("A1", "A2", "B2", "C2", "G2", "A3", "B3", "C3", "A4", "D4")
+    ],
+)
+def test_bruhat_table_matches_the_descent_recursion(label, lattice):
+    datum = get_datum(label, lattice)
+    leq = _bruhat_leq_by_descents(datum)
+    for u in datum.elements:
+        above = [w.index for w in datum.elements if leq(u, w)]
+        assert [w.index for w in datum.members(datum.upper_intervals[u.index])] == above, u.word
+        assert all(datum.bruhat_leq(u, w) == leq(u, w) for w in datum.elements)
 
 
 def test_bruhat_is_a_partial_order(b2):

@@ -817,6 +817,24 @@ _WALK_GRIDS = [
 _WALK_MAX_LENGTH = {("G2", "tau"): 4}
 
 
+@pytest.mark.parametrize(
+    "label,family,law",
+    _WALK_GRIDS
+    + [("A3", "tau", MULTIPLICATIVE)]
+    + [(label, "unit", ADDITIVE) for label in ("A2", "B2", "B3")],
+)
+def test_diag_reciprocal_prints_as_the_composed_leading_coefficient(label, family, law):
+    """The product of the twisted b's along I_w is the delta_w coefficient of
+    the composed word Z_{I_w}, in the same printed form, and no word is
+    composed to find it."""
+    alg = _algebra(label, family, law)
+    basis = DualBasis(alg)
+    diagonal = {w: qelem_to_str(basis.diag_reciprocal(w)) for w in alg.datum.elements}
+    assert len(alg._compose_cache) == 1
+    for w in alg.datum.elements:
+        assert diagonal[w] == qelem_to_str(alg.z_basis_element(w).coeffs[w]), w.word
+
+
 @pytest.mark.parametrize("label,family,law", _WALK_GRIDS)
 def test_transfer_walks_match_the_per_subword_sums(label, family, law):
     """One walk per word gives the formula column, one per element the Billey
