@@ -71,7 +71,8 @@ the file's ``"law"``.
 
 Explicit word files (``--words file:PATH``) map every element's canonical
 word to the chosen reduced word, e.g. ``{"": "", "1": "1", "121": "212",
-...}``; the file must cover the whole Weyl group.
+...}``; the file must cover the whole Weyl group, and two keys that name one
+element (``"121"`` and ``"212"``) exit 3.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ import functools
 import json
 import os
 import sys
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from collections import namedtuple
+from collections.abc import Iterable, Mapping, Sequence
 
 from .dual import (
     CohStableBasis,
@@ -131,16 +133,15 @@ class _Parser(argparse.ArgumentParser):
 # ---------------------------------------------------------------------------
 
 
-class SessionConfig(NamedTuple):
-    """The inputs that fix a session's ``DualBasis``; the config is its cache
-    key, and a pool worker rebuilds the basis from it alone."""
+SessionConfig = namedtuple("SessionConfig", "type_label cartan_file lattice law family words")
+SessionConfig.__doc__ = """The inputs that fix a session's ``DualBasis``; the config is its
+cache key, and a pool worker rebuilds the basis from it alone.
 
-    type_label: str | None  # None: the datum comes from cartan_file
-    cartan_file: str | None
-    lattice: str | None  # None: the --cartan file's key, else simply-connected
-    law: str | None  # None: a custom family file's own law
-    family: str
-    words: str
+``type_label`` is None when the datum comes from ``cartan_file``.
+``lattice`` None means the ``--cartan`` file's key, else simply-connected.
+``law`` None means a custom family file's own law.  ``family`` and
+``words`` are the ``--family`` and ``--words`` values.
+"""
 
 
 def _resolve_config(
@@ -199,7 +200,12 @@ def _word_overrides(datum: RootDatum, policy: str):
             table = json.load(fh)
         if not isinstance(table, dict) or not all(isinstance(v, str) for v in table.values()):
             raise CliError(f"word file {path!r} must map words to words (JSON strings)")
-        overrides = {_element(datum, key): parse_word(value) for key, value in table.items()}
+        keys: dict[WeylElement, str] = {}
+        for key in table:
+            first = keys.setdefault(_element(datum, key), key)
+            if first != key:
+                raise CliError(f"word file keys {first!r} and {key!r} name one element")
+        overrides = {w: parse_word(table[key]) for w, key in keys.items()}
         missing = [w for w in datum.elements if w not in overrides]
         if missing:
             raise CliError(

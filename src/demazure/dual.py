@@ -56,8 +56,8 @@ one vocabulary: ``stab_minus`` (the dual-basis class), ``stab_minus_bullet``
 
 from __future__ import annotations
 
-from collections import Counter
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 from .formal import (
     X_ROOT,
@@ -147,10 +147,11 @@ def point_class(backend: Backend, w: WeylElement) -> DualElem:
     return DualElem.f(backend, w, weyl_act(backend, w, scalar))
 
 
-class Discrepancy(NamedTuple):
-    location: tuple
-    formula: QElem | str
-    oracle: QElem | str
+class Discrepancy(namedtuple("Discrepancy", "location formula oracle")):
+    """A location where two routes differ, with each route's value: a Q
+    element, or text where a check has no value in Q."""
+
+    __slots__ = ()
 
     def as_json_entry(self) -> dict:
         from .serialize import qelem_to_str

@@ -11,8 +11,9 @@ Two exact backends over arbitrary-precision integers:
 
 Elements of the localization Q keep their denominators as *symbolic* factor
 multisets (root classes and the hatted variants used by the h- and
-q-deformed operator families); normalization divides the numerator exactly
-by factor expansions and never computes polynomial GCDs.  Before any exact
+q-deformed operator families), each a :class:`FactorSymbol`, the named
+pair ``(kind, root)``; normalization divides the numerator exactly by
+factor expansions and never computes polynomial GCDs.  Before any exact
 division it rules factors out by a modular witness test: each factor has a
 point, modulo a fixed prime, at which it vanishes, so a numerator that does
 not vanish there cannot be a multiple of it.  Results stay exact; the test
@@ -39,12 +40,12 @@ keeps its prepared form beside it, keyed by the factor.
 from __future__ import annotations
 
 import heapq
-from collections import Counter
+from collections import Counter, namedtuple
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import reduce
 from math import prod
-from operator import itemgetter, mul, or_
+from operator import mul, or_
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 
 from .rootdata import RootDatum, WeylElement
 
@@ -423,13 +424,13 @@ def weyl_act(backend: Backend, w: WeylElement, p: SElem) -> SElem:
 # ---------------------------------------------------------------------------
 
 
-class Divisor(NamedTuple):
-    """A divisor ready for long division (see :func:`prepare_divisor`)."""
+Divisor = namedtuple("Divisor", "lead coeff items shift")
+Divisor.__doc__ = """A divisor ready for long division (see :func:`prepare_divisor`).
 
-    lead: int  # leading key, after the shift
-    coeff: int  # its coefficient
-    items: list[tuple[int, int]]  # every term as (key - zero_key, coeff)
-    shift: int  # packed offset subtracted from the keys (0 additively)
+``lead`` is its leading key after the shift and ``coeff`` that key's
+coefficient; ``items`` lists every term as ``(key - zero_key, coeff)``; and
+``shift`` is the packed offset subtracted from the keys (0 additively).
+"""
 
 
 def prepare_divisor(d: SElem) -> Divisor:
@@ -529,32 +530,24 @@ ONE_PLUS_ROOT = "one_plus_root"
 FACTOR_KINDS = (X_ROOT, HAT_ADDITIVE, ONE_MINUS_E, HAT_MULTIPLICATIVE, ONE_PLUS_ROOT)
 
 
-class FactorSymbol(tuple):
+class FactorSymbol(namedtuple("FactorSymbol", "kind root")):
     """A symbolic denominator factor over a root ``beta`` (lattice coords).
 
-    kinds: ``x_root`` = x_beta; ``hat_additive`` = h - beta;
-    ``one_minus_e`` = 1 - e^beta; ``hat_multiplicative`` = 1 - q e^{-beta};
-    ``one_plus_root`` = 1 + beta.
+    ``kind`` is one of ``FACTOR_KINDS``: ``x_root`` = x_beta;
+    ``hat_additive`` = h - beta; ``one_minus_e`` = 1 - e^beta;
+    ``hat_multiplicative`` = 1 - q e^{-beta}; ``one_plus_root`` = 1 + beta.
+    ``root`` is beta in lattice coordinates.
 
-    The pair ``(kind, root)`` as a tuple, so hashing, equality and ordering
-    are the tuple's own (factors sort by kind, then root).
+    Hashing, equality, ordering and pickling are the tuple's own (factors
+    sort by kind, then root); the constructor only adds the kind check.
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, root: Weight) -> "FactorSymbol":
+    def __new__(cls, kind: str, root: Weight) -> FactorSymbol:
         if kind not in FACTOR_KINDS:
             raise ValueError(f"unknown factor kind {kind!r}")
         return tuple.__new__(cls, (kind, root))
-
-    kind = property(itemgetter(0), doc="The factor kind, one of FACTOR_KINDS.")
-    root = property(itemgetter(1), doc="The root beta in lattice coordinates.")
-
-    def __getnewargs__(self) -> tuple[str, Weight]:
-        return tuple(self)
-
-    def __repr__(self) -> str:
-        return f"FactorSymbol(kind={self[0]!r}, root={self[1]!r})"
 
 
 def expand_factor(backend: Backend, factor: FactorSymbol) -> SElem:

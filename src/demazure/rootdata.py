@@ -33,8 +33,8 @@ first offending principal submatrix otherwise.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
 
 Word = tuple[int, ...]
 Weight = tuple[int, ...]

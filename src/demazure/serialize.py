@@ -17,8 +17,7 @@ The structure-constant table is the record list of ``demazure mult``
 
 from __future__ import annotations
 
-import json
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .formal import (
     ADDITIVE,
@@ -196,5 +195,8 @@ def discrepancy_to_json(entries: Iterable[Mapping]) -> dict:
 
 
 def dumps_canonical(obj) -> str:
-    """The one JSON writer: stable key order, stable layout, trailing newline."""
+    """The one JSON writer: stable key order, stable layout, trailing newline.
+    Only writing JSON loads ``json``."""
+    import json
+
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"

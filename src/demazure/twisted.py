@@ -52,8 +52,9 @@ is kept as its half u.index <= v.index.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence, TypeVar
 
 from .formal import (
     ADDITIVE,
@@ -74,9 +75,6 @@ from .formal import (
 from .rootdata import WeylElement, Word
 
 Weight = tuple[int, ...]
-# The coefficients of one triangular elimination: all in Q or all in S.
-Coeff = TypeVar("Coeff", QElem, SElem)
-V = TypeVar("V")
 
 
 # ---------------------------------------------------------------------------
@@ -219,18 +217,18 @@ class QWElem(WeylIndexed):
 
 def expand_in_triangular_basis(
     order: Sequence[WeylElement],
-    coeffs: Mapping[WeylElement, Coeff],
-    column: Callable[[WeylElement], Mapping[WeylElement, Coeff]],
-    pivot: Callable[[WeylElement, Coeff], Coeff],
-) -> dict[WeylElement, Coeff]:
+    coeffs: Mapping[WeylElement, QElem | SElem],
+    column: Callable[[WeylElement], Mapping[WeylElement, QElem | SElem]],
+    pivot: Callable[[WeylElement, QElem | SElem], QElem | SElem],
+) -> dict[WeylElement, QElem | SElem]:
     """Coefficients c with coeffs = sum_u c_u column(u), by elimination.
 
-    ``order`` must list u before every other element in the support of
-    ``column(u)``.  ``pivot(u, cur)`` returns the c_u that clears the residue
-    ``cur`` at u, i.e. cur divided by the u entry of ``column(u)``: in Q by
-    multiplying with a closed-form reciprocal, in S by one exact division that
-    raises when it fails.  A residue that survives means ``coeffs`` lies
-    outside the span.
+    The values are all in Q or all in S.  ``order`` must list u before every
+    other element in the support of ``column(u)``.  ``pivot(u, cur)`` returns
+    the c_u that clears the residue ``cur`` at u, i.e. cur divided by the u
+    entry of ``column(u)``: in Q by multiplying with a closed-form
+    reciprocal, in S by one exact division that raises when it fails.  A
+    residue that survives means ``coeffs`` lies outside the span.
 
     In S each residue is updated in place: the solver copies the values of
     ``coeffs`` once, applies r <- r - c_u column(u)[w] to its own copy in one
@@ -241,10 +239,8 @@ def expand_in_triangular_basis(
     how its sum was formed (:meth:`Algebra.b_row` groups its terms instead).
     """
     in_s = isinstance(next(iter(coeffs.values()), None), SElem)
-    residue: dict[WeylElement, Coeff] = {
-        w: val.copy() if in_s else val for w, val in coeffs.items()
-    }
-    out: dict[WeylElement, Coeff] = {}
+    residue = {w: val.copy() if in_s else val for w, val in coeffs.items()}
+    out = {}
     for u in order:
         cur = residue.get(u)
         if cur is None or cur.is_zero():
@@ -411,7 +407,7 @@ def _read_coefficient(backend: Backend, spec, where: str) -> Callable[[Weight], 
     return coefficient
 
 
-class FamilyEntry(NamedTuple):
+class FamilyEntry(namedtuple("FamilyEntry", "name laws spec")):
     """A built-in operator family: its name, the backend laws it is defined on
     (the first is its default) and its a, b and b_inv in the family-file
     format of :func:`read_coefficients`.
@@ -419,9 +415,7 @@ class FamilyEntry(NamedTuple):
     ``entry(backend)`` checks the law and builds the family; a built-in
     family is not validated."""
 
-    name: str
-    laws: tuple[str, ...]
-    spec: Mapping[str, Mapping]
+    __slots__ = ()
 
     def check_law(self, law: str) -> None:
         if law not in self.laws:
@@ -477,7 +471,7 @@ BUILTIN_FAMILIES: dict[str, FamilyEntry] = {
 # ---------------------------------------------------------------------------
 
 
-def _walk(cache: dict[tuple, V], key: tuple, step: Callable[[V, int], V]) -> V:
+def _walk(cache: dict[tuple, object], key: tuple, step: Callable[[object, int], object]):
     """``cache[key]`` for a value that is a fold along ``key``.
 
     ``step(value, j)`` gives the value of ``key[:j+1]`` from the value of

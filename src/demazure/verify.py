@@ -38,7 +38,7 @@ from __future__ import annotations
 import itertools
 import json
 import random
-from typing import Mapping, Sequence
+from collections.abc import Mapping, Sequence
 
 from .dual import CohStableBasis, DiscrepancyReport, DualBasis
 from .formal import (

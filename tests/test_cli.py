@@ -500,13 +500,14 @@ def test_cli_bytes_match_the_recorded_contract(command, exit_code, stdout_sha256
 _POOL_MODULES = ("concurrent.futures", "multiprocessing")  # loaded only by a mult pool
 _SLOW_STDLIB_MODULES = ("dataclasses", "inspect", "fractions", "decimal")  # loaded by no command
 _VERIFY_MODULES = ("demazure.verify", "random")  # loaded only by the verify command
+_CORE_FREE_MODULES = ("typing", "json", "re", "enum")  # loaded by no algebra-core module
 
 
 @pytest.mark.parametrize(
     "modules, absent",
     [
-        ("demazure.cli", _POOL_MODULES + _SLOW_STDLIB_MODULES + _VERIFY_MODULES),
-        ("demazure.dual, demazure.twisted", _SLOW_STDLIB_MODULES),
+        ("demazure.cli", _POOL_MODULES + _SLOW_STDLIB_MODULES + _VERIFY_MODULES + ("typing",)),
+        ("demazure.dual, demazure.twisted", _SLOW_STDLIB_MODULES + _CORE_FREE_MODULES),
     ],
     ids=["cli", "dual-twisted"],
 )
@@ -727,8 +728,20 @@ def test_words_file_must_cover_every_element(tmp_path):
     assert "cover" in err
 
 
-@pytest.mark.parametrize("table", [[1], {"": 5}], ids=["list", "int-word"])
-def test_words_file_of_the_wrong_shape_exits_3(tmp_path, table):
+_A2_WORDS = {"": "", "1": "1", "2": "2", "12": "12", "21": "21", "121": "121"}
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([1], "must map words to words"),
+        ({"": 5}, "must map words to words"),
+        # Two keys for one element: the later one must not silently win.
+        ({**_A2_WORDS, "212": "212"}, "keys '121' and '212' name one element"),
+    ],
+    ids=["list", "int-word", "one-element-twice"],
+)
+def test_words_file_of_the_wrong_shape_exits_3(tmp_path, table, message):
     path = tmp_path / "words.json"
     path.write_text(json.dumps(table), encoding="utf-8")
     code, _, err = run_cli(
@@ -736,7 +749,7 @@ def test_words_file_of_the_wrong_shape_exits_3(tmp_path, table):
         "--words", f"file:{path}",
     )
     assert code == EXIT_CONFIG
-    assert "word file" in err
+    assert err.startswith("error: word file") and message in err
 
 
 def test_jcompat_policy_keeps_restrictions_for_x_family():

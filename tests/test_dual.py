@@ -28,6 +28,7 @@ from demazure.formal import (
     divide_exact,
     expand_factor,
     h_var,
+    linear_form,
     one,
     product_over_positive_roots,
     q_equal,
@@ -477,6 +478,63 @@ def test_x_constants_are_graham_positive(label, count):
             assert not negative, (u.word, v.word, w.word, negative)
             seen += 1
     assert seen == count
+
+
+def _symmetrizer(cartan):
+    """The d with d_j cartan[j][k] = d_k cartan[k][j], so that
+    (alpha_j, alpha_k) = d_j cartan[j][k] is symmetric; d_1 = 1 on a
+    connected diagram."""
+    d = [Fraction(1)] + [None] * (len(cartan) - 1)
+    while None in d:
+        for j, k in itertools.permutations(range(len(cartan)), 2):
+            if d[j] is not None and d[k] is None and cartan[j][k]:
+                d[k] = d[j] * cartan[j][k] / cartan[k][j]
+    return d
+
+
+def _chevalley_row(basis, reflections, d, i, v):
+    """The product [s_i] [v] by the equivariant Chevalley formula: the
+    diagonal v(omega_i) - omega_i, and at each cover w = v s_beta of v the
+    integer <omega_i, beta^vee> = c_i (alpha_i, alpha_i) / (beta, beta),
+    with ``d`` the symmetrizer."""
+    datum, backend = basis.datum, basis.backend
+    cartan, n = datum.cartan, datum.rank
+
+    def form(a, b):
+        return sum(a[j] * b[k] * d[j] * cartan[j][k] for j in range(n) for k in range(n))
+
+    omega = tuple(int(j == i - 1) for j in range(n))  # also alpha_i in root coordinates
+    diagonal = [a - b for a, b in zip(datum.apply(v, omega), omega)]
+    row = {v: QElem.from_s(linear_form(backend, diagonal))}
+    for beta, s_beta in reflections.items():
+        w = datum.multiply(v, s_beta)
+        if w.length == v.length + 1:
+            pairing = beta[i - 1] * form(omega, omega) / form(beta, beta)
+            assert pairing.denominator == 1
+            row[w] = QElem.from_int(backend, int(pairing))
+    return row
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+def test_equivariant_chevalley_formula_on_both_routes(label):
+    """[s_i] [v] = (v(omega_i) - omega_i) [v] + sum over the covers
+    w = v s_beta of v of <omega_i, beta^vee> [w], for the x family on the
+    additive law and the simply-connected lattice, by the formula route and
+    by the oracle route."""
+    basis = get_basis(label, "x", ADDITIVE)
+    datum = basis.datum
+    reflections, d = _reflections(datum), _symmetrizer(datum.cartan)
+    zero = QElem.from_int(basis.backend, 0)
+    for i in range(1, datum.rank + 1):
+        s_i = datum.simple_reflection(i)
+        for v in datum.elements:
+            expected = _chevalley_row(basis, reflections, d, i, v)
+            for route in (basis.product_formula, basis.product_oracle):
+                got = route(s_i, v)
+                for w in datum.elements:
+                    assert q_equal(got.get(w, zero), expected.get(w, zero)), (
+                        route.__name__, i, v.word, w.word
+                    )
 
 
 def test_structure_constant_word_independent_for_braid_families():
