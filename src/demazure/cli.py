@@ -65,7 +65,9 @@ Each numerator term is ``[coeff, alpha_exp, extra_exp, e_mult]`` and means
 multiplicatively).  ``alpha_exp`` and the additive ``extra_exp`` must be
 non-negative, and every exponent must lie in [-2**14, 2**14) (the range of
 ``formal.SElem`` exponents).  Each denominator entry is ``[factor_kind,
-sign]`` applied at ``sign * alpha``.  A file's family is validated (b inverse,
+sign]`` applied at ``sign * alpha``; its kind must be one of
+``formal.FACTOR_KINDS`` that lives on the family's law, checked when the
+file is read.  A file's family is validated (b inverse,
 equivariance) before use; a built-in one is not.  ``--fgl`` defaults to
 the file's ``"law"``.
 

@@ -13,11 +13,13 @@ Elements of the localization Q keep their denominators as *symbolic* factor
 multisets (root classes and the hatted variants used by the h- and
 q-deformed operator families), each a :class:`FactorSymbol`, the named
 pair ``(kind, root)``; normalization divides the numerator exactly by
-factor expansions and never computes polynomial GCDs.  Before any exact
-division it rules factors out by a modular witness test: each factor has a
-point, modulo a fixed prime, at which it vanishes, so a numerator that does
-not vanish there cannot be a multiple of it.  Results stay exact; the test
-only skips divisions that would fail.
+factor expansions and never computes polynomial GCDs.  Each kind's law and
+expansion are stated once, in one table.  Before any exact division
+normalization rules factors out by a modular witness test: a witness point
+is a zero, modulo a fixed prime, of the factor's expansion, solved from its
+shape (an affine form additively, 1 - z^m multiplicatively), so a numerator
+that does not vanish there cannot be a multiple of it.  Results stay exact;
+the test only skips divisions that would fail.
 
 Inside an :class:`SElem` each exponent vector is one Python int: coordinate
 ``i`` of ``rank + 1`` sits in a fixed 16-bit field biased by ``2**15``, the
@@ -33,8 +35,8 @@ remainder keeps a heap of its negated keys (entries of cancelled keys are
 skipped when popped), and one mask over the top bit of every field tells
 whether the divisor's leading monomial divides the remainder's.  Laurent
 operands are first shifted to non-negative exponents.  A divisor used again
-and again is prepared once (:func:`prepare_divisor`): each factor expansion
-keeps its prepared form beside it, keyed by the factor.
+and again is prepared once (:func:`prepare_divisor`): each factor keeps one
+cache entry, its expansion, prepared divisor and witness residues.
 """
 
 from __future__ import annotations
@@ -91,9 +93,8 @@ class Backend:
         # exactly when bit 15 is set.
         self._sign_bits = sum(1 << (s + FIELD_BITS - 1) for s in self._shifts)
         self._range_bits = self._sign_bits >> 1
-        # Each factor's expansion and its prepared divisor (prepare_divisor).
-        self._expand_cache: dict[FactorSymbol, tuple[SElem, Divisor]] = {}
-        self._witness_cache: dict[FactorSymbol, _Residues] = {}
+        # Each factor's expansion, prepared divisor and witness residues.
+        self._factors: dict[FactorSymbol, tuple[SElem, Divisor, _Residues]] = {}
         self._act_form_cache: dict[tuple[int, ...], list[SElem]] = {}
         self._act_power_cache: dict[tuple[tuple[int, ...], int], list[SElem]] = {}
         weights = set()
@@ -206,15 +207,7 @@ class SElem:
         return SElem(self.backend, out, _raw=True)
 
     def __sub__(self, other: "SElem") -> "SElem":
-        self._check(other)
-        out = dict(self._terms)
-        for key, coeff in other._terms.items():
-            val = out.get(key, 0) - coeff
-            if val:
-                out[key] = val
-            elif key in out:
-                del out[key]
-        return SElem(self.backend, out, _raw=True)
+        return self + (-other)
 
     def __neg__(self) -> "SElem":
         return SElem(self.backend, {k: -c for k, c in self._terms.items()}, _raw=True)
@@ -527,16 +520,36 @@ ONE_MINUS_E = "one_minus_e"
 HAT_MULTIPLICATIVE = "hat_multiplicative"
 ONE_PLUS_ROOT = "one_plus_root"
 
-FACTOR_KINDS = (X_ROOT, HAT_ADDITIVE, ONE_MINUS_E, HAT_MULTIPLICATIVE, ONE_PLUS_ROOT)
+# The one statement of each factor kind: the law it lives on (None for both)
+# and its expansion over a root beta.
+_FACTOR_TABLE = {
+    X_ROOT: (None, x_class),
+    HAT_ADDITIVE: (ADDITIVE, lambda b, beta: h_var(b) - linear_form(b, beta)),
+    ONE_MINUS_E: (MULTIPLICATIVE, lambda b, beta: one(b) - e_mono(b, beta)),
+    HAT_MULTIPLICATIVE: (
+        MULTIPLICATIVE,
+        lambda b, beta: one(b) - e_mono(b, tuple(-c for c in beta), v_power=2),
+    ),
+    ONE_PLUS_ROOT: (ADDITIVE, lambda b, beta: one(b) + linear_form(b, beta)),
+}
+
+FACTOR_KINDS = tuple(_FACTOR_TABLE)
+
+
+def check_factor_kind(law: str, kind: str) -> None:
+    """Raise ``ValueError`` unless ``kind`` is a factor kind that lives on
+    the backend law ``law``."""
+    if kind not in _FACTOR_TABLE:
+        raise ValueError(f"unknown factor kind {kind!r}")
+    kind_law = _FACTOR_TABLE[kind][0]
+    if kind_law not in (None, law):
+        raise ValueError(f"{kind} factors require the {kind_law} backend")
 
 
 class FactorSymbol(namedtuple("FactorSymbol", "kind root")):
-    """A symbolic denominator factor over a root ``beta`` (lattice coords).
-
-    ``kind`` is one of ``FACTOR_KINDS``: ``x_root`` = x_beta;
-    ``hat_additive`` = h - beta; ``one_minus_e`` = 1 - e^beta;
-    ``hat_multiplicative`` = 1 - q e^{-beta}; ``one_plus_root`` = 1 + beta.
-    ``root`` is beta in lattice coordinates.
+    """A symbolic denominator factor over a root ``beta``: ``kind`` is one of
+    ``FACTOR_KINDS`` and ``root`` is beta in lattice coordinates.  Each
+    kind's law and expansion are stated once, in ``_FACTOR_TABLE``.
 
     Hashing, equality, ordering and pickling are the tuple's own (factors
     sort by kind, then root); the constructor only adds the kind check.
@@ -545,53 +558,28 @@ class FactorSymbol(namedtuple("FactorSymbol", "kind root")):
     __slots__ = ()
 
     def __new__(cls, kind: str, root: Weight) -> FactorSymbol:
-        if kind not in FACTOR_KINDS:
+        if kind not in _FACTOR_TABLE:
             raise ValueError(f"unknown factor kind {kind!r}")
         return tuple.__new__(cls, (kind, root))
 
 
-def expand_factor(backend: Backend, factor: FactorSymbol) -> SElem:
-    entry = backend._expand_cache.get(factor)
-    return (entry or _expand_new_factor(backend, factor))[0]
-
-
-def _factor_divisor(backend: Backend, factor: FactorSymbol) -> Divisor:
-    """The prepared divisor of a factor's expansion."""
-    entry = backend._expand_cache.get(factor)
-    return (entry or _expand_new_factor(backend, factor))[1]
-
-
-def _expand_new_factor(backend: Backend, factor: FactorSymbol) -> tuple[SElem, Divisor]:
+def _new_factor(backend: Backend, factor: FactorSymbol) -> tuple[SElem, Divisor, _Residues]:
+    """The factor's one cache entry: its expansion, the expansion prepared by
+    :func:`prepare_divisor`, and its residues at a witness point."""
     beta = factor.root
     if len(beta) != backend.rank:
         raise ValueError("factor root has wrong coordinate length")
     if not backend.is_root(beta):
         raise ValueError(f"factor root {beta} is not a root of the datum")
-    kind = factor.kind
-    if kind == X_ROOT:
-        value = x_class(backend, beta)
-    elif kind == HAT_ADDITIVE:
-        if backend.law != ADDITIVE:
-            raise ValueError("hat_additive factors require the additive backend")
-        value = h_var(backend) - linear_form(backend, beta)
-    elif kind == ONE_PLUS_ROOT:
-        if backend.law != ADDITIVE:
-            raise ValueError("one_plus_root factors require the additive backend")
-        value = one(backend) + linear_form(backend, beta)
-    elif kind == ONE_MINUS_E:
-        if backend.law != MULTIPLICATIVE:
-            raise ValueError("one_minus_e factors require the multiplicative backend")
-        value = one(backend) - e_mono(backend, beta)
-    elif kind == HAT_MULTIPLICATIVE:
-        if backend.law != MULTIPLICATIVE:
-            raise ValueError("hat_multiplicative factors require the multiplicative backend")
-        value = one(backend) - e_mono(backend, tuple(-c for c in beta), v_power=2)
-    else:  # pragma: no cover
-        raise ValueError(f"unknown factor kind {kind!r}")
-    if value.is_zero():
-        raise ValueError(f"factor {factor} expands to zero")
-    entry = backend._expand_cache[factor] = (value, prepare_divisor(value))
+    check_factor_kind(backend.law, factor.kind)
+    value = _FACTOR_TABLE[factor.kind][1](backend, beta)
+    point = witness_point(value, _generic_coordinates(backend.rank + 1))
+    entry = backend._factors[factor] = (value, prepare_divisor(value), _Residues(backend, point))
     return entry
+
+
+def expand_factor(backend: Backend, factor: FactorSymbol) -> SElem:
+    return (backend._factors.get(factor) or _new_factor(backend, factor))[0]
 
 
 def divide_exact(
@@ -600,7 +588,7 @@ def divide_exact(
     """Exact division of p by a factor symbol, a raw S element, or a divisor
     prepared by :func:`prepare_divisor`."""
     if isinstance(factor, FactorSymbol):
-        factor = _factor_divisor(backend, factor)
+        factor = (backend._factors.get(factor) or _new_factor(backend, factor))[1]
     return _divide_selem(p, factor)
 
 
@@ -629,57 +617,54 @@ def _generic_coordinates(width: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def witness_point(law: str, factor: FactorSymbol, generic: Sequence[int]) -> tuple[int, ...]:
-    """Coordinates mod ``WITNESS_PRIME`` at which ``factor`` expands to zero.
+def witness_point(f: SElem, generic: Sequence[int]) -> tuple[int, ...]:
+    """Coordinates mod ``WITNESS_PRIME`` at which the expansion ``f`` vanishes,
+    solved by its shape.
 
     ``generic`` holds one residue per coordinate (t_1..t_n, h additively; the
-    bases c_1..c_n, c_v multiplicatively).  With j the first nonzero
-    coordinate of the root beta:
+    bases c_1..c_n, c_v multiplicatively).
 
-    * ``x_root`` (additive): t generic, t_j solves beta.t = 0;
-    * ``one_plus_root``: t_j solves beta.t = -1;
-    * ``hat_additive``: t generic, h = beta.t;
-    * ``x_root`` / ``one_minus_e`` (multiplicative): z_i = c_i^{beta_j} for
-      i != j and z_j = prod_{i != j} c_i^{-beta_i}, so e^beta = 1; v = c_v;
-    * ``hat_multiplicative``: z_i = c_i^2 and v = prod c_i^{beta_i}, so
-      q e^{-beta} = 1.
+    * Additive: ``f`` is an affine form a_0 + sum a_i t_i (h is the last
+      t_i).  With j the first coordinate whose a_j is a unit mod the prime,
+      every other coordinate is generic and t_j solves f = 0.
+    * Multiplicative: ``f`` is 1 - z^m.  With j the first coordinate where
+      m_j != 0, z_i = c_i^{m_j} for i != j and z_j = prod_{i != j} c_i^{-m_i},
+      so z^m = 1.
 
-    Raises ``ValueError`` when beta_j is 0 mod the prime (additive) or a base
-    is not a unit mod the prime (multiplicative), instead of wrapping or
-    dividing by zero.
+    Raises ``ValueError`` when an additive ``f`` is not affine or every
+    coordinate's coefficient vanishes mod the prime, a multiplicative ``f``
+    is not 1 - z^m, or a base is not a unit mod the prime.
     """
     prime = WITNESS_PRIME
-    beta = factor.root
-    rank = len(beta)
-    if len(generic) != rank + 1:
-        raise ValueError(f"witness point needs {rank + 1} generic coordinates")
-    j = next((i for i, c in enumerate(beta) if c), None)
-    if j is None:
-        raise ValueError("no witness point for a factor over the zero weight")
-    kind = factor.kind
-    if law == ADDITIVE:
-        t = [c % prime for c in generic[:rank]]
-        if kind == HAT_ADDITIVE:
-            return (*t, sum(b * c for b, c in zip(beta, t)) % prime)
-        if kind not in (X_ROOT, ONE_PLUS_ROOT):
-            raise ValueError(f"no additive witness point for {kind}")
-        if beta[j] % prime == 0:
-            raise ValueError(f"root coordinate {beta[j]} vanishes mod the witness prime")
-        rest = sum(b * c for i, (b, c) in enumerate(zip(beta, t)) if i != j)
-        target = 0 if kind == X_ROOT else -1
-        t[j] = (target - rest) * pow(beta[j], -1, prime) % prime
-        return (*t, generic[rank] % prime)
-    if any(c % prime == 0 for c in generic):
+    width = f.backend.rank + 1
+    point = [c % prime for c in generic[:width]]
+    if f.backend.law == ADDITIVE:
+        constant, linear = 0, [0] * width
+        for exps, coeff in f.terms.items():
+            degree = sum(exps)
+            if degree > 1:
+                raise ValueError("an additive witness point needs an affine expansion")
+            if degree:
+                linear[exps.index(1)] = coeff
+            else:
+                constant = coeff
+        j = next((i for i, a in enumerate(linear) if a % prime), None)
+        if j is None:
+            raise ValueError("every coordinate's coefficient vanishes mod the witness prime")
+        rest = constant + sum(a * t for i, (a, t) in enumerate(zip(linear, point)) if i != j)
+        point[j] = -rest * pow(linear[j], -1, prime) % prime
+        return tuple(point)
+    if not all(point):
         raise ValueError("multiplicative witness coordinate is not a unit mod the prime")
-    bases = generic[:rank]
-    if kind == HAT_MULTIPLICATIVE:
-        z = [pow(c, 2, prime) for c in bases]
-        return (*z, prod(pow(c, b, prime) for c, b in zip(bases, beta)) % prime)
-    if kind not in (X_ROOT, ONE_MINUS_E):
-        raise ValueError(f"no multiplicative witness point for {kind}")
-    z = [pow(c, beta[j], prime) for c in bases]
-    z[j] = prod(pow(c, -b, prime) for i, (c, b) in enumerate(zip(bases, beta)) if i != j) % prime
-    return (*z, generic[rank] % prime)
+    one_key = (0,) * width
+    terms = f.terms
+    m = next((exps for exps in terms if exps != one_key), one_key)
+    if len(terms) != 2 or terms.get(one_key) != 1 or terms[m] != -1:
+        raise ValueError("a multiplicative witness point needs an expansion 1 - z^m")
+    j = next(i for i, e in enumerate(m) if e)
+    z = [pow(c, m[j], prime) for c in point]
+    z[j] = prod(pow(c, -e, prime) for i, (c, e) in enumerate(zip(point, m)) if i != j) % prime
+    return tuple(z)
 
 
 # Entries per residue table; a full table starts over, so memory stays bounded.
@@ -715,10 +700,7 @@ class _Residues(dict):
 def _witness_rules_out(backend: Backend, p: SElem, factor: FactorSymbol) -> bool:
     """True when ``p`` is nonzero at the factor's witness point, which proves
     the factor does not divide ``p``."""
-    residues = backend._witness_cache.get(factor)
-    if residues is None:
-        point = witness_point(backend.law, factor, _generic_coordinates(backend.rank + 1))
-        residues = backend._witness_cache[factor] = _Residues(backend, point)
+    residues = (backend._factors.get(factor) or _new_factor(backend, factor))[2]
     terms = p._terms
     return sum(map(mul, terms.values(), map(residues.__getitem__, terms))) % WITNESS_PRIME != 0
 
@@ -735,8 +717,7 @@ def _canonicalize_factor(
     """
     kind, beta = factor.kind, factor.root
     if kind == ONE_MINUS_E:
-        if backend.law != MULTIPLICATIVE:
-            raise ValueError("one_minus_e factors require the multiplicative backend")
+        check_factor_kind(backend.law, kind)
         # 1 - e^beta = x_{-beta}: fold into the x_root kind first.
         return _canonicalize_factor(
             backend, FactorSymbol(X_ROOT, tuple(-c for c in beta))
@@ -887,7 +868,7 @@ def _normalize(
     kept: list[FactorSymbol] = []
     for factor in sorted(den):
         if factor not in kept and not _witness_rules_out(backend, num, factor):
-            quotient = _divide_selem(num, _factor_divisor(backend, factor))
+            quotient = _divide_selem(num, backend._factors[factor][1])
             if quotient is not None:
                 num = quotient
                 continue

@@ -64,6 +64,7 @@ from .formal import (
     FactorSymbol,
     QElem,
     SElem,
+    check_factor_kind,
     monomial,
     one,
     q_equal,
@@ -385,6 +386,11 @@ def _read_coefficient(backend: Backend, spec, where: str) -> Callable[[Weight], 
             raise ValueError(
                 f"{where}: group-like numerator terms need the multiplicative backend"
             )
+    for kind, _ in den_spec:
+        try:
+            check_factor_kind(backend.law, kind)
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
 
     values: dict[Weight, QElem] = {}
 

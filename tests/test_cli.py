@@ -939,6 +939,26 @@ def test_custom_family_numerator_exponents_are_checked_before_use(tmp_path, fgl,
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "kind,message",
+    [
+        ("nonsense", "unknown factor kind 'nonsense'"),
+        ("hat_multiplicative", "hat_multiplicative factors require the multiplicative backend"),
+    ],
+    ids=["unknown-kind", "other-law"],
+)
+def test_custom_family_denominator_kinds_are_checked_when_read(tmp_path, kind, message):
+    """The reader names the coefficient; a check at first use could not."""
+    spec = dict(SIGMA_SPEC, a={"num": [[-1, 0, 0, 0]], "den": [[kind, 1]]})
+    path = tmp_path / "bad_kind.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    code, _, err = run_cli(
+        "mult", "--type", "A1", "--family", f"custom:{path}", "--u", "1", "--v", "1",
+    )
+    assert code == EXIT_CONFIG
+    assert f"coefficient 'a': {message}" in err
+
+
 def test_custom_family_takes_a_laurent_power_of_v(tmp_path):
     """b = -v^-1 / x_alpha and b_inv = -v x_alpha are inverse only when the
     numerator term [-1, 0, -1, 0] really means -v^-1."""

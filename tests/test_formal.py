@@ -502,16 +502,21 @@ def _selems(b: Backend):
 
 
 @pytest.mark.parametrize("law", [ADDITIVE, MULTIPLICATIVE])
-@pytest.mark.parametrize("label", ["A2", "B2", "G2"])
+@pytest.mark.parametrize(
+    "label, lattice",
+    [("A2", "simply-connected"), ("B2", "simply-connected"), ("G2", "simply-connected"),
+     ("B2", "adjoint")],
+    ids=["A2", "B2", "G2", "B2-adjoint"],
+)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
-def test_witness_filter_kernel_properties(label, law, data):
-    b = get_backend(label, law)
+def test_witness_filter_kernel_properties(label, lattice, law, data):
+    b = get_backend(label, law, lattice)
     factor = FactorSymbol(
         data.draw(st.sampled_from(_KINDS[law])), data.draw(st.sampled_from(_signed_roots(b)))
     )
     f = expand_factor(b, factor)
-    point = witness_point(law, factor, _generic_coordinates(b.rank + 1))
+    point = witness_point(f, _generic_coordinates(b.rank + 1))
     assert _value_mod_prime(f, point) == 0
     p = data.draw(_selems(b))
     assert not _witness_rules_out(b, p * f, factor)
@@ -521,15 +526,26 @@ def test_witness_filter_kernel_properties(label, law, data):
 
 
 def test_witness_point_rejects_degenerate_input():
+    ba = get_backend("A2", ADDITIVE)
+    bm = get_backend("A2", MULTIPLICATIVE)
     generic = _generic_coordinates(3)
-    with pytest.raises(ValueError, match="vanishes mod the witness prime"):
-        witness_point(ADDITIVE, FactorSymbol(X_ROOT, (WITNESS_PRIME, 1)), generic)
-    with pytest.raises(ValueError, match="vanishes mod the witness prime"):
-        witness_point(ADDITIVE, FactorSymbol(ONE_PLUS_ROOT, (-2 * WITNESS_PRIME, 3)), generic)
+    with pytest.raises(ValueError, match="coefficient vanishes mod the witness prime"):
+        witness_point(linear_form(ba, (WITNESS_PRIME, -2 * WITNESS_PRIME)), generic)
+    with pytest.raises(ValueError, match="affine"):
+        witness_point(linear_form(ba, (1, 0)) * linear_form(ba, (0, 1)), generic)
+    with pytest.raises(ValueError, match="1 - z\\^m"):
+        witness_point(one(bm) + e_mono(bm, (1, -1)), generic)
+    with pytest.raises(ValueError, match="1 - z\\^m"):
+        witness_point(one(bm) - e_mono(bm, (1, -1)) - e_mono(bm, (0, 1)), generic)
     with pytest.raises(ValueError, match="not a unit"):
-        witness_point(MULTIPLICATIVE, FactorSymbol(X_ROOT, (1, -1)), (5, WITNESS_PRIME, 7))
+        witness_point(one(bm) - e_mono(bm, (1, -1)), (5, WITNESS_PRIME, 7))
     with pytest.raises(ValueError, match="not a unit"):
-        witness_point(MULTIPLICATIVE, FactorSymbol(HAT_MULTIPLICATIVE, (2, -1)), (3, 5, 0))
+        witness_point(expand_factor(bm, FactorSymbol(HAT_MULTIPLICATIVE, (2, -1))), (3, 5, 0))
+    # A first coordinate that vanishes mod the prime: the next one is solved.
+    f = linear_form(ba, (WITNESS_PRIME, 1))
+    point = witness_point(f, generic)
+    assert point[0] == generic[0] and point[1] != generic[1]
+    assert _value_mod_prime(f, point) == 0
 
 
 def _normalize_unfiltered(b: Backend, num: SElem, den: list) -> tuple[SElem, list]:
@@ -596,15 +612,23 @@ def test_normalize_matches_unfiltered_reference(label, law):
 
 
 def test_factor_kind_backend_mismatch():
-    ba = get_backend("A2", ADDITIVE)
-    bm = get_backend("A2", MULTIPLICATIVE)
-    alpha = ba.datum.simple_root(1)
-    with pytest.raises(ValueError, match="additive"):
-        expand_factor(bm, FactorSymbol(HAT_ADDITIVE, alpha))
-    with pytest.raises(ValueError, match="multiplicative"):
-        expand_factor(ba, FactorSymbol(HAT_MULTIPLICATIVE, alpha))
+    """Each law-bound kind is refused on the other law, with one message."""
+    backends = {law: get_backend("A2", law) for law in (ADDITIVE, MULTIPLICATIVE)}
+    alpha = backends[ADDITIVE].datum.simple_root(1)
+    for kind, law, other in [
+        (HAT_ADDITIVE, ADDITIVE, MULTIPLICATIVE),
+        (ONE_PLUS_ROOT, ADDITIVE, MULTIPLICATIVE),
+        (ONE_MINUS_E, MULTIPLICATIVE, ADDITIVE),
+        (HAT_MULTIPLICATIVE, MULTIPLICATIVE, ADDITIVE),
+    ]:
+        message = f"^{kind} factors require the {law} backend$"
+        with pytest.raises(ValueError, match=message):
+            expand_factor(backends[other], FactorSymbol(kind, alpha))
+        with pytest.raises(ValueError, match=message):
+            QElem(one(backends[other]), [FactorSymbol(kind, alpha)])
+        expand_factor(backends[law], FactorSymbol(kind, alpha))
     with pytest.raises(ValueError, match="root"):
-        expand_factor(ba, FactorSymbol(X_ROOT, (1, 0)))  # omega_1 is not a root
+        expand_factor(backends[ADDITIVE], FactorSymbol(X_ROOT, (1, 0)))  # omega_1 is not a root
 
 
 def test_factor_symbols_hash_compare_and_sort_as_kind_root_pairs():
