@@ -69,7 +69,9 @@ sign]`` applied at ``sign * alpha``; its kind must be one of
 ``formal.FACTOR_KINDS`` that lives on the family's law, checked when the
 file is read.  A file's family is validated (b inverse,
 equivariance) before use; a built-in one is not.  ``--fgl`` defaults to
-the file's ``"law"``.
+the file's ``"law"``.  The ``"family"`` of ``mult`` and ``restrict`` JSON
+is the family's own name: the built-in token, or ``custom:`` and the
+file's ``"name"``, so the bytes do not depend on how the path is spelled.
 
 Explicit word files (``--words file:PATH``) map every element's canonical
 word to the chosen reduced word, e.g. ``{"": "", "1": "1", "121": "212",
@@ -371,7 +373,7 @@ def cmd_mult(args: argparse.Namespace) -> int:
         "datum": datum.label or "custom",
         "lattice": datum.lattice,
         "law": basis.backend.law,
-        "family": config.family,
+        "family": basis.algebra.family.name,
         "records": rows,
     }
     lines = (
@@ -434,7 +436,7 @@ def cmd_restrict(args: argparse.Namespace) -> int:
         "datum": datum.label or "custom",
         "lattice": datum.lattice,
         "law": basis.backend.law,
-        "family": config.family,
+        "family": basis.algebra.family.name,
         "v": word_to_str(v.word),
         "w": word_to_str(w.word),
         "value": qelem_to_json(value),

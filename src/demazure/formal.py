@@ -95,8 +95,8 @@ class Backend:
         self._range_bits = self._sign_bits >> 1
         # Each factor's expansion, prepared divisor and witness residues.
         self._factors: dict[FactorSymbol, tuple[SElem, Divisor, _Residues]] = {}
-        self._act_form_cache: dict[tuple[int, ...], list[SElem]] = {}
-        self._act_power_cache: dict[tuple[tuple[int, ...], int], list[SElem]] = {}
+        # The additive action's powers [1, w(t_i), w(t_i)^2, ...] by (w.index, i).
+        self._act_powers: dict[tuple[int, int], list[SElem]] = {}
         weights = set()
         for beta in datum.positive_roots:
             wt = datum.root_to_weight(beta)
@@ -370,21 +370,18 @@ def formal_sum(backend: Backend, a: SElem, b: SElem) -> SElem:
 
 
 def _act_additive(backend: Backend, w: WeylElement, p: SElem) -> SElem:
-    datum = backend.datum
-    forms = backend._act_form_cache.get(w.word)
-    if forms is None:
-        mat = datum.lattice_matrix(w)
-        forms = [
-            linear_form(backend, tuple(mat[r][i] for r in range(backend.rank)))
-            for i in range(backend.rank)
-        ]
-        backend._act_form_cache[w.word] = forms
+    powers = backend._act_powers
 
     def power(i: int, e: int) -> SElem:
-        cache = backend._act_power_cache.setdefault((w.word, i), [one(backend)])
-        while len(cache) <= e:
-            cache.append(cache[-1] * forms[i])
-        return cache[e]
+        key = (w.index, i)
+        table = powers.get(key)
+        if table is None:
+            # w(t_i) is column i of the lattice matrix, as a linear form.
+            column = tuple(row[i] for row in backend.datum.lattice_matrix(w))
+            table = powers[key] = [one(backend), linear_form(backend, column)]
+        while len(table) <= e:
+            table.append(table[-1] * table[1])
+        return table[e]
 
     out = zero(backend)
     h_unit = (0,) * backend.rank

@@ -20,10 +20,10 @@ Conventions
   canonicalize Weyl group elements.
 
 * Group products are table lookups.  Enumerating W records ``w s_i`` for
-  every element and generator once, and ``s_i w`` beside it; words,
-  products, inverses, descents, Bruhat order and Demazure products are folds
-  over these tables.  Matrices serve only coordinates: the action on roots
-  and weights, and inversions.
+  every element and generator once, ``s_i w`` and ``w^-1`` beside it, and
+  each element's root and lattice matrices; words, products, descents,
+  Bruhat order and Demazure products are folds over these tables.  Matrices
+  serve only coordinates: the action on roots and weights, and inversions.
 
 Only finite (spherical) types are allowed; a Cartan matrix is accepted
 exactly when all of its principal minors are positive, and rejected with the
@@ -297,26 +297,29 @@ class RootDatum:
         if len(self._positive_roots) != self.longest_element.length:
             raise AssertionError("positive root count does not match longest length")
         self._all_words_cache: dict[int, tuple[Word, ...]] = {}
-        self._lattice_matrix_cache: dict[int, Matrix] = {}
 
     # -- construction ------------------------------------------------------
 
     def _enumerate_weyl_group(self) -> None:
-        """Enumerate W breadth-first and record the tables ``w -> w s_i``
-        and ``w -> s_i w``.
+        """Enumerate W breadth-first and record the tables ``w -> w s_i``,
+        ``w -> s_i w`` and ``w -> w^-1``, and each element's lattice matrix.
 
         Each element's successors are listed in letter order and the elements
         are visited in discovery order, so every element is first reached by
         its (length, lex)-minimal reduced word and the list comes out sorted
         by :meth:`WeylElement.sort_key`.  ``_right[w.index][i - 1]`` is the
         index of ``w s_i``; these are the only matrix products the group
-        operations ever need.  ``_left[w.index][i - 1]``, the index of
-        ``s_i w``, is read off it as ``(w^-1 s_i)^-1``.
+        operations ever need.  A new element ``w s_i`` gets the lattice matrix
+        of ``w`` times that of ``s_i``, the product along its word.
+        ``_inverse[w.index]`` folds the reversed word, and
+        ``_left[w.index][i - 1]``, the index of ``s_i w``, is read off as
+        ``(w^-1 s_i)^-1``.
         """
         n = self.rank
         identity = WeylElement((), _identity(n), 0)
         by_matrix: dict[Matrix, WeylElement] = {identity.root_matrix: identity}
         elements = [identity]
+        lattice = [identity.root_matrix]
         right: list[tuple[int, ...]] = []
         for w in elements:  # grows while it is walked
             row = []
@@ -327,6 +330,7 @@ class RootDatum:
                     elem = WeylElement(w.word + (i,), mat, len(elements))
                     by_matrix[mat] = elem
                     elements.append(elem)
+                    lattice.append(_mat_mul(lattice[w.index], self._lat_refl[i]))
                     if len(elements) > self.max_order:
                         raise ValueError(
                             f"Weyl group order exceeds the cap {self.max_order}"
@@ -335,7 +339,8 @@ class RootDatum:
             right.append(tuple(row))
         self._elements = tuple(elements)
         self._right = tuple(right)
-        inverse = [self._fold(0, reversed(w.word)) for w in elements]
+        self._lattice = tuple(lattice)
+        self._inverse = inverse = tuple(self._fold(0, reversed(w.word)) for w in elements)
         self._left = tuple(
             tuple(inverse[right[inverse[w]][i]] for i in range(n)) for w in range(len(elements))
         )
@@ -412,7 +417,7 @@ class RootDatum:
         return self._elements[self._left[w.index][i - 1]]
 
     def inverse(self, w: WeylElement) -> WeylElement:
-        return self._elements[self._fold(0, reversed(w.word))]
+        return self._elements[self._inverse[w.index]]
 
     # -- descents, Bruhat order, Demazure product ---------------------------
 
@@ -483,19 +488,13 @@ class RootDatum:
     # -- lattice action ------------------------------------------------------
 
     def lattice_matrix(self, w: WeylElement) -> Matrix:
-        cached = self._lattice_matrix_cache.get(w.index)
-        if cached is None:
-            cached = _identity(self.rank)
-            for i in w.word:
-                cached = _mat_mul(cached, self._lat_refl[i])
-            self._lattice_matrix_cache[w.index] = cached
-        return cached
+        return self._lattice[w.index]
 
     def apply(self, w: WeylElement, weight: Sequence[int]) -> Weight:
         """Apply ``w`` to a weight given in the chosen lattice basis."""
         if len(weight) != self.rank:
             raise ValueError(f"weight must have {self.rank} coordinates")
-        return _mat_vec(self.lattice_matrix(w), weight)
+        return _mat_vec(self._lattice[w.index], weight)
 
     def simple_root(self, j: int) -> Weight:
         """Lattice coordinates of ``alpha_j``."""

@@ -506,14 +506,14 @@ _BOTH, _ONE, _NEITHER = 0, 1, 2
 class Algebra:
     """An operator family together with a fixed reduced word I_w per element.
 
-    Seven per-word values are walks (:func:`_walk`), each with its own cache:
-    composed words, leading coefficients and their inverses, monic rows,
-    Leibniz coefficients, half formula columns and Billey rows.  No diagonal
-    entry or b-row (:meth:`_monic_row`) composes a word.  :meth:`_moves`
-    alone chooses the moves of the column and row walks, the c-rule
-    (:meth:`_c_moves`) or the generic elimination
-    (:meth:`expand_in_z_basis`), which gives every c-coefficient the
-    algebra returns.
+    Six per-word values are walks (:func:`_walk`), each with its own cache:
+    composed words, leading coefficients, monic rows (each with its word's
+    element and diagonal inverse), Leibniz coefficients, half formula columns
+    and Billey rows.  No diagonal entry or b-row (:meth:`_monic_row`)
+    composes a word.  :meth:`_moves` alone chooses the moves of the column
+    and row walks, the c-rule (:meth:`_c_moves`) or the generic elimination
+    (:meth:`expand_in_z_basis`), which gives every c-coefficient the algebra
+    returns.
     """
 
     def __init__(self, family: OperatorFamily, words: Mapping[WeylElement, Word] | None = None):
@@ -531,19 +531,18 @@ class Algebra:
                 table[w] = word
         self.words = table
         identity, unit = self.datum.identity, QElem.from_int(self.backend, 1)
-        self._simple_cache: dict[int, QWElem] = {}
         # The walk caches, each seeded with the value of the empty word.
         self._compose_cache: dict[Word, QWElem] = {(): QWElem.one(self.backend)}
-        self._diag_inverses: dict[Word, QElem] = {(): unit}
         self._leading: dict[Word, QElem] = {(): unit}
-        self._monic_rows: dict[Word, dict[WeylElement, QElem]] = {(): {identity: unit}}
+        self._monic_rows: dict[Word, tuple[WeylElement, dict[WeylElement, QElem], QElem]] = {
+            (): (identity, {identity: unit}, unit)
+        }
         self._leibniz_values: dict[tuple[tuple[int, int], ...], QElem] = {(): unit}
         self._columns: dict[Word, dict[tuple[WeylElement, WeylElement], QElem]] = {
             (): {(identity, identity): unit}
         }
         self._billey_rows: dict[Word, dict[WeylElement, QElem]] = {(): {identity: unit}}
         self._b_rows: dict[WeylElement, dict[WeylElement, QElem]] = {}
-        self._inversion_weight_cache: dict[Word, tuple[Weight, ...]] = {}
         self._expanded_moves: dict[tuple[bool, int, WeylElement], list] = {}
 
     # -- elements -------------------------------------------------------------
@@ -552,16 +551,10 @@ class Algebra:
         return self.words[w]
 
     def simple_element(self, i: int) -> QWElem:
-        cached = self._simple_cache.get(i)
-        if cached is None:
-            alpha = self.datum.simple_root(i)
-            s_i = self.datum.simple_reflection(i)
-            cached = QWElem(
-                self.backend,
-                {self.datum.identity: self.family.a(alpha), s_i: self.family.b(alpha)},
-            )
-            self._simple_cache[i] = cached
-        return cached
+        """Z_i = a(alpha_i) + b(alpha_i) delta_{s_i}, built on each call."""
+        datum, family, alpha = self.datum, self.family, self.datum.simple_root(i)
+        terms = {datum.identity: family.a(alpha), datum.simple_reflection(i): family.b(alpha)}
+        return QWElem(self.backend, terms)
 
     def compose_word(self, word: Sequence[int]) -> QWElem:
         """Z_I = Z_{i_1} ... Z_{i_k}, the product in Q_W of any word I."""
@@ -574,43 +567,42 @@ class Algebra:
     # -- triangular data -------------------------------------------------------
 
     def _inversion_weights(self, word: Word) -> tuple[Weight, ...]:
-        """The inversion roots beta_j along ``word``, in lattice coordinates."""
-        cached = self._inversion_weight_cache.get(word)
-        if cached is None:
-            datum = self.datum
-            cached = tuple(datum.root_to_weight(beta) for beta in datum.inversion_roots_along(word))
-            self._inversion_weight_cache[word] = cached
-        return cached
+        """The inversion roots beta_j along ``word``, in lattice coordinates,
+        uncached.  A walk step j reads beta_j from ``word[:j+1]``, so a walk
+        that hits its cache computes none."""
+        datum = self.datum
+        return tuple(datum.root_to_weight(beta) for beta in datum.inversion_roots_along(word))
 
     def diag_inverse(self, w: WeylElement) -> QElem:
         """1 / (leading delta_w coefficient of Z_{I_w}), as a product of
-        twisted b-inverses along the word."""
-        word, b_inv = self.words[w], self.family.b_inv
-        return _walk(
-            self._diag_inverses, word, lambda d, j: d * b_inv(self._inversion_weights(word)[j])
-        )
+        twisted b-inverses along the word (:meth:`_monic_row`)."""
+        return self._monic_row(self.words[w])[2]
 
     def leading_coefficient(self, w: WeylElement) -> QElem:
         """The leading delta_w coefficient of Z_{I_w}, a product of twisted b's along the word."""
         word, b = self.words[w], self.family.b
-        return _walk(self._leading, word, lambda d, j: d * b(self._inversion_weights(word)[j]))
+        return _walk(
+            self._leading, word, lambda d, j: d * b(self._inversion_weights(word[: j + 1])[j])
+        )
 
-    def _monic_row(self, word: Word) -> dict[WeylElement, QElem]:
-        """The monic row M_J(v) = a_{J,v} / a_{J,w} of a reduced word J for w,
-        where Z_J = sum_v a_{J,v} delta_v; M_J(w) = 1.
+    def _monic_row(self, word: Word) -> tuple[WeylElement, dict[WeylElement, QElem], QElem]:
+        """The element w of a reduced word J, the monic row
+        M_J(v) = a_{J,v} / a_{J,w}, where Z_J = sum_v a_{J,v} delta_v and
+        M_J(w) = 1, and the diagonal inverse 1 / a_{J,w}.
 
         For J = J'i, with w = w' s_i and beta = w'(alpha_i) the last inversion
         root of J, Z_J = Z_{J'} Z_i and the W-equivariance of a and b give
 
-            M_J(v) = (M_{J'}(v) a(v alpha_i) + M_{J'}(v s_i) b(v s_i alpha_i)) b^-1(beta),
+            M_J(v) = (M_{J'}(v) a(v alpha_i) + M_{J'}(v s_i) b(v s_i alpha_i)) b^-1(beta)
 
-        so each step reads a and b once per element of the row's support, at
-        one root.
+        and 1 / a_{J,w} = (1 / a_{J',w'}) b^-1(beta), so each step reads a and
+        b once per element of the row's support, at one root.
         """
         datum, family = self.datum, self.family
         unit = QElem.from_int(self.backend, 1)
 
-        def step(row: dict[WeylElement, QElem], j: int) -> dict[WeylElement, QElem]:
+        def step(value, j: int):
+            prefix, row, inverse = value
             i = word[j]
             alpha = datum.simple_root(i)
             terms: dict[WeylElement, QElem] = {}
@@ -618,9 +610,10 @@ class Algebra:
                 root = datum.apply(v, alpha)
                 accumulate(terms, v, m * family.a(root))
                 accumulate(terms, datum.multiply_simple(v, i), m * family.b(root))
-            lead = datum.element_by_word(word[: j + 1])
-            b_inv = family.b_inv(self._inversion_weights(word)[j])
-            return {v: unit if v is lead else c * b_inv for v, c in terms.items()}
+            lead = datum.multiply_simple(prefix, i)
+            b_inv = family.b_inv(datum.apply(prefix, alpha))
+            row = {v: unit if v is lead else c * b_inv for v, c in terms.items()}
+            return lead, row, inverse * b_inv
 
         return _walk(self._monic_rows, word, step)
 
@@ -649,7 +642,7 @@ class Algebra:
             # -sum_v M(v) b_{v,t} for each target t, as one S numerator per
             # denominator multiset of M(v) b_{v,t}.
             groups: dict[WeylElement, dict[tuple[FactorSymbol, ...], SElem]] = {}
-            for v, scale in self._monic_row(self.words[w]).items():
+            for v, scale in self._monic_row(self.words[w])[1].items():
                 if v is w:
                     continue
                 for t, bvt in self._b_rows[v].items():
@@ -872,7 +865,7 @@ class Algebra:
         For X and Y the first is a polynomial and the second a unit, so no
         walk state is ever divided.
         """
-        i, beta = word[j], self._inversion_weights(word)[j]
+        i, beta = word[j], self._inversion_weights(word[: j + 1])[j]
         moves = self._moves(left=False)
         take = self.family.b_inv(beta)
         skip = -(self.family.a(beta) * take)

@@ -344,6 +344,20 @@ def test_verify_duality_json_payload_shape():
 # ---------------------------------------------------------------------------
 
 
+# Refusals of outside input, each with the one line it prints.
+_REFUSALS = {
+    ("mult", "--type", "A0"): "rank must be positive, got 'A0'",
+    ("mult", "--type", "B1"): "type B requires rank >= 2",
+    ("mult", "--type", "C1"): "type C requires rank >= 2",
+    ("mult", "--type", "D3"): "type D requires rank >= 4",
+    ("mult", "--type", "F3"): "type F requires rank 4",
+    ("mult", "--type", "G3"): "type G requires rank 2",
+    ("mult", "--type", "A2", "--u", "0", "--v", "1"): "word indices must be >= 1, got '0'",
+    ("mult", "--type", "A2", "--words", "jcompat:"):
+        "jcompat needs a non-empty generator subset, e.g. jcompat:1",
+}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -372,12 +386,15 @@ def test_verify_duality_json_payload_shape():
          "--jobs", "2"),
         ("stab", "coh", "--type", "A2", "--u", "1", "--v", "1", "--jobs", "2"),
         ("stab", "k", "--type", "A2", "--u", "1", "--v", "12", "--jobs", "2"),
+        *_REFUSALS,
     ],
 )
 def test_config_errors_exit_three(argv):
     code, _, err = run_cli(*argv)
     assert code == EXIT_CONFIG
     assert err.startswith("error:")
+    if argv in _REFUSALS:
+        assert err == f"error: {_REFUSALS[argv]}\n"
 
 
 @pytest.mark.parametrize(
@@ -789,28 +806,34 @@ SIGMA_SPEC = {
 
 # stdout of ``mult --type A3 --family custom:unit.json --out json --check``,
 # recorded when the unit family's formula columns and Billey rows were still
-# summed over the subwords of each word.
-_UNIT_A3_CHECK_SHA256 = "c0c5dcd6637f3f666d3a26102a8e842965bd55fee6c0a824ea653ce0c34977e1"
+# summed over the subwords of each word (and re-recorded when "family" became
+# the family's own name, "custom:unit", the only line that changed).
+_UNIT_A3_CHECK_SHA256 = "5f295133ffe6e33698456d62c3fdc8d79fd9034d61340d4530c1fcf6da233365"
 # The same with ``--words jcompat:2``, recorded when each b-row was still
 # built from the words composed in Q_W.
-_UNIT_A3_JCOMPAT_CHECK_SHA256 = "48c6c2a45975f2a7680b920184ed638f9e316128ac387991acaf892a2a2b35e6"
+_UNIT_A3_JCOMPAT_CHECK_SHA256 = "b379446db630e5d61cba20642ccd6aa6f6c29d0eec666de471e6cea3fd6ff55a"
 
 
-def _unit_a3_table_digest(tmp_path, monkeypatch, *extra):
-    """sha256 of ``mult --type A3 --family custom:unit.json --out json
-    --check`` plus ``extra``.  stdout echoes the --family token, so the file
-    is named relative to the working directory."""
+def _unit_a3_table(tmp_path, monkeypatch, path, *extra):
+    """stdout of ``mult --type A3 --family custom:PATH --out json --check``
+    plus ``extra``, with the unit family written to ``tmp_path/unit.json``
+    and ``tmp_path`` the working directory."""
     (tmp_path / "unit.json").write_text(json.dumps(UNIT_SPEC), encoding="utf-8")
     monkeypatch.chdir(tmp_path)
-    cli._session_basis.cache_clear()  # the relative token must not reuse a session
+    cli._session_basis.cache_clear()  # a relative token must not reuse a session
     try:
         code, out, err = run_cli(
-            "mult", "--type", "A3", "--family", "custom:unit.json", *extra,
+            "mult", "--type", "A3", "--family", f"custom:{path}", *extra,
             "--out", "json", "--check",
         )
     finally:
         cli._session_basis.cache_clear()
     assert (code, err) == (EXIT_OK, "")
+    return out
+
+
+def _unit_a3_table_digest(tmp_path, monkeypatch, *extra):
+    out = _unit_a3_table(tmp_path, monkeypatch, "unit.json", *extra)
     return hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
@@ -827,6 +850,26 @@ def test_unit_family_table_on_j_compatible_words_bytes_are_pinned(tmp_path, monk
     words' own prefixes must keep the bytes of the composed words."""
     digest = _unit_a3_table_digest(tmp_path, monkeypatch, "--words", "jcompat:2")
     assert digest == _UNIT_A3_JCOMPAT_CHECK_SHA256
+
+
+def test_a_custom_table_names_the_family_not_the_path(tmp_path, monkeypatch):
+    """"family" is the family's own name, so one table has one set of bytes
+    however the path to its file is spelled."""
+    relative = _unit_a3_table(tmp_path, monkeypatch, "unit.json")
+    absolute = _unit_a3_table(tmp_path, monkeypatch, tmp_path / "unit.json")
+    assert json.loads(relative)["family"] == "custom:unit"
+    assert relative == absolute
+    restrictions = []
+    for path in ("unit.json", tmp_path / "unit.json"):
+        cli._session_basis.cache_clear()
+        restrictions.append(run_cli(
+            "restrict", "--type", "A2", "--family", f"custom:{path}",
+            "--v", "121", "--w", "1", "--out", "json",
+        ))
+    cli._session_basis.cache_clear()
+    (code, out, _), second = restrictions
+    assert code == EXIT_OK and json.loads(out)["family"] == "custom:unit"
+    assert second == restrictions[0]
 
 
 @pytest.mark.parametrize(
@@ -882,16 +925,21 @@ def test_custom_family_file_sets_the_default_law(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spec",
+    "spec,message",
     [
-        [1, 2],
-        dict(SIGMA_SPEC, a=[1]),
-        dict(SIGMA_SPEC, a={"num": 5}),
-        dict(SIGMA_SPEC, a={"num": [[-1.5, 0, 0, 0]], "den": [["x_root", 1]]}),
+        ([1, 2], " must hold a JSON object"),
+        (dict(SIGMA_SPEC, a=[1]),
+         ", coefficient 'a' must be a JSON object with 'num' and 'den' lists"),
+        (dict(SIGMA_SPEC, a={"num": 5}),
+         ", coefficient 'a' is malformed: 'int' object is not iterable"),
+        (dict(SIGMA_SPEC, a={"num": [[-1.5, 0, 0, 0]], "den": [["x_root", 1]]}),
+         ", coefficient 'a' is malformed: 'float' object cannot be interpreted as an integer"),
+        (dict(SIGMA_SPEC, law="tropical"),
+         " declares law 'tropical', not one of ('additive', 'multiplicative')"),
     ],
-    ids=["list", "a-list", "a-num-int", "a-float-coeff"],
+    ids=["list", "a-list", "a-num-int", "a-float-coeff", "law-tropical"],
 )
-def test_custom_family_of_the_wrong_shape_exits_3(tmp_path, spec):
+def test_custom_family_of_the_wrong_shape_exits_3(tmp_path, spec, message):
     path = tmp_path / "bad_shape.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     code, _, err = run_cli(
@@ -899,7 +947,7 @@ def test_custom_family_of_the_wrong_shape_exits_3(tmp_path, spec):
         "--u", "1", "--v", "2",
     )
     assert code == EXIT_CONFIG
-    assert "custom family" in err
+    assert err == f"error: custom family {str(path)!r}{message}\n"
 
 
 def test_custom_family_rejects_broken_inverse(tmp_path):
@@ -1004,22 +1052,25 @@ def test_cartan_file_lattice_key_is_honoured(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "spec,key",
+    "spec,message",
     [
-        ({"cartan": [[2, -1], [-1, 2]], "lattice": 5}, "lattice"),
-        ({"cartan": 5}, "cartan"),
-        ({"cartan": [1, 2]}, "cartan"),
-        ({"cartan": [[2, -1], [-1, 2]], "label": 7}, "label"),
+        ({"cartan": [[2, -1], [-1, 2]], "lattice": 5},
+         "lattice must be one of ('simply-connected', 'adjoint'), got 5"),
+        ({"cartan": 5}, "'cartan' must be a list of rows, each a list of integers"),
+        ({"cartan": [1, 2]}, "'cartan' must be a list of rows, each a list of integers"),
+        ({"cartan": [[2, -1], [-1, 2]], "label": 7}, "'label' must be a string, got 7"),
+        ([[2, -1], [-1, 2]], "cannot build a root datum from list"),
+        ({"lattice": "adjoint"}, "explicit datum requires a 'cartan' key"),
+        ({"cartan": [[2, -1.5], [-1, 2]]}, "Cartan entry (1,2) must be an integer"),
     ],
-    ids=["lattice-int", "cartan-int", "cartan-flat", "label-int"],
+    ids=["lattice-int", "cartan-int", "cartan-flat", "label-int", "list", "no-cartan",
+         "cartan-float"],
 )
-def test_cartan_file_of_the_wrong_shape_exits_3(tmp_path, spec, key):
+def test_cartan_file_of_the_wrong_shape_exits_3(tmp_path, spec, message):
     path = tmp_path / "bad_datum.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     code, out, err = run_cli("mult", "--cartan", str(path), "--u", "1", "--v", "1")
-    assert code == EXIT_CONFIG
-    assert out == ""
-    assert key in err
+    assert (code, out, err) == (EXIT_CONFIG, "", f"error: {message}\n")
 
 
 @pytest.mark.parametrize("source", ["type", "cartan"])

@@ -311,6 +311,32 @@ def test_product_table_matches_root_matrix_arithmetic(spec, lattice):
         assert datum.inversion_roots_along(word) == tuple(betas), word
 
 
+def _lattice_reflection(datum, i):
+    """s_i on lattice coordinates, from s_i(e_j) = e_j - <e_j, alpha_i^vee> alpha_i:
+    the pairing is delta_ij on fundamental weights and A[i][j] on simple roots."""
+    n, alpha = datum.rank, datum.simple_root(i)
+    pairing = [
+        datum.cartan[i - 1][j] if datum.lattice == ADJOINT else int(j == i - 1) for j in range(n)
+    ]
+    return tuple(tuple(int(r == j) - pairing[j] * alpha[r] for j in range(n)) for r in range(n))
+
+
+@pytest.mark.parametrize("label", ["A2", "B2", "G2", "A3", "B3"])
+@pytest.mark.parametrize("lattice", ["simply-connected", ADJOINT])
+def test_lattice_matrices_and_inverses_are_the_folds_of_their_words(label, lattice):
+    """The tables recorded at enumeration equal the word folds they replace:
+    the lattice matrix is the product of the simple lattice reflections along
+    w.word, and the inverse is the element of the reversed word."""
+    datum = get_datum(label, lattice)
+    refl = {i: _lattice_reflection(datum, i) for i in range(1, datum.rank + 1)}
+    for w in datum.elements:
+        mat = datum.identity.root_matrix
+        for i in w.word:
+            mat = _mat_mul(mat, refl[i])
+        assert datum.lattice_matrix(w) == mat, w.word
+        assert datum.inverse(w) is datum.element_by_word(w.word[::-1]), w.word
+
+
 # ---------------------------------------------------------------------------
 # Bruhat order and Demazure product
 # ---------------------------------------------------------------------------

@@ -339,37 +339,37 @@ def test_b_and_c_coefficients_lie_in_s(label, law, family):
             coeff.as_selem()
 
 
-@pytest.mark.parametrize(
-    "label,lattice,family,law,entries,digest",
-    [
-        ("A3", "simply-connected", "x", ADDITIVE, 213,
-         "dac4e68a554437d26422fba991c304af81f9ec48d815f45fb85f72dc117e0a49"),
-        ("A3", "simply-connected", "x", MULTIPLICATIVE, 213,
-         "d16df7b5a830e73df24fda0e00087cf01298bdb97a4d55ec60835c93bd15a1eb"),
-        ("A3", "simply-connected", "y", ADDITIVE, 213,
-         "46d84e1e5d0b6a5660b3c90d3accaae44d75e7436a48094e30cee28917216613"),
-        ("A3", "simply-connected", "t", ADDITIVE, 213,
-         "03565dd9ff9f0e6d0a21e7189593ad8a1ba742e66173bcadbea3863b4b71dcbf"),
-        ("A3", "simply-connected", "tau", MULTIPLICATIVE, 213,
-         "f6c1db30a9bad9f27ba9d1136543f55000f0be7f20752a2ef58fe205e25fbf03"),
-        # The content-2 root x_(2,-2) of the simply-connected B2 lattice.
-        ("B2", "simply-connected", "x", ADDITIVE, 33,
-         "9f5627b95713edf87a30e8723651b464e1f0630463befef1d6b729ea66fd9c38"),
-        ("B2", "adjoint", "t", ADDITIVE, 33,
-         "7f0b461a06062a04ff2b33617810d146004e38ac075bc3c7514c53699c3472fc"),
-        ("G2", "simply-connected", "t", ADDITIVE, 73,
-         "c00ee7dfaf2b4fefd8db9afd1412446e1760c4bb39101257af538abb2592ba4e"),
-        ("G2", "simply-connected", "x", MULTIPLICATIVE, 73,
-         "8d8eced7e3eaaa6f59e8bc5a86b538e6b0682e3cf05829f212b80a91cb22c8b6"),
-        ("B2", "simply-connected", "sigma", ADDITIVE, 33,
-         "28d95f42a10b0cb97affa5ab4187af5ae6390e32a44b6e69908396affb6fde0e"),
-        # The datum of the benchmark's classes-B3-x-mult workload.
-        ("B3", "simply-connected", "x", MULTIPLICATIVE, 847,
-         "8818a36946fdf48b1bf284e505a26fe5781211d7c272229516d4bda68bc91c14"),
-        ("B2", "simply-connected", "t", ADDITIVE, 33,
-         "c291566af14dadbc25afa49bd5f49925c04d88f61eb52a16f90c986e44293b95"),
-    ],
-)
+_B_ROW_GRIDS = [
+    ("A3", "simply-connected", "x", ADDITIVE, 213,
+     "dac4e68a554437d26422fba991c304af81f9ec48d815f45fb85f72dc117e0a49"),
+    ("A3", "simply-connected", "x", MULTIPLICATIVE, 213,
+     "d16df7b5a830e73df24fda0e00087cf01298bdb97a4d55ec60835c93bd15a1eb"),
+    ("A3", "simply-connected", "y", ADDITIVE, 213,
+     "46d84e1e5d0b6a5660b3c90d3accaae44d75e7436a48094e30cee28917216613"),
+    ("A3", "simply-connected", "t", ADDITIVE, 213,
+     "03565dd9ff9f0e6d0a21e7189593ad8a1ba742e66173bcadbea3863b4b71dcbf"),
+    ("A3", "simply-connected", "tau", MULTIPLICATIVE, 213,
+     "f6c1db30a9bad9f27ba9d1136543f55000f0be7f20752a2ef58fe205e25fbf03"),
+    # The content-2 root x_(2,-2) of the simply-connected B2 lattice.
+    ("B2", "simply-connected", "x", ADDITIVE, 33,
+     "9f5627b95713edf87a30e8723651b464e1f0630463befef1d6b729ea66fd9c38"),
+    ("B2", "adjoint", "t", ADDITIVE, 33,
+     "7f0b461a06062a04ff2b33617810d146004e38ac075bc3c7514c53699c3472fc"),
+    ("G2", "simply-connected", "t", ADDITIVE, 73,
+     "c00ee7dfaf2b4fefd8db9afd1412446e1760c4bb39101257af538abb2592ba4e"),
+    ("G2", "simply-connected", "x", MULTIPLICATIVE, 73,
+     "8d8eced7e3eaaa6f59e8bc5a86b538e6b0682e3cf05829f212b80a91cb22c8b6"),
+    ("B2", "simply-connected", "sigma", ADDITIVE, 33,
+     "28d95f42a10b0cb97affa5ab4187af5ae6390e32a44b6e69908396affb6fde0e"),
+    # The datum of the benchmark's classes-B3-x-mult workload.
+    ("B3", "simply-connected", "x", MULTIPLICATIVE, 847,
+     "8818a36946fdf48b1bf284e505a26fe5781211d7c272229516d4bda68bc91c14"),
+    ("B2", "simply-connected", "t", ADDITIVE, 33,
+     "c291566af14dadbc25afa49bd5f49925c04d88f61eb52a16f90c986e44293b95"),
+]
+
+
+@pytest.mark.parametrize("label,lattice,family,law,entries,digest", _B_ROW_GRIDS)
 def test_b_row_printed_forms_are_pinned(label, lattice, family, law, entries, digest):
     """The printed form of a Q value depends on how its sum was formed, so
     the b-matrix is pinned entry by entry: one line "u t b_{u,I_t}" per
@@ -382,6 +382,18 @@ def test_b_row_printed_forms_are_pinned(label, lattice, family, law, entries, di
             lines.append(f"{word_to_str(u.word)} {word_to_str(t.word)} {qelem_to_str(row[t])}\n")
     assert len(lines) == entries
     assert hashlib.sha256("".join(lines).encode("utf-8")).hexdigest() == digest
+
+
+@pytest.mark.parametrize("label,lattice,family,law", [grid[:4] for grid in _B_ROW_GRIDS])
+def test_diag_inverse_prints_as_the_product_of_b_inverses(label, lattice, family, law):
+    """The monic walk's diagonal inverse of w prints as the left-to-right
+    product of b_inv over the inversion roots of I_w."""
+    alg = Algebra(BUILTIN_FAMILIES[family](Backend(get_datum(label, lattice), law)))
+    for w in alg.datum.elements:
+        expected = q_int(alg.backend, 1)
+        for beta in alg._inversion_weights(alg.word(w)):
+            expected = expected * alg.family.b_inv(beta)
+        assert qelem_to_str(alg.diag_inverse(w)) == qelem_to_str(expected), w.word
 
 
 def _product_of_letters(alg, word):
@@ -434,13 +446,15 @@ def test_monic_rows_are_the_composed_words_over_their_leading_coefficient(
 ):
     """M_J(v) = a_{J,v} / a_{J,w}: the letter-by-letter recursion gives the
     coefficients of the composed word times diag_inverse(w), for lexmin
-    words and for J-compatible words, whose prefixes are not all chosen."""
+    words and for J-compatible words, whose prefixes are not all chosen.
+    The same walk carries the word's element and its diagonal inverse."""
     datum = get_datum(label)
     words = None if subset is None else datum.j_compatible_words(subset)
     alg = _algebra(label, family, law, words)
     for w in datum.elements:
         word = alg.word(w)
-        row = alg._monic_row(word)
+        element, row, inverse = alg._monic_row(word)
+        assert element is w and inverse is alg.diag_inverse(w), word
         composed = alg.compose_word(word).coeffs
         assert row.keys() == composed.keys(), word
         assert q_equal(row[w], q_int(alg.backend, 1)), word
@@ -456,19 +470,24 @@ def test_monic_rows_are_the_composed_words_over_their_leading_coefficient(
 )
 def test_a_b_matrix_build_composes_no_word(monkeypatch, label, family, law, subset):
     """The b-rows come from the monic rows alone: no word is composed in
-    Q_W, and each monic step stores the row of one more prefix, so lexmin
-    words take |W| - 1 steps and other choices one per distinct prefix."""
+    Q_W, no element is looked up by its word, and each monic step stores the
+    row of one more prefix, so lexmin words take |W| - 1 steps and other
+    choices one per distinct prefix."""
     datum = get_datum(label)
     words = None if subset is None else datum.j_compatible_words(subset)
     alg = _algebra(label, family, law, words)
-    composed = []
-    compose_word = Algebra.compose_word
+    composed, looked_up = [], []
+    compose_word, element_by_word = Algebra.compose_word, type(datum).element_by_word
     monkeypatch.setattr(
         Algebra, "compose_word", lambda self, word: composed.append(word) or compose_word(self, word)
     )
+    monkeypatch.setattr(
+        type(datum), "element_by_word",
+        lambda self, word: looked_up.append(word) or element_by_word(self, word),
+    )
     alg.b_row(datum.longest_element)
     assert len(alg._b_rows) == len(datum.elements)
-    assert not composed
+    assert not composed and not looked_up
     prefixes = {word[:k] for word in alg.words.values() for k in range(len(word) + 1)}
     assert set(alg._monic_rows) == prefixes
     if subset is None:
