@@ -69,9 +69,11 @@ sign]`` applied at ``sign * alpha``; its kind must be one of
 ``formal.FACTOR_KINDS`` that lives on the family's law, checked when the
 file is read.  A file's family is validated (b inverse,
 equivariance) before use; a built-in one is not.  ``--fgl`` defaults to
-the file's ``"law"``.  The ``"family"`` of ``mult`` and ``restrict`` JSON
-is the family's own name: the built-in token, or ``custom:`` and the
-file's ``"name"``, so the bytes do not depend on how the path is spelled.
+the file's ``"law"``.  The file's ``"name"``, if given, must be a JSON
+string (else the command exits 3); it defaults to ``"file"``.  The
+``"family"`` of ``mult`` and ``restrict`` JSON is the family's own name:
+the built-in token, or ``custom:`` and the file's ``"name"``, so the bytes
+do not depend on how the path is spelled.
 
 Explicit word files (``--words file:PATH``) map every element's canonical
 word to the chosen reduced word, e.g. ``{"": "", "1": "1", "121": "212",
@@ -240,10 +242,13 @@ def _load_custom_family(datum: RootDatum, path: str, law: str | None) -> Operato
         raise CliError(f"custom family {path!r} declares law {declared!r}, not one of {LAWS}")
     if law not in (None, declared):
         raise CliError(f"custom family {path!r} declares law {declared!r}; --fgl is {law!r}")
+    name = spec.get("name", "file")
+    if not isinstance(name, str):
+        raise CliError(f"custom family {path!r} must give its \"name\" as a JSON string")
     backend = Backend(datum, declared)
     coefficients = read_coefficients(backend, spec, f"custom family {path!r}")
     try:
-        return custom_family(backend, str(spec.get("name", "file")), *coefficients)
+        return custom_family(backend, name, *coefficients)
     except ValueError as exc:
         raise CliError(f"invalid custom family {path!r}: {exc}") from exc
 

@@ -29,11 +29,12 @@ Two independent routes compute the constants:
   constants it runs in S: the scale, the product of the denominators of
   b^-1(beta) over the positive roots, makes every class a polynomial
   N_w = scale Z*_{I_w}; N_u N_v = sum_w c'_w N_w costs one exact division by
-  N_w(w) per constant (each N_w(w) prepared as a divisor once), and
+  the pivot N_w(w) per constant (each class is kept with its pivot,
+  prepared as a divisor when the class is built), and
   z^{I_w}_{I_u,I_v} = c'_w / scale is normalized once.  Other families
   eliminate in Q, multiplying only by the closed-form reciprocals of the
-  diagonal entries.  Both use the one solver,
-  :func:`~demazure.twisted.expand_in_triangular_basis`, that
+  diagonal entries (``Algebra.leading_coefficient``).  Both use the one
+  solver, :func:`~demazure.twisted.expand_in_triangular_basis`, that
   ``Algebra.expand_in_z_basis`` uses too, and neither reads a walk.
 
 One pair comparator, :func:`compare_products`, checks both routes for
@@ -78,6 +79,7 @@ from .formal import (
     x_class,
 )
 from .rootdata import RootDatum, WeylElement, Word
+from .serialize import discrepancy_to_json, qelem_to_str, word_to_str
 from .twisted import (
     Algebra,
     QWElem,
@@ -154,8 +156,6 @@ class Discrepancy(namedtuple("Discrepancy", "location formula oracle")):
     __slots__ = ()
 
     def as_json_entry(self) -> dict:
-        from .serialize import qelem_to_str
-
         def render(value) -> str:
             return qelem_to_str(value) if isinstance(value, QElem) else str(value)
 
@@ -202,8 +202,6 @@ class DiscrepancyReport:
         A key missing from one row counts as 0 there; keys are visited in
         Bruhat-compatible order.
         """
-        from .serialize import word_to_str
-
         for w in sorted(formula.keys() | oracle.keys(), key=WeylElement.sort_key):
             f_val, o_val = formula.get(w), oracle.get(w)
             if f_val is None:
@@ -214,8 +212,6 @@ class DiscrepancyReport:
                 self.add(prefix + (word_to_str(w.word),), f_val, o_val)
 
     def to_json(self) -> dict:
-        from .serialize import discrepancy_to_json
-
         return discrepancy_to_json(entry.as_json_entry() for entry in self.entries)
 
 
@@ -232,8 +228,6 @@ def compare_products(
     listed too is compared once, at the order with v.index > u.index, and its
     mismatches are reported at both orders, one after the other.
     """
-    from .serialize import word_to_str
-
     pairs = list(pairs)
     listed = set(pairs)
     report = DiscrepancyReport()
@@ -262,9 +256,8 @@ class DualBasis:
         self.order: tuple[WeylElement, ...] = self.datum.elements  # in sort_key order
         self._dual_cache: dict[WeylElement, DualElem] = {}
         self._scale_factors: tuple[FactorSymbol, ...] | None = None
-        self._scaled_cache: dict[WeylElement, dict[WeylElement, SElem]] = {}
-        # Beside each N_u: its diagonal entry N_u(u), prepared as a divisor.
-        self._pivot_cache: dict[WeylElement, Divisor] = {}
+        # Each N_u with its diagonal entry N_u(u), prepared as a divisor.
+        self._scaled_cache: dict[WeylElement, tuple[dict[WeylElement, SElem], Divisor]] = {}
 
     # -- classes ----------------------------------------------------------
 
@@ -292,10 +285,6 @@ class DualBasis:
             self._dual_cache[u] = cached
         return cached
 
-    def diag_reciprocal(self, u: WeylElement) -> QElem:
-        """The exact reciprocal of b_{u, I_u}, i.e. the leading coefficient of Z_{I_u}."""
-        return self.algebra.leading_coefficient(u)
-
     def duality_pairing(self, u: WeylElement, v: WeylElement) -> QElem:
         return pairing(self.dual_basis_element(u), self.algebra.z_basis_element(v))
 
@@ -307,7 +296,7 @@ class DualBasis:
             self.order,
             g.coeffs,
             lambda u: self.dual_basis_element(u).coeffs,
-            lambda u, cur: cur * self.diag_reciprocal(u),
+            lambda u, cur: cur * self.algebra.leading_coefficient(u),
         )
 
     def scale_factors(self) -> tuple[FactorSymbol, ...]:
@@ -331,10 +320,15 @@ class DualBasis:
         """N_u = scale * Z*_{I_u} as polynomials: each numerator times the
         scale factors missing from its denominator.  Raises ``ValueError``
         when a denominator is not part of the scale."""
+        return self._scaled(u)[0]
+
+    def _scaled(self, u: WeylElement) -> tuple[dict[WeylElement, SElem], Divisor]:
+        """N_u and its diagonal entry N_u(u) prepared as a divisor, the pivot
+        of u in :meth:`scaled_product`, both built once."""
         cached = self._scaled_cache.get(u)
         if cached is None:
             scale = Counter(self.scale_factors())
-            cached = {}
+            column = {}
             for w, val in self.dual_basis_element(u).coeffs.items():
                 den = Counter(val.den)
                 left = sorted(f"{f.kind}{f.root}" for f in (den - scale).elements())
@@ -346,24 +340,22 @@ class DualBasis:
                 num = val.num
                 for factor in (scale - den).elements():
                     num = num * expand_factor(self.backend, factor)
-                cached[w] = num
-            self._scaled_cache[u] = cached
+                column[w] = num
+            cached = self._scaled_cache[u] = (column, prepare_divisor(column[u]))
         return cached
 
     def scaled_product(self, u: WeylElement, v: WeylElement) -> dict[WeylElement, SElem]:
         """The nonzero c'_w in N_u N_v = sum_w c'_w N_w, by elimination in S.
 
         Each constant costs one exact division by the diagonal entry N_w(w),
-        prepared once per class; a division that fails or a residue that
-        survives raises ``ValueError``.  The cached classes are never changed.
+        prepared with its class (:meth:`_scaled`); a division that fails or a
+        residue that survives raises ``ValueError``.  The cached classes are
+        never changed.
         """
         nu, nv = self.scaled_class(u), self.scaled_class(v)
 
         def pivot(w: WeylElement, cur: SElem) -> SElem:
-            divisor = self._pivot_cache.get(w)
-            if divisor is None:
-                divisor = self._pivot_cache[w] = prepare_divisor(self.scaled_class(w)[w])
-            c = divide_exact(self.backend, cur, divisor)
+            c = divide_exact(self.backend, cur, self._scaled(w)[1])
             if c is None:
                 raise ValueError(
                     f"the diagonal entry N_w(w) does not divide the residue at w = {w.word}"
@@ -476,8 +468,6 @@ class DualBasis:
 
     def check_restriction_matrices(self, w: WeylElement) -> DiscrepancyReport:
         """Verify p_w . b == b . b_w entrywise (no matrix inversion needed)."""
-        from .serialize import word_to_str
-
         p_mat, b_mat, bw_mat = self.restriction_matrices(w)
         zero_q = QElem.from_int(self.backend, 0)
         report = DiscrepancyReport()
@@ -552,7 +542,9 @@ class StableBasis:
         hat_recip = QElem(one(self.backend), self.basis.scale_factors())
 
         def pivot(w: WeylElement, cur: QElem) -> QElem:
-            return cur * (hat_recip * self.basis.diag_reciprocal(w) * self._inverse_weight(w))
+            return cur * (
+                hat_recip * self.algebra.leading_coefficient(w) * self._inverse_weight(w)
+            )
 
         return expand_in_triangular_basis(
             self.basis.order, g.coeffs, lambda w: self.stab_minus_bullet(w).coeffs, pivot

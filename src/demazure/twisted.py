@@ -46,7 +46,9 @@ such a fold, one letter at a time, and :func:`_walk` keeps each one by
 prefix (a column and a Leibniz coefficient by reversed suffix); every
 suffix and prefix of a lexmin word is lexmin, so all columns together walk
 |W| - 1 letters, and so do all rows.  A column is symmetric in (u, v) and
-is kept as its half u.index <= v.index.
+is kept as its half u.index <= v.index.  A walk that reads the inversion
+roots beta_j = w_{j-1}(alpha_{i_j}) carries the element w_{j-1} of its
+prefix, so each step reads its root with one lookup.
 """
 
 from __future__ import annotations
@@ -74,6 +76,7 @@ from .formal import (
     x_class,
 )
 from .rootdata import WeylElement, Word
+from .serialize import qelem_to_str, word_to_str
 
 Weight = tuple[int, ...]
 
@@ -162,8 +165,6 @@ class WeylIndexed:
     __hash__ = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        from .serialize import qelem_to_str, word_to_str
-
         parts = [
             f"({qelem_to_str(self.coeffs[w])}) {self._symbol}_{word_to_str(w.word) or 'e'}"
             for w in self.support()
@@ -506,10 +507,12 @@ _BOTH, _ONE, _NEITHER = 0, 1, 2
 class Algebra:
     """An operator family together with a fixed reduced word I_w per element.
 
-    Six per-word values are walks (:func:`_walk`), each with its own cache:
-    composed words, leading coefficients, monic rows (each with its word's
-    element and diagonal inverse), Leibniz coefficients, half formula columns
-    and Billey rows.  No diagonal entry or b-row (:meth:`_monic_row`)
+    Five per-word values are walks (:func:`_walk`), each with its own cache:
+    composed words, monic rows, Leibniz coefficients, half formula columns
+    and Billey rows.  A monic row's value is the 4-tuple of its word's
+    element, the row, the diagonal inverse and the leading coefficient
+    (:meth:`_monic_row`), and a Billey row's is the pair of its word's
+    element and the row (:meth:`billey_row`).  No diagonal entry or b-row
     composes a word.  :meth:`_moves` alone chooses the moves of the column
     and row walks, the c-rule (:meth:`_c_moves`) or the generic elimination
     (:meth:`expand_in_z_basis`), which gives every c-coefficient the algebra
@@ -533,15 +536,16 @@ class Algebra:
         identity, unit = self.datum.identity, QElem.from_int(self.backend, 1)
         # The walk caches, each seeded with the value of the empty word.
         self._compose_cache: dict[Word, QWElem] = {(): QWElem.one(self.backend)}
-        self._leading: dict[Word, QElem] = {(): unit}
-        self._monic_rows: dict[Word, tuple[WeylElement, dict[WeylElement, QElem], QElem]] = {
-            (): (identity, {identity: unit}, unit)
+        self._monic_rows: dict[Word, tuple[WeylElement, dict, QElem, QElem]] = {
+            (): (identity, {identity: unit}, unit, unit)
         }
         self._leibniz_values: dict[tuple[tuple[int, int], ...], QElem] = {(): unit}
         self._columns: dict[Word, dict[tuple[WeylElement, WeylElement], QElem]] = {
             (): {(identity, identity): unit}
         }
-        self._billey_rows: dict[Word, dict[WeylElement, QElem]] = {(): {identity: unit}}
+        self._billey_rows: dict[Word, tuple[WeylElement, dict[WeylElement, QElem]]] = {
+            (): (identity, {identity: unit})
+        }
         self._b_rows: dict[WeylElement, dict[WeylElement, QElem]] = {}
         self._expanded_moves: dict[tuple[bool, int, WeylElement], list] = {}
 
@@ -566,43 +570,36 @@ class Algebra:
 
     # -- triangular data -------------------------------------------------------
 
-    def _inversion_weights(self, word: Word) -> tuple[Weight, ...]:
-        """The inversion roots beta_j along ``word``, in lattice coordinates,
-        uncached.  A walk step j reads beta_j from ``word[:j+1]``, so a walk
-        that hits its cache computes none."""
-        datum = self.datum
-        return tuple(datum.root_to_weight(beta) for beta in datum.inversion_roots_along(word))
-
     def diag_inverse(self, w: WeylElement) -> QElem:
         """1 / (leading delta_w coefficient of Z_{I_w}), as a product of
         twisted b-inverses along the word (:meth:`_monic_row`)."""
         return self._monic_row(self.words[w])[2]
 
     def leading_coefficient(self, w: WeylElement) -> QElem:
-        """The leading delta_w coefficient of Z_{I_w}, a product of twisted b's along the word."""
-        word, b = self.words[w], self.family.b
-        return _walk(
-            self._leading, word, lambda d, j: d * b(self._inversion_weights(word[: j + 1])[j])
-        )
+        """The leading delta_w coefficient of Z_{I_w}, as a product of twisted
+        b's along the word (:meth:`_monic_row`)."""
+        return self._monic_row(self.words[w])[3]
 
-    def _monic_row(self, word: Word) -> tuple[WeylElement, dict[WeylElement, QElem], QElem]:
+    def _monic_row(self, word: Word) -> tuple[WeylElement, dict[WeylElement, QElem], QElem, QElem]:
         """The element w of a reduced word J, the monic row
         M_J(v) = a_{J,v} / a_{J,w}, where Z_J = sum_v a_{J,v} delta_v and
-        M_J(w) = 1, and the diagonal inverse 1 / a_{J,w}.
+        M_J(w) = 1, the diagonal inverse 1 / a_{J,w} and the leading
+        coefficient a_{J,w}.
 
         For J = J'i, with w = w' s_i and beta = w'(alpha_i) the last inversion
         root of J, Z_J = Z_{J'} Z_i and the W-equivariance of a and b give
 
             M_J(v) = (M_{J'}(v) a(v alpha_i) + M_{J'}(v s_i) b(v s_i alpha_i)) b^-1(beta)
 
-        and 1 / a_{J,w} = (1 / a_{J',w'}) b^-1(beta), so each step reads a and
-        b once per element of the row's support, at one root.
+        and a_{J,w} = a_{J',w'} b(beta), 1 / a_{J,w} = (1 / a_{J',w'}) b^-1(beta),
+        so each step reads a and b once per element of the row's support, and
+        b and b^-1 at the one root beta.
         """
         datum, family = self.datum, self.family
         unit = QElem.from_int(self.backend, 1)
 
         def step(value, j: int):
-            prefix, row, inverse = value
+            prefix, row, inverse, leading = value
             i = word[j]
             alpha = datum.simple_root(i)
             terms: dict[WeylElement, QElem] = {}
@@ -610,10 +607,10 @@ class Algebra:
                 root = datum.apply(v, alpha)
                 accumulate(terms, v, m * family.a(root))
                 accumulate(terms, datum.multiply_simple(v, i), m * family.b(root))
-            lead = datum.multiply_simple(prefix, i)
-            b_inv = family.b_inv(datum.apply(prefix, alpha))
+            lead, beta = datum.multiply_simple(prefix, i), datum.apply(prefix, alpha)
+            b_inv = family.b_inv(beta)
             row = {v: unit if v is lead else c * b_inv for v, c in terms.items()}
-            return lead, row, inverse * b_inv
+            return lead, row, inverse * b_inv, leading * family.b(beta)
 
         return _walk(self._monic_rows, word, step)
 
@@ -763,12 +760,13 @@ class Algebra:
         word = tuple(word)
         k = len(word)
         es = _positions(k, E)
-        betas = self._inversion_weights(word)
+        datum, family = self.datum, self.family
         value = QElem.from_int(self.backend, (-1) ** (k - len(es)))
-        for j in range(1, k + 1):
+        for j, root in enumerate(datum.inversion_roots_along(word), 1):
+            beta = datum.root_to_weight(root)
             if j not in es:
-                value = value * self.family.a(betas[j - 1])
-            value = value * self.family.b_inv(betas[j - 1])
+                value = value * family.a(beta)
+            value = value * family.b_inv(beta)
         return value
 
     def c_supports(self, word: Sequence[int]) -> dict[WeylElement, list[tuple[frozenset, QElem]]]:
@@ -849,23 +847,27 @@ class Algebra:
         state x collects the subsets of the prefix whose products expand onto
         Z_{I_x} (:meth:`_billey_step`).  The inversion roots of a prefix are
         the leading ones of the word, so the state after a prefix is that
-        prefix's own row.
+        prefix's own row, kept with the prefix's element.
         """
         word = self.words[v]
-        return _walk(self._billey_rows, word, lambda state, j: self._billey_step(word, j, state))
+        return _walk(
+            self._billey_rows, word, lambda value, j: self._billey_step(word[j], *value)
+        )[1]
 
     def _billey_step(
-        self, word: Word, j: int, state: Mapping[WeylElement, QElem]
-    ) -> dict[WeylElement, QElem]:
-        """The row of ``word[:j+1]`` from the row of ``word[:j]``.
+        self, i: int, prefix: WeylElement, state: Mapping[WeylElement, QElem]
+    ) -> tuple[WeylElement, dict[WeylElement, QElem]]:
+        """The element and row of J i from those of the prefix J.
 
-        The factor prod_j b^-1(beta_j) enters one inversion root beta = beta_j
-        at a time: a position in E takes the right moves (:meth:`_moves`) of x with weight
-        b^-1(beta), and one left out stays with weight -a(beta) b^-1(beta).
-        For X and Y the first is a polynomial and the second a unit, so no
-        walk state is ever divided.
+        The factor prod_j b^-1(beta_j) enters one inversion root at a time,
+        beta = w(alpha_i) for the element w of J: a position in E takes the
+        right moves (:meth:`_moves`) of x with weight b^-1(beta), and one
+        left out stays with weight -a(beta) b^-1(beta).  For X and Y the
+        first is a polynomial and the second a unit, so no walk state is
+        ever divided.
         """
-        i, beta = word[j], self._inversion_weights(word[: j + 1])[j]
+        datum = self.datum
+        beta = datum.apply(prefix, datum.simple_root(i))
         moves = self._moves(left=False)
         take = self.family.b_inv(beta)
         skip = -(self.family.a(beta) * take)
@@ -875,7 +877,7 @@ class Algebra:
             for target, weight in moves(i, x):
                 accumulate(out, target, _weighted(taken, weight))
             accumulate(out, x, value * skip)
-        return out
+        return datum.multiply_simple(prefix, i), out
 
     # -- tau inverses ---------------------------------------------------------------
 
@@ -900,8 +902,6 @@ class Algebra:
         residual is zero and its own pair lies in S, equals the pair of i = 1
         and is fixed by every s_j; a braid entry passes when its residual is
         zero."""
-        from .serialize import qelem_to_str
-
         datum, one_qw = self.datum, QWElem.one(self.backend)
         reflections = [datum.simple_reflection(j) for j in range(1, datum.rank + 1)]
         first, entries = None, []

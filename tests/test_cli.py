@@ -936,8 +936,10 @@ def test_custom_family_file_sets_the_default_law(tmp_path):
          ", coefficient 'a' is malformed: 'float' object cannot be interpreted as an integer"),
         (dict(SIGMA_SPEC, law="tropical"),
          " declares law 'tropical', not one of ('additive', 'multiplicative')"),
+        (dict(SIGMA_SPEC, name=["f"]), ' must give its "name" as a JSON string'),
+        (dict(SIGMA_SPEC, name=7), ' must give its "name" as a JSON string'),
     ],
-    ids=["list", "a-list", "a-num-int", "a-float-coeff", "law-tropical"],
+    ids=["list", "a-list", "a-num-int", "a-float-coeff", "law-tropical", "name-list", "name-int"],
 )
 def test_custom_family_of_the_wrong_shape_exits_3(tmp_path, spec, message):
     path = tmp_path / "bad_shape.json"

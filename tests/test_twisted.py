@@ -391,8 +391,8 @@ def test_diag_inverse_prints_as_the_product_of_b_inverses(label, lattice, family
     alg = Algebra(BUILTIN_FAMILIES[family](Backend(get_datum(label, lattice), law)))
     for w in alg.datum.elements:
         expected = q_int(alg.backend, 1)
-        for beta in alg._inversion_weights(alg.word(w)):
-            expected = expected * alg.family.b_inv(beta)
+        for beta in alg.datum.inversion_roots_along(alg.word(w)):
+            expected = expected * alg.family.b_inv(alg.datum.root_to_weight(beta))
         assert qelem_to_str(alg.diag_inverse(w)) == qelem_to_str(expected), w.word
 
 
@@ -453,8 +453,9 @@ def test_monic_rows_are_the_composed_words_over_their_leading_coefficient(
     alg = _algebra(label, family, law, words)
     for w in datum.elements:
         word = alg.word(w)
-        element, row, inverse = alg._monic_row(word)
+        element, row, inverse, leading = alg._monic_row(word)
         assert element is w and inverse is alg.diag_inverse(w), word
+        assert leading is alg.leading_coefficient(w), word
         composed = alg.compose_word(word).coeffs
         assert row.keys() == composed.keys(), word
         assert q_equal(row[w], q_int(alg.backend, 1)), word
@@ -847,8 +848,7 @@ def test_diag_reciprocal_prints_as_the_composed_leading_coefficient(label, famil
     the composed word Z_{I_w}, in the same printed form, and no word is
     composed to find it."""
     alg = _algebra(label, family, law)
-    basis = DualBasis(alg)
-    diagonal = {w: qelem_to_str(basis.diag_reciprocal(w)) for w in alg.datum.elements}
+    diagonal = {w: qelem_to_str(alg.leading_coefficient(w)) for w in alg.datum.elements}
     assert len(alg._compose_cache) == 1
     for w in alg.datum.elements:
         assert diagonal[w] == qelem_to_str(alg.z_basis_element(w).coeffs[w]), w.word
@@ -1090,6 +1090,47 @@ def test_billey_rows_divide_at_most_once_per_letter(monkeypatch, label, family, 
     for w in alg.datum.elements:
         alg.billey_row(w)
     assert len(calls) <= len(alg.datum.elements) - 1
+
+
+_RANK_3_GRIDS = [
+    (label, family, law) for label in ("A3", "B3")
+    for family, law in (("x", MULTIPLICATIVE), ("t", ADDITIVE))
+]
+
+
+@pytest.mark.parametrize("label,family,law", _RANK_3_GRIDS)
+def test_billey_rows_read_each_inversion_root_from_their_prefix(
+    monkeypatch, label, family, law
+):
+    """The Billey walk carries the element of each prefix, so a step reads
+    its inversion root beta = w(alpha_i) with one lookup and never rebuilds
+    the roots along the word."""
+    alg = Algebra(BUILTIN_FAMILIES[family](Backend(get_datum(label), law)))
+    datum = alg.datum
+    calls = []
+    along = type(datum).inversion_roots_along
+    monkeypatch.setattr(
+        type(datum), "inversion_roots_along",
+        lambda self, word: calls.append(word) or along(self, word),
+    )
+    for w in datum.elements:
+        alg.billey_row(w)
+    assert len(alg._billey_rows) == len(datum.elements)
+    assert not calls
+
+
+@pytest.mark.parametrize("label,family,law", _RANK_3_GRIDS)
+def test_leading_coefficients_ride_the_monic_walk(monkeypatch, label, family, law):
+    """The monic walk multiplies up a_{J,w} beside 1 / a_{J,w}, so once every
+    b-row is built, no leading coefficient reads b again."""
+    alg = Algebra(BUILTIN_FAMILIES[family](Backend(get_datum(label), law)))
+    alg.b_row(alg.datum.longest_element)
+    calls = []
+    b = alg.family.b
+    monkeypatch.setattr(alg.family, "b", lambda root: calls.append(root) or b(root))
+    for w in alg.datum.elements:
+        assert q_equal(alg.leading_coefficient(w) * alg.diag_inverse(w), q_int(alg.backend, 1))
+    assert not calls
 
 
 @pytest.mark.parametrize(
