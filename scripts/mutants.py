@@ -2,18 +2,21 @@
 
 Usage::
 
-    python scripts/mutants.py            # every mutant
-    python scripts/mutants.py NAME ...   # the named mutants only
+    python scripts/mutants.py
 
 Each mutant is a name, a file under ``src/``, an exact old text that occurs
-there once, its replacement and the test ids that must fail on it.  For each
-mutant the script copies ``src/`` into a temporary directory, applies the one
-replacement to the copy (the checkout is never changed), runs the mutant's
-tests with the copy on ``PYTHONPATH``, and prints ``killed`` with the first
-failing test, or ``survived``.  It exits 1 if any mutant survives, and 2 if
-a name is unknown, an old text does not occur exactly once or pytest finds
-no test to run.  Only the standard library is used; the tests need pytest
-(and hypothesis) as Tier-1 does.
+there once, its replacement and the test ids that must fail on it.  The
+script first runs every named test once on an unmutated copy of ``src/``;
+they must all pass.  Then, for each mutant, it copies ``src/`` into a
+temporary directory, applies the one replacement to the copy (the checkout
+is never changed), runs the mutant's tests with the copy on ``PYTHONPATH``,
+and prints ``killed`` with the first failing test, or ``survived``.  A
+mutant counts as killed only when pytest reports one of its own test ids as
+failed or in error; a run past ``TIMEOUT_S`` seconds is reported and counts
+as a survivor.  The script exits 1 if any mutant survives, and 2 if an old
+text does not occur exactly once or the tests do not pass unmutated.  Only
+the standard library is used; the tests need pytest (and hypothesis) as
+Tier-1 does.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import tempfile
 from collections import namedtuple
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-TIMEOUT_S = 600
+TIMEOUT_S = 60
 
 Mutant = namedtuple("Mutant", "name path old new tests")
 
@@ -101,57 +104,75 @@ def occurrences(mutant: Mutant) -> int:
         return fh.read().count(mutant.old)
 
 
-def first_failure(output: str) -> str | None:
-    """The id of the first failing or erroring test in pytest's summary."""
-    for line in output.splitlines():
-        if line.startswith(("FAILED ", "ERROR ")):
-            return line.split(" ", 2)[1]
-    return None
+def failures(output: str) -> list[str]:
+    """The ids of the failing or erroring tests in pytest's summary, in order."""
+    return [
+        line.split(" ", 2)[1]
+        for line in output.splitlines()
+        if line.startswith(("FAILED ", "ERROR "))
+    ]
 
 
-def run(mutant: Mutant) -> tuple[bool, str]:
-    """Apply the mutant to a copy of ``src/`` and run its tests: (killed, detail)."""
+def names_one_of(test_id: str, tests: tuple[str, ...]) -> bool:
+    """Whether ``test_id`` is one of ``tests``, or a parametrized case of one."""
+    return test_id.split("[", 1)[0] in tests
+
+
+def run_tests(mutant: Mutant | None, tests: list[str]) -> tuple[int | None, str]:
+    """Run ``tests`` on a copy of ``src/`` with ``mutant`` applied (None: unmutated).
+
+    Returns pytest's exit code, or None when the run passed ``TIMEOUT_S``, and
+    its stdout.
+    """
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         src = os.path.join(tmp, "src")
         shutil.copytree(
             os.path.join(ROOT, "src"), src, ignore=shutil.ignore_patterns("__pycache__")
         )
-        target = os.path.join(tmp, mutant.path)
-        with open(target, encoding="utf-8") as fh:
-            text = fh.read()
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(text.replace(mutant.old, mutant.new, 1))
+        if mutant is not None:
+            target = os.path.join(tmp, mutant.path)
+            with open(target, encoding="utf-8") as fh:
+                text = fh.read()
+            with open(target, "w", encoding="utf-8") as fh:
+                fh.write(text.replace(mutant.old, mutant.new, 1))
         env = dict(os.environ, PYTHONPATH=src, PYTHONDONTWRITEBYTECODE="1")
         command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                   *mutant.tests]
+                   *tests]
         try:
             proc = subprocess.run(
                 command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT_S
             )
         except subprocess.TimeoutExpired:
-            return True, f"its tests ran past {TIMEOUT_S} s"
-    if proc.returncode == 0:
+            return None, ""
+    return proc.returncode, proc.stdout
+
+
+def run(mutant: Mutant) -> tuple[bool, str]:
+    """Apply the mutant to a copy of ``src/`` and run its tests: (killed, detail)."""
+    code, output = run_tests(mutant, list(mutant.tests))
+    if code is None:
+        return False, f"its tests ran past {TIMEOUT_S} s"
+    if code == 0:
         return False, "every test passed"
-    if proc.returncode in (4, 5):  # a usage error or no test collected: nothing ran
-        sys.exit(f"{mutant.name}: pytest ran no test (exit {proc.returncode})")
-    failed = first_failure(proc.stdout)
-    if failed is None:  # pytest could not run the tests at all
-        return True, f"pytest exited {proc.returncode}: {proc.stdout.strip()[-200:]}"
-    return True, failed
+    own = [test_id for test_id in failures(output) if names_one_of(test_id, mutant.tests)]
+    if own:
+        return True, own[0]
+    return False, f"pytest exited {code} without failing a named test: {output.strip()[-200:]}"
 
 
-def main(argv: list[str]) -> int:
-    unknown = set(argv) - {m.name for m in MUTANTS}
-    if unknown:
-        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
-        return 2
-    chosen = [m for m in MUTANTS if not argv or m.name in argv]
-    stale = [m.name for m in chosen if occurrences(m) != 1]
+def main() -> int:
+    stale = [m.name for m in MUTANTS if occurrences(m) != 1]
     if stale:
         print(f"old text does not occur exactly once: {', '.join(stale)}", file=sys.stderr)
         return 2
+    tests = sorted({test_id for mutant in MUTANTS for test_id in mutant.tests})
+    code, output = run_tests(None, tests)
+    if code != 0:
+        detail = f"ran past {TIMEOUT_S} s" if code is None else output.strip()[-400:]
+        print(f"the named tests do not pass unmutated: {detail}", file=sys.stderr)
+        return 2
     survivors = 0
-    for mutant in chosen:
+    for mutant in MUTANTS:
         killed, detail = run(mutant)
         survivors += not killed
         print(f"{mutant.name}: {'killed' if killed else 'survived'} ({detail})", flush=True)
@@ -159,4 +180,4 @@ def main(argv: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -22,19 +22,20 @@ def _load_mutants():
     return module
 
 
-MUTANTS = _load_mutants().MUTANTS
+mutants = _load_mutants()
 
 
 def test_mutant_names_are_unique():
-    names = [mutant.name for mutant in MUTANTS]
+    names = [mutant.name for mutant in mutants.MUTANTS]
     assert len(names) == len(set(names))
 
 
-@pytest.mark.parametrize("mutant", MUTANTS, ids=[mutant.name for mutant in MUTANTS])
+@pytest.mark.parametrize(
+    "mutant", mutants.MUTANTS, ids=[mutant.name for mutant in mutants.MUTANTS]
+)
 def test_every_mutant_old_text_occurs_exactly_once(mutant):
-    text = (ROOT / mutant.path).read_text(encoding="utf-8")
     assert mutant.new != mutant.old
-    assert text.count(mutant.old) == 1, mutant.path
+    assert mutants.occurrences(mutant) == 1, mutant.path
     assert mutant.tests
     for test_id in mutant.tests:
         path, name = test_id.split("::")
